@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,10 +34,32 @@ def write_config(tmp_path, config):
     return str(path)
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+#: Byte-exact stdout of each command on the bundled scenarios, recorded before
+#: the solver refactor that must leave it unchanged.
+GOLDEN_COMMANDS = {
+    "solve": [],
+    "sensitivity": [],
+    "sweep": ["--grid", "101"],
+    "refine": ["--iters", "50"],
+    "check": [],
+}
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("scenario", ["market_m6", "vacuous_m2"])
+@pytest.mark.parametrize("command", list(GOLDEN_COMMANDS))
+def test_golden_output(capsys, command, scenario):
+    code, out, _ = run_cli(capsys, [command, scenario, *GOLDEN_COMMANDS[command]])
+    # vacuous_m2 has no oracle, so refine is a config error with empty stdout.
+    assert code == (2 if (command, scenario) == ("refine", "vacuous_m2") else 0)
+    assert out == (GOLDEN / f"{command}_{scenario}.out").read_text(encoding="utf-8")
 
 
 class TestSolve:
