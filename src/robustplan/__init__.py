@@ -51,8 +51,6 @@ from .solver import (
     ExchangeConfig,
     PlanningSolution,
     solve_forecast_set,
-    solve_generic,
-    solve_prediction_intervals,
     sweep,
     true_expected,
     worst_case_value,
@@ -103,9 +101,7 @@ __all__ = [
     "refine_loop",
     "sensitivities",
     "solve_forecast_set",
-    "solve_generic",
     "solve_lp",
-    "solve_prediction_intervals",
     "strict_feasibility_slack",
     "sweep",
     "to_generic",

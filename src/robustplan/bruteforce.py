@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguitySetEmpty, NumericalFailure, ValidationError
-from .forecast import DiscreteDistribution, ForecastSet, constraint_values
+from .forecast import (
+    BOUNDARY_SHIFT,
+    DiscreteDistribution,
+    ForecastSet,
+    IndicatorInterval,
+    NegatedIndicatorInterval,
+    outcome_grid,
+)
 from .simplex import EQ, INFEASIBLE, LE, OPTIMAL, LinearProgram, solve_lp
 from .solver import worst_case_value
 from .utility import Utility
@@ -25,39 +32,13 @@ from .utility import Utility
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Discretization: uniform base points plus boundary-probe augmentation."""
+    """Discretization: uniform base points, augmented by forecast.outcome_grid."""
 
     base_points: int = 512
-    epsilon_shift: float = 1e-9
 
     def __post_init__(self):
         if self.base_points < 2:
             raise ValidationError("base_points", f"must be >= 2, got {self.base_points}")
-        if self.epsilon_shift <= 0:
-            raise ValidationError("epsilon_shift", f"must be > 0, got {self.epsilon_shift}")
-
-
-def _augmented_grid(fs: ForecastSet, u: Utility, b: float, grid: GridSpec) -> np.ndarray:
-    lo, hi = fs.domain.lower, fs.domain.upper
-    narrowest = min(
-        (fc.function.hi - fc.function.lo for fc in fs.forecasts if hasattr(fc.function, "lo")),
-        default=np.inf,
-    )
-    if grid.epsilon_shift >= narrowest:
-        raise ValidationError(
-            "epsilon_shift",
-            f"{grid.epsilon_shift} must be smaller than the narrowest interval width {narrowest}",
-        )
-    points = [np.linspace(lo, hi, grid.base_points)]
-    endpoints = fs.indicator_endpoints()
-    if endpoints:
-        points.append(np.array(endpoints))
-        probes = np.array(endpoints) - grid.epsilon_shift
-        points.append(probes[probes >= lo])
-    kinks = u.outcome_kinks(b, lo, hi)
-    if kinks:
-        points.append(np.array(kinks))
-    return np.unique(np.clip(np.concatenate(points), lo, hi))
 
 
 def brute_force_worst_case(
@@ -73,21 +54,23 @@ def brute_force_worst_case(
     lo, hi = u.decision_bounds
     if not lo <= b <= hi:
         raise ValidationError("b", f"decision {b} outside bounds [{lo}, {hi}]")
-    xs = _augmented_grid(fs, u, b, grid)
+    for i, fc in enumerate(fs.forecasts):
+        fn = fc.function
+        # The just-inside probe of an indicator must stay inside it.
+        if isinstance(fn, (IndicatorInterval, NegatedIndicatorInterval)) and fn.hi - fn.lo <= BOUNDARY_SHIFT:
+            raise ValidationError(
+                f"constraints[{i}]",
+                f"indicator width {fn.hi - fn.lo} must exceed the boundary probe shift {BOUNDARY_SHIFT}",
+            )
+    xs = outcome_grid(fs, grid.base_points, u.outcome_kinks(b, fs.domain.lower, fs.domain.upper))
     k = xs.size
+    n = len(fs.forecasts)
 
-    rows = [np.ones(k)]
-    senses = [EQ]
-    rhs = [1.0]
-    for fc in fs.forecasts:
-        rows.append(constraint_values(fc.function, xs))
-        senses.append(LE)
-        rhs.append(fc.bound)
     lp = LinearProgram(
         objective=u.values_at(xs, b),
-        matrix=np.vstack(rows),
-        senses=tuple(senses),
-        rhs=np.array(rhs),
+        matrix=np.vstack([np.ones(k), fs.values(xs)]),
+        senses=(EQ,) + (LE,) * n,
+        rhs=np.concatenate([[1.0], fs.bounds]),
         lower=np.zeros(k),
         upper=np.full(k, np.inf),
         sense="minimize",

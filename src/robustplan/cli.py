@@ -211,10 +211,5 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def run(command: str, arguments: list[str]) -> int:
-    """Programmatic entry point: run one subcommand with its arguments."""
-    return main([command, *arguments])
-
-
 if __name__ == "__main__":
     sys.exit(main())

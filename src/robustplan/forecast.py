@@ -35,9 +35,6 @@ class Domain:
         if not self.lower < self.upper:
             raise ValidationError("domain", f"lower {self.lower} must be < upper {self.upper}")
 
-    def contains(self, x: float) -> bool:
-        return self.lower <= x <= self.upper
-
 
 @dataclass(frozen=True)
 class IndicatorInterval:
@@ -100,13 +97,6 @@ def constraint_values(fn: ConstraintFunction, xs: np.ndarray) -> np.ndarray:
     if isinstance(fn, NegatedPowerFunction):
         return -(xs**fn.exponent)
     raise ValidationError("constraint", f"unknown constraint function {type(fn).__name__}")
-
-
-def evaluate_constraint(fn: ConstraintFunction, x: float, domain: Domain | None = None) -> float:
-    """Evaluate one constraint function at a point, checking the domain when given."""
-    if domain is not None and not domain.contains(x):
-        raise ValidationError("x", f"point {x} outside domain [{domain.lower}, {domain.upper}]")
-    return float(constraint_values(fn, np.array([x]))[0])
 
 
 def _validate_function(fn: ConstraintFunction, domain: Domain, where: str) -> None:
@@ -174,6 +164,12 @@ class ForecastSet:
             Forecast(function=fc.function, bound=float(b)) for fc, b in zip(self.forecasts, bounds)
         )
         return ForecastSet(domain=self.domain, forecasts=forecasts, interval_count=self.interval_count)
+
+    def values(self, xs) -> np.ndarray:
+        """Every forecast's function at the points xs, as an (n, k) matrix."""
+        xs = np.asarray(xs, dtype=float)
+        rows = [constraint_values(fc.function, xs) for fc in self.forecasts]
+        return np.array(rows, dtype=float).reshape(len(rows), xs.size)
 
     def all_indicators(self) -> bool:
         return all(isinstance(fc.function, _INDICATOR_KINDS) for fc in self.forecasts)
@@ -297,24 +293,27 @@ def to_generic(pi: PredictionIntervals) -> ForecastSet:
     return ForecastSet(domain=domain, forecasts=tuple(forecasts), interval_count=m)
 
 
-def checker_grid(fs: ForecastSet, grid_size: int) -> np.ndarray:
-    """Uniform grid over the domain, augmented with indicator endpoints and
-    just-inside-the-boundary probes (endpoint - 1e-9), sorted and deduplicated."""
-    domain = fs.domain
-    points = list(np.linspace(domain.lower, domain.upper, grid_size))
-    for e in fs.indicator_endpoints():
-        points.append(e)
-        shifted = e - BOUNDARY_SHIFT
-        if shifted >= domain.lower:
-            points.append(shifted)
-    return np.unique(np.clip(np.array(points), domain.lower, domain.upper))
+def outcome_grid(fs: ForecastSet, base_points: int, kinks=()) -> np.ndarray:
+    """Sorted unique outcome points on which the package checks a distribution.
+
+    A uniform grid of base_points over the domain, both domain ends, every
+    indicator endpoint e with its just-inside probe e - BOUNDARY_SHIFT (when
+    that lies in the domain), and the given kinks, all clipped to the domain.
+    """
+    lo, hi = fs.domain.lower, fs.domain.upper
+    endpoints = np.array(fs.indicator_endpoints(), dtype=float)
+    probes = endpoints - BOUNDARY_SHIFT
+    points = np.concatenate(
+        [np.linspace(lo, hi, base_points), [lo, hi], endpoints, probes[probes >= lo], np.asarray(kinks, dtype=float)]
+    )
+    return np.unique(np.clip(points, lo, hi))
 
 
 def strict_feasibility_slack(fs: ForecastSet, grid_size: int) -> float:
     """Largest uniform slack any grid-supported distribution leaves on all forecasts.
 
     Solves max zeta s.t. sum(p) = 1, p >= 0, E_p[g_i] + zeta <= bound_i over
-    distributions p supported on checker_grid(fs, grid_size). A strictly
+    distributions p supported on outcome_grid(fs, grid_size). A strictly
     positive value certifies that some distribution satisfies every forecast
     with room to spare (at this grid resolution). Returns +inf when there are
     no forecasts to violate.
@@ -325,23 +324,20 @@ def strict_feasibility_slack(fs: ForecastSet, grid_size: int) -> float:
     if n == 0:
         return math.inf
 
-    grid = checker_grid(fs, grid_size)
+    grid = outcome_grid(fs, grid_size)
     k = grid.size
     # Variables: k atom probabilities, then zeta (free).
     objective = np.zeros(k + 1)
     objective[-1] = 1.0
-    rows = [np.concatenate([np.ones(k), [0.0]])]
-    senses = [EQ]
-    rhs = [1.0]
-    for fc in fs.forecasts:
-        rows.append(np.concatenate([constraint_values(fc.function, grid), [1.0]]))
-        senses.append(LE)
-        rhs.append(fc.bound)
+    matrix = np.zeros((n + 1, k + 1))
+    matrix[0, :k] = 1.0
+    matrix[1:, :k] = fs.values(grid)
+    matrix[1:, k] = 1.0
     lp = LinearProgram(
         objective=objective,
-        matrix=np.vstack(rows),
-        senses=tuple(senses),
-        rhs=np.array(rhs),
+        matrix=matrix,
+        senses=(EQ,) + (LE,) * n,
+        rhs=np.concatenate([[1.0], fs.bounds]),
         lower=np.concatenate([np.zeros(k), [-np.inf]]),
         upper=np.full(k + 1, np.inf),
         sense="maximize",

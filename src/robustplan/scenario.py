@@ -10,7 +10,7 @@ code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -51,6 +51,13 @@ def _number(obj: dict, key: str, where: str) -> float:
     return float(value)
 
 
+def _integer(obj: dict, key: str, where: str) -> int:
+    value = _require(obj, key, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{where}.{key}" if where else key, f"expected an integer, got {value!r}")
+    return value
+
+
 def _mapping(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(where, f"expected an object, got {type(value).__name__}")
@@ -71,9 +78,8 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
 
 @dataclass(frozen=True)
 class OracleSpec:
-    """Recipe for constructing a refinement oracle against the truth."""
+    """Recipe for constructing a clamped-step refinement oracle against the truth."""
 
-    kind: str
     step: float
     margin: float
 
@@ -84,7 +90,6 @@ class Scenario:
 
     utility: Utility
     forecast_set: ForecastSet
-    prediction_intervals: PredictionIntervals | None
     truth: DiscreteDistribution | None
     oracle: OracleSpec | None
     exchange: ExchangeConfig | None
@@ -118,11 +123,8 @@ def _parse_constraint_function(obj: dict, where: str) -> ConstraintFunction:
         return AffineFunction(_number(obj, "offset", where), _number(obj, "slope", where))
     if kind == "power" or kind == "negated_power":
         _check_keys(obj, {"type", "exponent"}, where)
-        exponent = _require(obj, "exponent", where)
-        if isinstance(exponent, bool) or not isinstance(exponent, int):
-            raise ValidationError(f"{where}.exponent", f"expected an integer, got {exponent!r}")
         cls = PowerFunction if kind == "power" else NegatedPowerFunction
-        return cls(exponent)
+        return cls(_integer(obj, "exponent", where))
     raise ValidationError(f"{where}.type", f"unknown constraint function type {kind!r}")
 
 
@@ -148,7 +150,7 @@ def _parse_utility(obj: dict, decision: tuple[float, float]) -> Utility:
     raise ValidationError("utility.type", f"unknown utility type {kind!r}")
 
 
-def _parse_forecasts(obj: dict, domain: Domain) -> tuple[ForecastSet, PredictionIntervals | None]:
+def _parse_forecasts(obj: dict, domain: Domain) -> ForecastSet:
     kind = _require(obj, "type", "forecasts")
     if kind == "prediction_intervals":
         _check_keys(obj, {"type", "breakpoints", "lower_probs", "upper_probs"}, "forecasts")
@@ -163,7 +165,7 @@ def _parse_forecasts(obj: dict, domain: Domain) -> tuple[ForecastSet, Prediction
                 f"must span the domain [{domain.lower}, {domain.upper}], "
                 f"got [{pi.breakpoints[0]}, {pi.breakpoints[-1]}]",
             )
-        return to_generic(pi), pi
+        return to_generic(pi)
     if kind == "generic":
         _check_keys(obj, {"type", "constraints"}, "forecasts")
         forecasts = []
@@ -173,7 +175,7 @@ def _parse_forecasts(obj: dict, domain: Domain) -> tuple[ForecastSet, Prediction
             _check_keys(entry, {"g", "epsilon"}, where)
             fn = _parse_constraint_function(_mapping(_require(entry, "g", where), f"{where}.g"), f"{where}.g")
             forecasts.append(Forecast(function=fn, bound=_number(entry, "epsilon", where)))
-        return ForecastSet(domain=domain, forecasts=tuple(forecasts)), None
+        return ForecastSet(domain=domain, forecasts=tuple(forecasts))
     raise ValidationError("forecasts.type", f"unknown forecasts type {kind!r}")
 
 
@@ -192,28 +194,25 @@ def _parse_solver(obj: dict) -> tuple[ExchangeConfig | None, GridSpec]:
     _check_keys(obj, {"exchange", "check_grid"}, "solver")
     exchange = None
     if "exchange" in obj:
-        section = _mapping(obj["exchange"], "solver.exchange")
+        where = "solver.exchange"
+        section = dict(asdict(ExchangeConfig()), **_mapping(obj["exchange"], where))
         _check_keys(
             section,
             {"initial_grid_points", "violation_tolerance", "max_rounds", "search_grid_points"},
-            "solver.exchange",
+            where,
         )
-        defaults = ExchangeConfig()
         exchange = ExchangeConfig(
-            initial_grid_points=int(section.get("initial_grid_points", defaults.initial_grid_points)),
-            violation_tolerance=float(section.get("violation_tolerance", defaults.violation_tolerance)),
-            max_rounds=int(section.get("max_rounds", defaults.max_rounds)),
-            search_grid_points=int(section.get("search_grid_points", defaults.search_grid_points)),
+            initial_grid_points=_integer(section, "initial_grid_points", where),
+            violation_tolerance=_number(section, "violation_tolerance", where),
+            max_rounds=_integer(section, "max_rounds", where),
+            search_grid_points=_integer(section, "search_grid_points", where),
         )
     check_grid = GridSpec()
     if "check_grid" in obj:
-        section = _mapping(obj["check_grid"], "solver.check_grid")
-        _check_keys(section, {"base_points", "epsilon_shift"}, "solver.check_grid")
-        defaults = GridSpec()
-        check_grid = GridSpec(
-            base_points=int(section.get("base_points", defaults.base_points)),
-            epsilon_shift=float(section.get("epsilon_shift", defaults.epsilon_shift)),
-        )
+        where = "solver.check_grid"
+        section = dict(asdict(GridSpec()), **_mapping(obj["check_grid"], where))
+        _check_keys(section, {"base_points"}, where)
+        check_grid = GridSpec(base_points=_integer(section, "base_points", where))
     return exchange, check_grid
 
 
@@ -235,7 +234,7 @@ def parse_scenario(config: dict) -> Scenario:
     )
 
     utility = _parse_utility(_mapping(_require(config, "utility", ""), "utility"), decision)
-    forecast_set, pi = _parse_forecasts(_mapping(_require(config, "forecasts", ""), "forecasts"), domain)
+    forecast_set = _parse_forecasts(_mapping(_require(config, "forecasts", ""), "forecasts"), domain)
 
     truth = None
     truth_ok = None
@@ -251,7 +250,6 @@ def parse_scenario(config: dict) -> Scenario:
             raise ValidationError("oracle.type", f"unknown oracle type {kind!r}")
         _check_keys(section, {"type", "step", "margin"}, "oracle")
         oracle = OracleSpec(
-            kind=kind,
             step=_number(section, "step", "oracle"),
             margin=_number(section, "margin", "oracle") if "margin" in section else 0.0,
         )
@@ -265,7 +263,6 @@ def parse_scenario(config: dict) -> Scenario:
     return Scenario(
         utility=utility,
         forecast_set=forecast_set,
-        prediction_intervals=pi,
         truth=truth,
         oracle=oracle,
         exchange=exchange,

@@ -116,14 +116,19 @@ class LpResult:
 
 @dataclass
 class _Standardized:
-    """min c'x, A x {sense} b with x >= 0, plus the recipe to undo the change of variables."""
+    """min c'x, A x {sense} b with x >= 0, plus the recipe to undo the change of variables.
+
+    The original point is ``base`` plus ``sign[k] * x[k]`` added into variable
+    ``var[k]`` for every standardized column k.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
     senses: list[str]
     cost: np.ndarray
-    transforms: list[tuple]  # ("shift", j, lo) | ("flip", j, hi) | ("split_pos", j) | ("split_neg", j)
-    n_original: int
+    base: np.ndarray
+    var: np.ndarray
+    sign: np.ndarray
 
 
 class _Unbounded(Exception):
@@ -131,20 +136,28 @@ class _Unbounded(Exception):
 
 
 def _standardize(problem: LinearProgram) -> _Standardized:
-    """Rewrite the LP over nonnegative variables with finite uppers as extra rows."""
+    """Rewrite the LP over nonnegative variables with finite uppers as extra rows.
+
+    A variable with equal bounds is a constant: it is folded into the
+    right-hand side and gets no column and no row.
+    """
     A, c = problem.matrix, problem.objective
     n = c.shape[0]
+    fixed = problem.lower == problem.upper
+    rhs = problem.rhs - A[:, fixed] @ problem.lower[fixed]
     columns: list[np.ndarray] = []
     cost: list[float] = []
-    transforms: list[tuple] = []
+    var: list[int] = []
+    sign: list[float] = []
     base_point = np.zeros(n)
     upper_rows: list[tuple[int, float]] = []  # (standardized column, width)
 
-    for j in range(n):
+    for j in np.flatnonzero(~fixed):
         lo, hi = problem.lower[j], problem.upper[j]
         if np.isfinite(lo):
             # x_j = lo + x', x' >= 0; finite width becomes an explicit row.
-            transforms.append(("shift", j, lo))
+            var.append(j)
+            sign.append(1.0)
             columns.append(A[:, j].copy())
             cost.append(c[j])
             base_point[j] = lo
@@ -152,22 +165,21 @@ def _standardize(problem: LinearProgram) -> _Standardized:
                 upper_rows.append((len(columns) - 1, hi - lo))
         elif np.isfinite(hi):
             # x_j = hi - x', x' >= 0.
-            transforms.append(("flip", j, hi))
+            var.append(j)
+            sign.append(-1.0)
             columns.append(-A[:, j])
             cost.append(-c[j])
             base_point[j] = hi
         else:
             # Free variable: x_j = x+ - x-.
-            transforms.append(("split_pos", j))
-            columns.append(A[:, j].copy())
-            cost.append(c[j])
-            transforms.append(("split_neg", j))
-            columns.append(-A[:, j])
-            cost.append(-c[j])
+            var += [j, j]
+            sign += [1.0, -1.0]
+            columns += [A[:, j].copy(), -A[:, j]]
+            cost += [c[j], -c[j]]
 
     n_std = len(columns)
     matrix = np.column_stack(columns) if n_std else np.zeros((A.shape[0], 0))
-    rhs = problem.rhs - A @ base_point
+    rhs = rhs - A @ base_point
     senses = list(problem.senses)
 
     for col, width in upper_rows:
@@ -180,7 +192,8 @@ def _standardize(problem: LinearProgram) -> _Standardized:
     cost_vec = np.asarray(cost)
     if problem.sense == "maximize":
         cost_vec = -cost_vec
-    return _Standardized(matrix, rhs, senses, cost_vec, transforms, n)
+    base = np.where(fixed, problem.lower, base_point)
+    return _Standardized(matrix, rhs, senses, cost_vec, base, np.array(var, dtype=int), np.array(sign))
 
 
 def _iterate(
@@ -377,17 +390,8 @@ def solve_lp(problem: LinearProgram) -> LpResult:
         x_std = np.zeros(n_total)
 
     # Undo the change of variables.
-    solution = np.zeros(std.n_original)
-    for col, transform in enumerate(std.transforms):
-        kind, j = transform[0], transform[1]
-        if kind == "shift":
-            solution[j] = transform[2] + x_std[col]
-        elif kind == "flip":
-            solution[j] = transform[2] - x_std[col]
-        elif kind == "split_pos":
-            solution[j] += x_std[col]
-        else:
-            solution[j] -= x_std[col]
+    solution = std.base.copy()
+    np.add.at(solution, std.var, std.sign * x_std[:n_std])
 
     # Snap hair-width bound violations and verify feasibility before returning.
     solution = np.clip(solution, problem.lower, problem.upper)

@@ -7,7 +7,10 @@ turns the max-min into a single maximization over (b, lambda, eta):
 
     maximize  -sum_i lambda_i * eps_i - eta
     s.t.      J(x, b) + sum_i lambda_i * g_i(x) + eta >= 0   for all x,
-              lambda >= 0.
+              lambda >= 0,  b in [lo, hi].
+
+Evaluating a fixed decision is the same program with lo = hi = b, so one
+LP builder serves both the optimal plan and the value of a given plan.
 
 The pointwise constraint is handled two ways. When every g_i is an interval
 indicator, the domain splits into finitely many cells on which all g_i are
@@ -23,7 +26,7 @@ therefore reports AmbiguitySetEmpty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,14 +36,7 @@ from .errors import (
     NumericalFailure,
     ValidationError,
 )
-from .forecast import (
-    BOUNDARY_SHIFT,
-    DiscreteDistribution,
-    ForecastSet,
-    PredictionIntervals,
-    constraint_values,
-    to_generic,
-)
+from .forecast import DiscreteDistribution, ForecastSet, outcome_grid
 from .simplex import GE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
 from .utility import Utility
 
@@ -62,16 +58,13 @@ class PlanningSolution:
     order). ``objective`` equals ``-lambda_star @ bounds - eta_star``: the
     guaranteed worst-case expected utility of playing ``b_star``.
     ``max_violation`` reports the residual of the exchange loop's final
-    violation search (None on the exact interval path), and
-    ``worst_case_distribution`` is attached only when a primal witness was
-    computed separately.
+    violation search (None on the exact interval path).
     """
 
     b_star: float
     lambda_star: np.ndarray
     eta_star: float
     objective: float
-    worst_case_distribution: DiscreteDistribution | None = None
     max_violation: float | None = None
 
     def __post_init__(self):
@@ -108,77 +101,66 @@ def _check_decision(u: Utility, b: float) -> float:
     return float(b)
 
 
-def _cell_rows(fs: ForecastSet) -> list[tuple[np.ndarray, float]]:
-    """Finite (g-vector, x) pairs equivalent to the pointwise dual constraint.
+def _cell_rows(fs: ForecastSet) -> tuple[np.ndarray, np.ndarray]:
+    """Finite (G, xs) rows equivalent to the pointwise dual constraint.
 
     Valid when every forecast is an interval indicator: between consecutive
     endpoints all g_i are constant (their value at the cell's left end, by the
     half-open convention), and the concave piecewise-affine utility attains
     its minimum over the cell's closure at one of the two ends. The isolated
     top point of the domain gets its own row since no half-open cell covers
-    it.
+    it. Column j of G is the g-vector of the row at outcome xs[j].
     """
     lo, hi = fs.domain.lower, fs.domain.upper
     cuts = np.array(sorted({lo, hi, *(e for e in fs.indicator_endpoints() if lo < e < hi)}))
-    if fs.forecasts:
-        g_at_cuts = np.vstack([constraint_values(fc.function, cuts) for fc in fs.forecasts])
-    else:
-        g_at_cuts = np.zeros((0, cuts.size))
-    rows: dict[tuple, tuple[np.ndarray, float]] = {}
-    for j in range(cuts.size - 1):
-        g = g_at_cuts[:, j]
-        for x in (cuts[j], cuts[j + 1]):
-            rows.setdefault((tuple(g), float(x)), (g, float(x)))
-    g_top = g_at_cuts[:, -1]
-    rows.setdefault((tuple(g_top), float(cuts[-1])), (g_top, float(cuts[-1])))
-    return list(rows.values())
+    g_at_cuts = fs.values(cuts)
+    # Rows in order: each cell's g at its left and right end, then the top
+    # point. A cell's left-end row repeats the previous cell's right-end row
+    # when the two cells have the same g; the repeat is dropped.
+    ends = np.repeat(np.arange(cuts.size), 2)
+    g_col, x_col = ends[:-1], ends[1:]
+    keep = np.ones(g_col.size, dtype=bool)
+    keep[2::2] = np.any(g_at_cuts[:, 1:] != g_at_cuts[:, :-1], axis=0)
+    return g_at_cuts[:, g_col[keep]], cuts[x_col[keep]]
 
 
 def _dual_lp_solution(
     fs: ForecastSet,
     u: Utility,
-    point_rows: list[tuple[np.ndarray, float]],
-    b_fixed: float | None,
+    G: np.ndarray,
+    xs: np.ndarray,
+    decision: tuple[float, float],
     boxed: bool,
 ) -> PlanningSolution:
-    """Solve the dual LP restricted to the given (g-vector, x) rows.
+    """Solve the dual LP restricted to the outcome points xs.
 
-    Variables are (b, lambda_1..lambda_n, eta) — b present only when not
-    fixed. Each row contributes one constraint per utility piece via the
-    hypograph trick: J(x, b) >= -(...) iff every affine piece is.
+    Variables are (b, lambda_1..lambda_n, eta) with b in the closed interval
+    ``decision``; a fixed decision is the pair (b, b). ``G`` holds the
+    g-vector at each point as a column. Each point contributes one row per
+    utility piece via the hypograph trick: J(x, b) >= -(...) iff every affine
+    piece is. Rows are point-major, piece-minor.
     """
-    n = len(fs.forecasts)
-    b_var = b_fixed is None
-    offset = 1 if b_var else 0
-    nvar = offset + n + 1
+    n = G.shape[0]
+    a, c, d = np.array(u.pieces).T
+    matrix = np.empty((xs.size * a.size, n + 2))
+    matrix[:, 0] = np.tile(d, xs.size)
+    matrix[:, 1:-1] = np.repeat(G.T, a.size, axis=0)
+    matrix[:, -1] = 1.0
+    rhs = -(a + c * xs[:, None]).ravel()
 
-    matrix = []
-    rhs = []
-    for g, x in point_rows:
-        for a, c, d in u.pieces:
-            coeffs = np.zeros(nvar)
-            if b_var:
-                coeffs[0] = d
-            coeffs[offset : offset + n] = g
-            coeffs[-1] = 1.0
-            matrix.append(coeffs)
-            rhs.append(-(a + c * x) - (0.0 if b_var else d * b_fixed))
-
-    objective = np.zeros(nvar)
-    objective[offset : offset + n] = -fs.bounds
+    objective = np.zeros(n + 2)
+    objective[1:-1] = -fs.bounds
     objective[-1] = -1.0
-    lower = np.zeros(nvar)
-    upper = np.full(nvar, MULTIPLIER_BOX if boxed else np.inf)
-    if b_var:
-        lower[0], upper[0] = u.decision_bounds
-    lower[-1] = -OFFSET_BOX if boxed else -np.inf
-    upper[-1] = OFFSET_BOX if boxed else np.inf
+    lower = np.zeros(n + 2)
+    upper = np.full(n + 2, MULTIPLIER_BOX if boxed else np.inf)
+    lower[0], upper[0] = decision
+    lower[-1], upper[-1] = (-OFFSET_BOX, OFFSET_BOX) if boxed else (-np.inf, np.inf)
 
     lp = LinearProgram(
         objective=objective,
-        matrix=np.vstack(matrix),
-        senses=(GE,) * len(matrix),
-        rhs=np.array(rhs),
+        matrix=matrix,
+        senses=(GE,) * rhs.size,
+        rhs=rhs,
         lower=lower,
         upper=upper,
         sense="maximize",
@@ -191,26 +173,14 @@ def _dual_lp_solution(
         # for reasonable utilities; reaching this indicates a numerical breakdown.
         raise NumericalFailure(f"dual subproblem unexpectedly {result.status}")
     x = result.solution
-    return PlanningSolution(
-        b_star=x[0] if b_var else b_fixed,
-        lambda_star=x[offset : offset + n],
-        eta_star=x[-1],
-        objective=result.objective_value,
-    )
+    return PlanningSolution(b_star=x[0], lambda_star=x[1:-1], eta_star=x[-1], objective=result.objective_value)
 
 
-def _solve_indicator(fs: ForecastSet, u: Utility, b_fixed: float | None = None) -> PlanningSolution:
-    """Exact dual solve for indicator-only forecast sets."""
-    return _dual_lp_solution(fs, u, _cell_rows(fs), b_fixed, boxed=False)
-
-
-def solve_prediction_intervals(pi: PredictionIntervals, u: Utility) -> PlanningSolution:
-    """Optimal robust decision for prediction-interval forecasts (exact LP).
-
-    The returned multipliers follow the to_generic ordering: one per upper
-    probability bound, then one per lower bound, in interval order.
-    """
-    return _solve_indicator(to_generic(pi), u)
+def _solve(fs: ForecastSet, u: Utility, decision: tuple[float, float], cfg: ExchangeConfig) -> PlanningSolution:
+    """The exact reduction for indicator-only sets, the exchange loop otherwise."""
+    if fs.all_indicators():
+        return _dual_lp_solution(fs, u, *_cell_rows(fs), decision, boxed=False)
+    return _exchange(fs, u, cfg, decision)
 
 
 def worst_case_value(fs: ForecastSet, u: Utility, b: float) -> tuple[float, np.ndarray, float]:
@@ -221,10 +191,7 @@ def worst_case_value(fs: ForecastSet, u: Utility, b: float) -> tuple[float, np.n
     forecasts are interval indicators and the exchange loop otherwise.
     """
     b = _check_decision(u, b)
-    if fs.all_indicators():
-        sol = _solve_indicator(fs, u, b_fixed=b)
-    else:
-        sol = _exchange(fs, u, ExchangeConfig(), b_fixed=b)
+    sol = _solve(fs, u, (b, b), ExchangeConfig())
     return sol.objective, sol.lambda_star, sol.eta_star
 
 
@@ -232,67 +199,41 @@ def solve_forecast_set(fs: ForecastSet, u: Utility, cfg: ExchangeConfig | None =
     """Optimal robust decision for any forecast set.
 
     Dispatches to the exact interval reduction when possible, otherwise to
-    the exchange loop with the given (or default) configuration.
+    the exchange loop with the given (or default) configuration. The returned
+    multipliers are indexed like the forecast set (for prediction intervals
+    converted by to_generic: upper bounds first, then lower bounds).
     """
-    if fs.all_indicators():
-        return _solve_indicator(fs, u)
-    return _exchange(fs, u, cfg or ExchangeConfig(), b_fixed=None)
-
-
-def _special_points(fs: ForecastSet, u: Utility, bs: list[float]) -> list[float]:
-    lo, hi = fs.domain.lower, fs.domain.upper
-    points = []
-    for e in fs.indicator_endpoints():
-        points.append(e)
-        if e - BOUNDARY_SHIFT >= lo:
-            points.append(e - BOUNDARY_SHIFT)
-    for b in bs:
-        points.extend(u.outcome_kinks(b, lo, hi))
-    return points
+    return _solve(fs, u, u.decision_bounds, cfg or ExchangeConfig())
 
 
 def _violation_search(
     fs: ForecastSet, u: Utility, sol: PlanningSolution, cfg: ExchangeConfig
 ) -> tuple[float, float]:
     """Most violated point of the pointwise dual constraint at the iterate."""
-    lo, hi = fs.domain.lower, fs.domain.upper
-    xs = np.linspace(lo, hi, cfg.search_grid_points)
-    extras = _special_points(fs, u, [sol.b_star])
-    if extras:
-        xs = np.concatenate([xs, np.clip(np.array(extras), lo, hi)])
-    xs = np.unique(xs)
-    residual = u.values_at(xs, sol.b_star) + sol.eta_star
-    if fs.forecasts:
-        g = np.vstack([constraint_values(fc.function, xs) for fc in fs.forecasts])
-        residual = residual + sol.lambda_star @ g
+    xs = outcome_grid(fs, cfg.search_grid_points, u.outcome_kinks(sol.b_star, fs.domain.lower, fs.domain.upper))
+    residual = u.values_at(xs, sol.b_star) + sol.eta_star + sol.lambda_star @ fs.values(xs)
     worst = int(np.argmin(residual))
     return float(xs[worst]), float(residual[worst])
 
 
-def _exchange(fs: ForecastSet, u: Utility, cfg: ExchangeConfig, b_fixed: float | None) -> PlanningSolution:
+def _exchange(
+    fs: ForecastSet, u: Utility, cfg: ExchangeConfig, decision: tuple[float, float]
+) -> PlanningSolution:
     """Cutting-plane loop for the semi-infinite dual constraint.
 
     Solves the dual LP over a growing working set of outcome points, adding
     the most violated point each round until the dense-grid violation search
-    comes back within tolerance.
+    comes back within tolerance. The first working set is the outcome grid
+    with the utility's kinks at both decision bounds and their midpoint.
     """
-    dlo, dhi = fs.domain.lower, fs.domain.upper
-    seed_bs = [b_fixed] if b_fixed is not None else [
-        u.decision_bounds[0],
-        0.5 * (u.decision_bounds[0] + u.decision_bounds[1]),
-        u.decision_bounds[1],
-    ]
-    seeds = [np.linspace(dlo, dhi, cfg.initial_grid_points), np.array([dlo, dhi])]
-    extras = _special_points(fs, u, seed_bs)
-    if extras:
-        seeds.append(np.array(extras))
-    working = np.unique(np.clip(np.concatenate(seeds), dlo, dhi))
+    lo, hi = decision
+    kinks = [x for b in (lo, 0.5 * (lo + hi), hi) for x in u.outcome_kinks(b, fs.domain.lower, fs.domain.upper)]
+    working = outcome_grid(fs, cfg.initial_grid_points, kinks)
 
     sol: PlanningSolution | None = None
     violation = np.inf
     for _ in range(cfg.max_rounds):
-        point_rows = _rows_at_points(fs, working)
-        sol = _dual_lp_solution(fs, u, point_rows, b_fixed, boxed=True)
+        sol = _dual_lp_solution(fs, u, fs.values(working), working, decision, boxed=True)
         x_worst, residual = _violation_search(fs, u, sol, cfg)
         violation = max(0.0, -residual)
         if violation <= cfg.violation_tolerance:
@@ -300,13 +241,7 @@ def _exchange(fs: ForecastSet, u: Utility, cfg: ExchangeConfig, b_fixed: float |
                 raise AmbiguitySetEmpty(
                     "dual variables diverged: no distribution satisfies every forecast bound"
                 )
-            return PlanningSolution(
-                b_star=sol.b_star,
-                lambda_star=sol.lambda_star,
-                eta_star=sol.eta_star,
-                objective=sol.objective,
-                max_violation=violation,
-            )
+            return replace(sol, max_violation=violation)
         working = np.unique(np.append(working, x_worst))
 
     raise ConvergenceFailure(
@@ -314,26 +249,6 @@ def _exchange(fs: ForecastSet, u: Utility, cfg: ExchangeConfig, b_fixed: float |
         solution=sol,
         residual=violation,
     )
-
-
-def _rows_at_points(fs: ForecastSet, xs: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """(g-vector, x) rows for an explicit working set of points."""
-    if fs.forecasts:
-        g = np.vstack([constraint_values(fc.function, xs) for fc in fs.forecasts])
-    else:
-        g = np.zeros((0, xs.size))
-    return [(g[:, j], float(xs[j])) for j in range(xs.size)]
-
-
-def solve_generic(fs: ForecastSet, u: Utility, cfg: ExchangeConfig | None = None) -> PlanningSolution:
-    """Optimal robust decision for generic expectation constraints.
-
-    Runs the exchange loop regardless of constraint structure; on
-    indicator-only sets it agrees with the exact path to within the
-    violation tolerance. Raises ConvergenceFailure (carrying the best
-    iterate and its residual) if max_rounds is exhausted.
-    """
-    return _exchange(fs, u, cfg or ExchangeConfig(), b_fixed=None)
 
 
 def sweep(fs: ForecastSet, u: Utility, grid_size: int) -> list[tuple[float, float]]:

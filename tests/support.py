@@ -6,7 +6,7 @@ from robustplan.forecast import (
     DiscreteDistribution,
     ForecastSet,
     PredictionIntervals,
-    constraint_values,
+    outcome_grid,
 )
 from robustplan.utility import Utility, market_bidding
 
@@ -50,16 +50,6 @@ def dual_feasibility_margin(fs: ForecastSet, u: Utility, sol) -> float:
     just-inside probes, and the utility's outcome kinks at the returned
     decision. Nonnegative (within tolerance) certifies dual feasibility.
     """
-    lo, hi = fs.domain.lower, fs.domain.upper
-    points = {lo, hi}
-    for e in fs.indicator_endpoints():
-        points.add(e)
-        if e - 1e-9 >= lo:
-            points.add(e - 1e-9)
-    points.update(u.outcome_kinks(sol.b_star, lo, hi))
-    xs = np.array(sorted(points))
-    values = u.values_at(xs, sol.b_star) + sol.eta_star
-    if fs.forecasts:
-        g = np.vstack([constraint_values(fc.function, xs) for fc in fs.forecasts])
-        values = values + sol.lambda_star @ g
+    xs = outcome_grid(fs, 2, u.outcome_kinks(sol.b_star, fs.domain.lower, fs.domain.upper))
+    values = u.values_at(xs, sol.b_star) + sol.eta_star + sol.lambda_star @ fs.values(xs)
     return float(values.min())

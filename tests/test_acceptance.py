@@ -20,7 +20,6 @@ from robustplan.forecast import (
     Forecast,
     ForecastSet,
     PredictionIntervals,
-    constraint_values,
     feasibility_ball_radius,
     strict_feasibility_slack,
     to_generic,
@@ -136,13 +135,7 @@ class TestTighteningBound:
             u = random_market(rng)
             sol = solve_forecast_set(fs, u)
             report = sensitivities(sol, fs)
-            locs = truth.locations
-            room = np.array(
-                [
-                    fc.bound - float(truth.probabilities @ constraint_values(fc.function, locs))
-                    for fc in fs.forecasts
-                ]
-            )
+            room = fs.bounds - fs.values(truth.locations) @ truth.probabilities
             assert room.min() > 0  # generator guarantees a strictly slack truth
             mask = rng.random(room.size) < 0.5
             delta = rng.uniform(0.0, 0.9, size=room.size) * room * mask

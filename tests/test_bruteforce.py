@@ -88,11 +88,14 @@ class TestBruteForceWorstCase:
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
             GridSpec(base_points=1)
-        with pytest.raises(ValidationError):
-            GridSpec(epsilon_shift=0.0)
+        # An indicator no wider than the boundary probe shift cannot be probed.
+        narrow = ForecastSet(
+            domain=Domain(0.0, 1.0),
+            forecasts=(Forecast(AffineFunction(0.0, 1.0), 0.5), Forecast(IndicatorInterval(0.5, 0.5 + 5e-10), 0.5)),
+        )
         with pytest.raises(ValidationError) as err:
-            brute_force_worst_case(wide_pair(), MARKET, 0.5, GridSpec(epsilon_shift=0.5))
-        assert "epsilon_shift" in str(err.value)
+            brute_force_worst_case(narrow, MARKET, 0.5)
+        assert err.value.field == "constraints[1]"
 
 
 class TestBruteForcePlan:

@@ -3,13 +3,15 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from robustplan.cli import main, run
+import robustplan
+from robustplan.cli import main
 
 
 def config_with(**overrides):
@@ -197,6 +199,23 @@ class TestErrors:
         assert doc["error"] == "ValidationError"
         assert doc["field"] == "upper_probs[0]"
 
+    @pytest.mark.parametrize(
+        "solver, field",
+        [
+            ({"exchange": {"max_rounds": "ten"}}, "solver.exchange.max_rounds"),
+            ({"exchange": {"max_rounds": 2.9}}, "solver.exchange.max_rounds"),
+            ({"exchange": {"initial_grid_points": True}}, "solver.exchange.initial_grid_points"),
+            ({"exchange": {"search_grid_points": None}}, "solver.exchange.search_grid_points"),
+            ({"exchange": {"violation_tolerance": "small"}}, "solver.exchange.violation_tolerance"),
+            ({"check_grid": {"base_points": None}}, "solver.check_grid.base_points"),
+        ],
+    )
+    def test_bad_solver_value_names_field(self, tmp_path, capsys, solver, field):
+        code, out, err = run_cli(capsys, ["solve", write_config(tmp_path, config_with(solver=solver))])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["field"] == field
+
     def test_unknown_scenario_name(self, capsys):
         code, _, err = run_cli(capsys, ["solve", "no_such_scenario"])
         assert code == 2
@@ -233,18 +252,17 @@ class TestOutputFile:
         _, stdout_copy, _ = run_cli(capsys, ["sweep", "vacuous_m2", "--grid", "3"])
         assert target.read_text(encoding="utf-8") == stdout_copy
 
-    def test_run_wrapper(self, tmp_path):
-        target = tmp_path / "solution.json"
-        assert run("solve", ["vacuous_m2", "--out", str(target)]) == 0
-        assert json.loads(target.read_text(encoding="utf-8"))["b_star"] == pytest.approx(0.0)
-
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # The child process imports the same package as this test, installed or not.
+        package_root = str(Path(robustplan.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "robustplan.cli", "sweep", "vacuous_m2", "--grid", "3"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert result.stdout.startswith("b,worst_case")

@@ -17,12 +17,16 @@ from robustplan.forecast import (
     NegatedIndicatorInterval,
     PowerFunction,
     PredictionIntervals,
-    checker_grid,
-    evaluate_constraint,
+    constraint_values,
     feasibility_ball_radius,
+    outcome_grid,
     strict_feasibility_slack,
     to_generic,
 )
+
+
+def value_at(fn, x):
+    return float(constraint_values(fn, [x])[0])
 
 
 def two_cell_instance(lower=(0.2, 0.3), upper=(0.7, 0.8)):
@@ -50,10 +54,10 @@ class TestConversion:
     def test_half_open_boundary_semantics(self):
         fs = to_generic(two_cell_instance())
         first, second = fs.forecasts[0].function, fs.forecasts[1].function
-        assert evaluate_constraint(first, 0.5) == 0.0
-        assert evaluate_constraint(second, 0.5) == 1.0
+        assert value_at(first, 0.5) == 0.0
+        assert value_at(second, 0.5) == 1.0
         # Last cell is closed on the right so the domain endpoint is covered.
-        assert evaluate_constraint(second, 1.0) == 1.0
+        assert value_at(second, 1.0) == 1.0
 
     def test_invariant_violation_names_offending_index(self):
         with pytest.raises(ValidationError) as err:
@@ -71,19 +75,15 @@ class TestConversion:
 
 class TestEvaluation:
     def test_affine_identity(self):
-        assert evaluate_constraint(AffineFunction(0.0, 1.0), 0.5) == 0.5
+        assert value_at(AffineFunction(0.0, 1.0), 0.5) == 0.5
 
     def test_power_square(self):
-        assert evaluate_constraint(PowerFunction(2), 0.5) == 0.25
+        assert value_at(PowerFunction(2), 0.5) == 0.25
 
     def test_negated_indicator(self):
         fn = NegatedIndicatorInterval(0.0, 0.5)
-        assert evaluate_constraint(fn, 0.25) == -1.0
-        assert evaluate_constraint(fn, 0.5) == 0.0
-
-    def test_domain_check(self):
-        with pytest.raises(ValidationError):
-            evaluate_constraint(AffineFunction(0.0, 1.0), 1.5, domain=Domain(0.0, 1.0))
+        assert value_at(fn, 0.25) == -1.0
+        assert value_at(fn, 0.5) == 0.0
 
     def test_indicator_outside_domain_rejected(self):
         with pytest.raises(ValidationError) as err:
@@ -192,11 +192,31 @@ class TestFeasibilityBallRadius:
         assert feasibility_ball_radius(low, bounds) <= feasibility_ball_radius(high, bounds) + 1e-12
 
 
-class TestCheckerGrid:
-    def test_contains_endpoints_and_probes(self):
+class TestForecastSetValues:
+    def test_rows_are_constraint_values(self):
         fs = to_generic(two_cell_instance())
-        grid = checker_grid(fs, 5)
+        xs = np.array([0.0, 0.25, 0.5, 1.0])
+        matrix = fs.values(xs)
+        assert matrix.shape == (4, 4)
+        for i, fc in enumerate(fs.forecasts):
+            assert np.array_equal(matrix[i], constraint_values(fc.function, xs))
+
+    def test_no_forecasts(self):
+        fs = ForecastSet(domain=Domain(0.0, 1.0), forecasts=())
+        assert fs.values(np.linspace(0.0, 1.0, 7)).shape == (0, 7)
+
+
+class TestOutcomeGrid:
+    @pytest.mark.parametrize("base_points", [1, 2, 5])
+    def test_contains_endpoints_and_probes(self, base_points):
+        fs = to_generic(two_cell_instance())
+        grid = outcome_grid(fs, base_points)
         for point in (0.0, 0.5, 1.0, 0.5 - 1e-9, 1.0 - 1e-9):
             assert np.any(np.isclose(grid, point, atol=0.0)), point
         assert np.all(np.diff(grid) > 0)
         assert grid[0] == 0.0 and grid[-1] == 1.0
+
+    def test_kinks_are_clipped_and_merged(self):
+        fs = ForecastSet(domain=Domain(0.0, 1.0), forecasts=())
+        grid = outcome_grid(fs, 3, kinks=[0.3, 0.5, 2.0])
+        assert grid.tolist() == [0.0, 0.3, 0.5, 1.0]

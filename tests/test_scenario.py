@@ -32,7 +32,7 @@ def base_config():
 class TestParsing:
     def test_minimal_config(self):
         scenario = parse_scenario(base_config())
-        assert scenario.prediction_intervals is not None
+        assert scenario.forecast_set.interval_count == 2
         assert len(scenario.forecast_set.forecasts) == 4
         assert scenario.truth is None
         assert scenario.oracle is None
@@ -51,7 +51,7 @@ class TestParsing:
             ],
         }
         scenario = parse_scenario(config)
-        assert scenario.prediction_intervals is None
+        assert scenario.forecast_set.interval_count is None
         fns = [fc.function for fc in scenario.forecast_set.forecasts]
         assert isinstance(fns[0], AffineFunction)
         assert isinstance(fns[1], NegatedPowerFunction)
@@ -105,7 +105,6 @@ class TestParsing:
         assert scenario.exchange.initial_grid_points == 16
         assert scenario.exchange.violation_tolerance == 1e-7
         assert scenario.check_grid.base_points == 64
-        assert scenario.check_grid.epsilon_shift == 1e-9
 
     def test_make_oracle_without_oracle_section(self):
         assert parse_scenario(base_config()).make_oracle() is None
@@ -127,6 +126,12 @@ class TestFieldErrors:
             (lambda c: c.update(domain={"lower": 1.0, "upper": 0.0}), "domain"),
             (lambda c: c.update(solver={"mystery": {}}), "solver.mystery"),
             (lambda c: c.update(truth={"atoms": [[0.5]]}), "truth.atoms[0]"),
+            (
+                lambda c: c.update(
+                    forecasts={"type": "generic", "constraints": [{"g": {"type": "power", "exponent": 2.0}, "epsilon": 1.0}]}
+                ),
+                "forecasts.constraints[0].g.exponent",
+            ),
         ],
     )
     def test_field_is_named(self, mutate, field):

@@ -12,7 +12,7 @@ from robustplan.sensitivity import (
     lower_bound_after_change,
     sensitivities,
 )
-from robustplan.solver import solve_forecast_set, solve_prediction_intervals
+from robustplan.solver import solve_forecast_set
 from robustplan.utility import market_bidding
 from support import random_interval_instance, random_market
 
@@ -27,7 +27,7 @@ def binding_pair():
 
 def solved_report(pi, u=MARKET):
     fs = to_generic(pi)
-    sol = solve_prediction_intervals(pi, u)
+    sol = solve_forecast_set(fs, u)
     return sensitivities(sol, fs), sol, fs
 
 
@@ -83,9 +83,11 @@ class TestLowerBoundAfterChange:
         delta = np.array([0.1, 0.0, 0.0, 0.0])
         bound = lower_bound_after_change(report, delta)
         assert bound <= 0.26 + 1e-9
-        resolved = solve_prediction_intervals(
-            PredictionIntervals(
-                breakpoints=(0.0, 0.5, 1.0), lower_probs=(0.0, 0.6), upper_probs=(0.3, 1.0)
+        resolved = solve_forecast_set(
+            to_generic(
+                PredictionIntervals(
+                    breakpoints=(0.0, 0.5, 1.0), lower_probs=(0.0, 0.6), upper_probs=(0.3, 1.0)
+                )
             ),
             MARKET,
         )
@@ -100,9 +102,11 @@ class TestLowerBoundAfterChange:
         delta = np.array([0.1, 0.0, 0.0, 0.1])
         bound = lower_bound_after_change(report, delta)
         assert bound == pytest.approx(0.26, abs=1e-8)
-        resolved = solve_prediction_intervals(
-            PredictionIntervals(
-                breakpoints=(0.0, 0.5, 1.0), lower_probs=(0.0, 0.7), upper_probs=(0.3, 1.0)
+        resolved = solve_forecast_set(
+            to_generic(
+                PredictionIntervals(
+                    breakpoints=(0.0, 0.5, 1.0), lower_probs=(0.0, 0.7), upper_probs=(0.3, 1.0)
+                )
             ),
             MARKET,
         )

@@ -13,6 +13,7 @@ from robustplan.simplex import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    _standardize,
     solve_lp,
 )
 
@@ -164,6 +165,43 @@ class TestResultInvariants:
         assert first.status == second.status
         assert np.array_equal(first.solution, second.solution)
         assert first.objective_value == second.objective_value
+
+
+class TestFixedVariables:
+    """A variable with equal bounds is a constant folded into the right-hand side."""
+
+    def test_matches_substitution_by_hand(self):
+        # maximize 3a + 2b + c s.t. a + b + c <= 4, a - c >= -1, with b fixed at 1.5:
+        # by hand, maximize 3a + c s.t. a + c <= 2.5, a - c >= -1, plus 3.
+        fixed = make_lp(
+            [3.0, 2.0, 1.0],
+            [[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]],
+            [LE, GE],
+            [4.0, -1.0],
+            [0.0, 1.5, 0.0],
+            [INF, 1.5, 5.0],
+        )
+        by_hand = make_lp([3.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [LE, GE], [2.5, -1.0], [0.0, 0.0], [INF, 5.0])
+        res, ref = solve_lp(fixed), solve_lp(by_hand)
+        assert res.status == ref.status == OPTIMAL
+        assert res.solution[1] == 1.5
+        assert np.array_equal(res.solution[[0, 2]], ref.solution)
+        assert res.objective_value == pytest.approx(ref.objective_value + 3.0, abs=1e-12)
+        assert res.objective_value == pytest.approx(10.5, abs=1e-9)
+        # No column and no zero-width bound row for the fixed variable.
+        assert _standardize(fixed).matrix.shape == _standardize(by_hand).matrix.shape
+
+    def test_all_columns_fixed(self):
+        lp = make_lp([1.0, -2.0], [[1.0, 1.0], [1.0, -1.0]], [LE, GE], [3.0, -1.0], [1.0, 2.0], [1.0, 2.0])
+        assert _standardize(lp).matrix.shape == (2, 0)
+        res = solve_lp(lp)
+        assert res.status == OPTIMAL
+        assert res.solution.tolist() == [1.0, 2.0]
+        assert res.objective_value == -3.0
+
+    def test_all_columns_fixed_infeasible(self):
+        lp = make_lp([1.0, -2.0], [[1.0, 1.0]], [LE], [2.0], [1.0, 2.0], [1.0, 2.0])
+        assert solve_lp(lp).status == INFEASIBLE
 
 
 class TestValidation:

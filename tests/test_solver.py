@@ -16,11 +16,11 @@ from robustplan.forecast import (
     PredictionIntervals,
     to_generic,
 )
+from robustplan import simplex, solver
 from robustplan.solver import (
     ExchangeConfig,
+    _exchange,
     solve_forecast_set,
-    solve_generic,
-    solve_prediction_intervals,
     sweep,
     true_expected,
     worst_case_value,
@@ -49,6 +49,15 @@ def wide_pair():
     )
 
 
+def solve_intervals(pi: PredictionIntervals, u=MARKET):
+    return solve_forecast_set(to_generic(pi), u)
+
+
+def exchange(fs: ForecastSet, u=MARKET):
+    """The exchange loop run directly, whatever the forecasts' structure."""
+    return _exchange(fs, u, ExchangeConfig(), u.decision_bounds)
+
+
 def mean_pinned_at(level: float) -> ForecastSet:
     return ForecastSet(
         domain=Domain(0.0, 1.0),
@@ -63,12 +72,12 @@ class TestSolvePredictionIntervals:
     def test_binding_pair_instance(self):
         # Worst case piles 0.4 below the cut at x = 0, so the guaranteed value
         # is 0.36*b for b <= 0.5 and 0.48 - 0.6*b above; the peak sits at 0.5.
-        sol = solve_prediction_intervals(binding_pair(), MARKET)
+        sol = solve_intervals(binding_pair())
         assert sol.b_star == pytest.approx(0.5, abs=1e-8)
         assert sol.objective == pytest.approx(0.18, abs=1e-8)
 
     def test_vacuous_forecasts_bid_nothing(self):
-        sol = solve_prediction_intervals(vacuous(), MARKET)
+        sol = solve_intervals(vacuous())
         assert sol.b_star == pytest.approx(0.0, abs=1e-8)
         assert sol.objective == pytest.approx(0.0, abs=1e-8)
 
@@ -76,13 +85,13 @@ class TestSolvePredictionIntervals:
         pi = PredictionIntervals(
             breakpoints=(0.0, 0.5, 1.0), lower_probs=(0.0, 1.0), upper_probs=(0.0, 1.0)
         )
-        sol = solve_prediction_intervals(pi, MARKET)
+        sol = solve_intervals(pi)
         assert sol.b_star == pytest.approx(0.5, abs=1e-8)
         assert sol.objective == pytest.approx(0.5, abs=1e-8)
 
     def test_solution_certificate(self):
         pi = binding_pair()
-        sol = solve_prediction_intervals(pi, MARKET)
+        sol = solve_intervals(pi)
         fs = to_generic(pi)
         assert np.all(sol.lambda_star >= -1e-9)
         lo, hi = MARKET.decision_bounds
@@ -95,7 +104,7 @@ class TestSolvePredictionIntervals:
     def test_identified_multiplier_sum(self):
         # P(cell 0) <= 0.4 and P(cell 1) >= 0.6 are the same constraint through
         # total mass, so only the sum of their multipliers is determined.
-        sol = solve_prediction_intervals(binding_pair(), MARKET)
+        sol = solve_intervals(binding_pair())
         assert sol.lambda_star[0] + sol.lambda_star[3] == pytest.approx(0.8, abs=1e-6)
 
 
@@ -125,22 +134,22 @@ class TestWorstCaseValue:
 
 class TestSolveGeneric:
     def test_mean_pinned(self):
-        sol = solve_generic(mean_pinned_at(0.5), MARKET)
+        sol = solve_forecast_set(mean_pinned_at(0.5), MARKET)
         assert sol.b_star == pytest.approx(1.0, abs=1e-3)
         assert sol.objective == pytest.approx(0.2, abs=1e-3)
         assert sol.max_violation is not None and sol.max_violation <= 1e-7
 
     def test_no_constraints(self):
         fs = ForecastSet(domain=Domain(0.0, 1.0), forecasts=())
-        sol = solve_generic(fs, MARKET)
+        sol = exchange(fs)
         assert sol.b_star == pytest.approx(0.0, abs=1e-8)
         assert sol.objective == pytest.approx(0.0, abs=1e-8)
 
     @pytest.mark.parametrize("pi_factory", [binding_pair, vacuous, wide_pair])
     def test_agrees_with_interval_path(self, pi_factory):
         pi = pi_factory()
-        exact = solve_prediction_intervals(pi, MARKET)
-        via_exchange = solve_generic(to_generic(pi), MARKET)
+        exact = solve_intervals(pi)
+        via_exchange = exchange(to_generic(pi))
         assert via_exchange.objective == pytest.approx(exact.objective, abs=1e-6)
 
     def test_contradictory_means_detected(self):
@@ -152,7 +161,79 @@ class TestSolveGeneric:
             ),
         )
         with pytest.raises(AmbiguitySetEmpty):
-            solve_generic(fs, MARKET)
+            solve_forecast_set(fs, MARKET)
+
+
+def loop_dual_rows(fs: ForecastSet, u):
+    """Reference rows of the exact dual LP, built one (g, x) pair and one piece at a time.
+
+    Pairs are each cell's g at its left and right end, then the top point,
+    with repeated pairs dropped in first-seen order.
+    """
+    lo, hi = fs.domain.lower, fs.domain.upper
+    cuts = sorted({lo, hi, *(e for e in fs.indicator_endpoints() if lo < e < hi)})
+    g_at = fs.values(cuts).T
+    pairs = {}
+    for j in range(len(cuts) - 1):
+        for x in (cuts[j], cuts[j + 1]):
+            pairs.setdefault((tuple(g_at[j]), x), (g_at[j], x))
+    pairs.setdefault((tuple(g_at[-1]), cuts[-1]), (g_at[-1], cuts[-1]))
+    matrix, rhs = [], []
+    for g, x in pairs.values():
+        for a, c, d in u.pieces:
+            matrix.append([d, *g, 1.0])
+            rhs.append(-(a + c * x))
+    return np.array(matrix), np.array(rhs)
+
+
+class TestDualLpRows:
+    """The vectorized dual-LP builder reproduces the loop construction exactly."""
+
+    def captured_lp(self, monkeypatch, fs, u, b=None):
+        lps = []
+        monkeypatch.setattr(solver, "solve_lp", lambda lp: lps.append(lp) or simplex.solve_lp(lp))
+        if b is None:
+            solve_forecast_set(fs, u)
+        else:
+            worst_case_value(fs, u, b)
+        return lps[0]
+
+    @pytest.mark.parametrize(
+        "fs",
+        [
+            to_generic(binding_pair()),
+            to_generic(wide_pair()),
+            ForecastSet(
+                Domain(0.0, 1.0),
+                (
+                    Forecast(IndicatorInterval(0.2, 0.6), 0.5),
+                    Forecast(NegatedIndicatorInterval(0.4, 1.0, closed_right=True), -0.3),
+                ),
+            ),
+            # With no forecasts every cell has the same (empty) g.
+            ForecastSet(Domain(0.0, 1.0), ()),
+        ],
+    )
+    @pytest.mark.parametrize("b", [None, 0.3])
+    def test_matches_loop_reference(self, monkeypatch, fs, b):
+        lp = self.captured_lp(monkeypatch, fs, MARKET, b)
+        matrix, rhs = loop_dual_rows(fs, MARKET)
+        assert np.array_equal(lp.matrix, matrix)
+        assert np.array_equal(lp.rhs, rhs)
+        expected_bounds = MARKET.decision_bounds if b is None else (b, b)
+        assert (lp.lower[0], lp.upper[0]) == expected_bounds
+
+    @given(seed=st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=20, deadline=None)
+    def test_random_instances_match_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        pi, _ = random_interval_instance(rng)
+        u = random_market(rng)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            lp = self.captured_lp(monkeypatch, to_generic(pi), u)
+        matrix, rhs = loop_dual_rows(to_generic(pi), u)
+        assert np.array_equal(lp.matrix, matrix)
+        assert np.array_equal(lp.rhs, rhs)
 
 
 class TestEmptyIndicatorSet:
@@ -187,7 +268,7 @@ class TestSweep:
         assert result[0][0] == 0.0 and result[-1][0] == 1.0
 
     def test_bounded_by_full_solve(self):
-        best = solve_prediction_intervals(binding_pair(), MARKET).objective
+        best = solve_intervals(binding_pair()).objective
         assert max(w for _, w in sweep(to_generic(binding_pair()), MARKET, 21)) <= best + 1e-8
 
     def test_grid_size_validated(self):
@@ -216,7 +297,7 @@ class TestSolverProperties:
         rng = np.random.default_rng(seed)
         pi, _ = random_interval_instance(rng)
         u = random_market(rng)
-        sol = solve_prediction_intervals(pi, u)
+        sol = solve_intervals(pi, u)
         fs = to_generic(pi)
         assert np.all(sol.lambda_star >= -1e-9)
         assert sol.objective == pytest.approx(
@@ -231,8 +312,8 @@ class TestSolverProperties:
         pi, _ = random_interval_instance(rng)
         u = random_market(rng)
         factor = float(rng.uniform(0.1, 10.0))
-        base = solve_prediction_intervals(pi, u)
-        scaled = solve_prediction_intervals(pi, u.scaled(factor))
+        base = solve_intervals(pi, u)
+        scaled = solve_intervals(pi, u.scaled(factor))
         assert scaled.objective == pytest.approx(
             factor * base.objective, abs=1e-8 * max(1.0, factor)
         )
@@ -265,7 +346,7 @@ class TestSolverProperties:
         rng = np.random.default_rng(seed)
         pi, _ = random_interval_instance(rng)
         u = random_market(rng)
-        sol = solve_prediction_intervals(pi, u)
+        sol = solve_intervals(pi, u)
         m = pi.interval_count
         for i in range(m):
             if pi.lower_probs[i] < pi.upper_probs[i]:
