@@ -48,6 +48,14 @@ GOLDEN_COMMANDS = {
     "check": [],
 }
 
+#: (command, scenario) pairs with a golden file. exchange_mixed (an indicator
+#: plus an affine mean bound, in tests/golden/) is the one exchange-loop
+#: scenario: boxed multipliers and a shifted offset in every LP.
+GOLDEN_CASES = [(command, scenario) for scenario in ("market_m6", "vacuous_m2") for command in GOLDEN_COMMANDS] + [
+    ("solve", "exchange_mixed"),
+    ("sensitivity", "exchange_mixed"),
+]
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -55,10 +63,10 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("scenario", ["market_m6", "vacuous_m2"])
-@pytest.mark.parametrize("command", list(GOLDEN_COMMANDS))
+@pytest.mark.parametrize(("command", "scenario"), GOLDEN_CASES, ids=[f"{c}-{s}" for c, s in GOLDEN_CASES])
 def test_golden_output(capsys, command, scenario):
-    code, out, _ = run_cli(capsys, [command, scenario, *GOLDEN_COMMANDS[command]])
+    source = GOLDEN / f"{scenario}.json" if scenario == "exchange_mixed" else scenario
+    code, out, _ = run_cli(capsys, [command, str(source), *GOLDEN_COMMANDS[command]])
     # vacuous_m2 has no oracle, so refine is a config error with empty stdout.
     assert code == (2 if (command, scenario) == ("refine", "vacuous_m2") else 0)
     assert out == (GOLDEN / f"{command}_{scenario}.out").read_text(encoding="utf-8")
