@@ -26,7 +26,7 @@ from .forecast import (
     outcome_grid,
 )
 from .simplex import EQ, INFEASIBLE, LE, OPTIMAL, LinearProgram, solve_lp
-from .solver import worst_case_value
+from .solver import ExchangeConfig, worst_case_value
 from .utility import Utility
 
 
@@ -106,8 +106,13 @@ def brute_force_plan(
     return best_b, best_value
 
 
-def duality_gap(fs: ForecastSet, u: Utility, b: float, grid: GridSpec | None = None) -> float:
-    """|discretized primal minus dual solver| at a fixed decision."""
+def duality_gap(
+    fs: ForecastSet, u: Utility, b: float, grid: GridSpec | None = None, *, cfg: ExchangeConfig | None = None
+) -> float:
+    """|discretized primal minus dual solver| at a fixed decision.
+
+    ``cfg`` configures the dual solver's exchange loop on generic forecasts.
+    """
     primal, _ = brute_force_worst_case(fs, u, b, grid)
-    dual, _, _ = worst_case_value(fs, u, b)
+    dual, _, _ = worst_case_value(fs, u, b, cfg=cfg)
     return abs(primal - dual)

@@ -66,7 +66,7 @@ def _cmd_solve(scenario: Scenario, args: argparse.Namespace) -> str:
 
 
 def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> str:
-    pairs = sweep(scenario.forecast_set, scenario.utility, args.grid)
+    pairs = sweep(scenario.forecast_set, scenario.utility, args.grid, cfg=scenario.exchange)
     with_truth = scenario.truth is not None
     lines = ["b,worst_case" + (",true_expected" if with_truth else "")]
     for b, worst in pairs:
@@ -98,13 +98,12 @@ def _cmd_sensitivity(scenario: Scenario, args: argparse.Namespace) -> str:
 
 
 def _cmd_refine(scenario: Scenario, args: argparse.Namespace) -> str:
-    oracle = scenario.make_oracle()
-    if oracle is None:
+    if scenario.oracle is None:
         raise ValidationError("oracle", "the refine command needs an oracle (and truth) in the scenario")
     trace = refine_loop(
         scenario.forecast_set,
         scenario.utility,
-        oracle,
+        scenario.oracle,
         max_iterations=args.iters,
         cfg=scenario.exchange,
     )
@@ -129,7 +128,7 @@ def _cmd_check(scenario: Scenario, args: argparse.Namespace) -> str:
     fs, u = scenario.forecast_set, scenario.utility
     lo, hi = u.decision_bounds
     gap = max(
-        duality_gap(fs, u, float(b), scenario.check_grid)
+        duality_gap(fs, u, float(b), scenario.check_grid, cfg=scenario.exchange)
         for b in np.linspace(lo, hi, _CHECK_GRID_POINTS)
     )
     slack = strict_feasibility_slack(fs, scenario.check_grid.base_points)

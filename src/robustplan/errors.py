@@ -12,11 +12,12 @@ class ValidationError(RobustPlanError):
 
     Carries the name of the offending field (dotted/indexed path such as
     ``"upper_probs[0]"``) so callers — the CLI in particular — can report
-    exactly which part of the input is bad.
+    exactly which part of the input is bad, and the message without it.
     """
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")
 
 

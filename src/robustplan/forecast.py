@@ -297,14 +297,29 @@ def outcome_grid(fs: ForecastSet, base_points: int, kinks=()) -> np.ndarray:
     """Sorted unique outcome points on which the package checks a distribution.
 
     A uniform grid of base_points over the domain, both domain ends, every
-    indicator endpoint e with its just-inside probe e - BOUNDARY_SHIFT (when
-    that lies in the domain), and the given kinks, all clipped to the domain.
+    indicator endpoint e with its probe e - BOUNDARY_SHIFT (just inside a
+    half-open end), the probe e + BOUNDARY_SHIFT just past every closed right
+    end (each probe when it lies in the domain), and the given kinks, all
+    clipped to the domain.
     """
     lo, hi = fs.domain.lower, fs.domain.upper
     endpoints = np.array(fs.indicator_endpoints(), dtype=float)
-    probes = endpoints - BOUNDARY_SHIFT
+    before = endpoints - BOUNDARY_SHIFT
+    closed_ends = [
+        fc.function.hi
+        for fc in fs.forecasts
+        if isinstance(fc.function, _INDICATOR_KINDS) and fc.function.closed_right
+    ]
+    after = np.array(closed_ends, dtype=float) + BOUNDARY_SHIFT
     points = np.concatenate(
-        [np.linspace(lo, hi, base_points), [lo, hi], endpoints, probes[probes >= lo], np.asarray(kinks, dtype=float)]
+        [
+            np.linspace(lo, hi, base_points),
+            [lo, hi],
+            endpoints,
+            before[before >= lo],
+            after[after <= hi],
+            np.asarray(kinks, dtype=float),
+        ]
     )
     return np.unique(np.clip(points, lo, hi))
 

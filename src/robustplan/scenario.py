@@ -76,12 +76,12 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
             raise ValidationError(f"{where}.{key}" if where else key, "unknown field")
 
 
-@dataclass(frozen=True)
-class OracleSpec:
-    """Recipe for constructing a clamped-step refinement oracle against the truth."""
-
-    step: float
-    margin: float
+def _construct(cls, where: str, **kwargs):
+    """cls(**kwargs), with its range errors reported under the dotted path ``where``."""
+    try:
+        return cls(**kwargs)
+    except ValidationError as err:
+        raise ValidationError(f"{where}.{err.field}", err.message) from err
 
 
 @dataclass(frozen=True)
@@ -91,20 +91,10 @@ class Scenario:
     utility: Utility
     forecast_set: ForecastSet
     truth: DiscreteDistribution | None
-    oracle: OracleSpec | None
+    oracle: ClampedStepOracle | None
     exchange: ExchangeConfig | None
     check_grid: GridSpec
     truth_satisfies_forecasts: bool | None
-
-    def make_oracle(self) -> ClampedStepOracle | None:
-        if self.oracle is None:
-            return None
-        return ClampedStepOracle(
-            forecast_set=self.forecast_set,
-            truth=self.truth,
-            step=self.oracle.step,
-            margin=self.oracle.margin,
-        )
 
 
 def _parse_constraint_function(obj: dict, where: str) -> ConstraintFunction:
@@ -201,7 +191,9 @@ def _parse_solver(obj: dict) -> tuple[ExchangeConfig | None, GridSpec]:
             {"initial_grid_points", "violation_tolerance", "max_rounds", "search_grid_points"},
             where,
         )
-        exchange = ExchangeConfig(
+        exchange = _construct(
+            ExchangeConfig,
+            where,
             initial_grid_points=_integer(section, "initial_grid_points", where),
             violation_tolerance=_number(section, "violation_tolerance", where),
             max_rounds=_integer(section, "max_rounds", where),
@@ -212,7 +204,7 @@ def _parse_solver(obj: dict) -> tuple[ExchangeConfig | None, GridSpec]:
         where = "solver.check_grid"
         section = dict(asdict(GridSpec()), **_mapping(obj["check_grid"], where))
         _check_keys(section, {"base_points"}, where)
-        check_grid = GridSpec(base_points=_integer(section, "base_points", where))
+        check_grid = _construct(GridSpec, where, base_points=_integer(section, "base_points", where))
     return exchange, check_grid
 
 
@@ -249,12 +241,13 @@ def parse_scenario(config: dict) -> Scenario:
         if kind != "clamped_step":
             raise ValidationError("oracle.type", f"unknown oracle type {kind!r}")
         _check_keys(section, {"type", "step", "margin"}, "oracle")
-        oracle = OracleSpec(
-            step=_number(section, "step", "oracle"),
-            margin=_number(section, "margin", "oracle") if "margin" in section else 0.0,
-        )
+        step = _number(section, "step", "oracle")
+        margin = _number(section, "margin", "oracle") if "margin" in section else 0.0
         if truth is None:
             raise ValidationError("oracle", "a clamped_step oracle requires a truth distribution")
+        oracle = _construct(
+            ClampedStepOracle, "oracle", forecast_set=forecast_set, truth=truth, step=step, margin=margin
+        )
 
     exchange, check_grid = (None, GridSpec())
     if "solver" in config:

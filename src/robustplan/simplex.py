@@ -6,6 +6,14 @@ basis matrix), which avoids the accumulated drift of tableau updates at the
 cost of a little arithmetic — a good trade for the small dense problems this
 package generates (tens of rows, up to a few hundred columns).
 
+``_standard_form`` builds the whole phase-1 system in one place: nonnegative
+structural columns (fixed variables folded into the right-hand side, bounded
+ones shifted or reflected, free ones split, finite widths as extra rows),
+nonnegative right-hand sides, slack, surplus and artificial columns, and a
+starting basis. ``solve_lp`` then runs phase 1, drives leftover artificials
+out of the basis, runs phase 2, undoes the change of variables and verifies
+the point against the original rows.
+
 Pricing is Dantzig's rule (most negative reduced cost) with Bland's
 anti-cycling rule engaged automatically after a run of degenerate pivots and
 disengaged once the objective moves again; the ratio test always breaks ties
@@ -15,6 +23,7 @@ Bland-style (lowest variable index), so every solve is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,10 +70,7 @@ class LinearProgram:
 
     def __post_init__(self):
         object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2:
-            matrix = matrix.reshape(len(self.senses), -1) if matrix.size else matrix.reshape(0, len(self.objective))
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
         object.__setattr__(self, "senses", tuple(self.senses))
         object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
         object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
@@ -72,12 +78,12 @@ class LinearProgram:
 
     def validate(self) -> None:
         """Check structural invariants, raising ValidationError on the first failure."""
-        n = self.objective.shape[0]
-        m = self.matrix.shape[0]
         if self.objective.ndim != 1:
             raise ValidationError("objective", "must be a 1-D vector")
+        n = self.objective.shape[0]
         if self.matrix.ndim != 2 or self.matrix.shape[1] != n:
             raise ValidationError("matrix", f"expected shape (rows, {n}), got {self.matrix.shape}")
+        m = self.matrix.shape[0]
         if len(self.senses) != m:
             raise ValidationError("senses", f"expected {m} entries, got {len(self.senses)}")
         if self.rhs.shape != (m,):
@@ -114,86 +120,105 @@ class LpResult:
     objective_value: float | None = None
 
 
-@dataclass
-class _Standardized:
-    """min c'x, A x {sense} b with x >= 0, plus the recipe to undo the change of variables.
+class _StandardForm(NamedTuple):
+    """Phase 1-ready system: min cost @ z subject to matrix @ z = rhs, z >= 0.
 
-    The original point is ``base`` plus ``sign[k] * x[k]`` added into variable
-    ``var[k]`` for every standardized column k.
+    The columns are [structural | slack/surplus | artificial] and rhs >= 0.
+    ``basis`` (one slack or artificial per row) is feasible for phase 1, and
+    ``artificial`` marks the artificial columns. The original point is
+    ``base`` plus ``sign[k] * z[k]`` added into variable ``var[k]`` for every
+    structural column k.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
-    senses: list[str]
     cost: np.ndarray
+    artificial: np.ndarray
+    basis: np.ndarray
     base: np.ndarray
     var: np.ndarray
     sign: np.ndarray
+
+    def original_point(self, z: np.ndarray) -> np.ndarray:
+        """The original variables at the standard-form point z."""
+        x = self.base.copy()
+        np.add.at(x, self.var, self.sign * z[: self.var.size])
+        return x
 
 
 class _Unbounded(Exception):
     pass
 
 
-def _standardize(problem: LinearProgram) -> _Standardized:
-    """Rewrite the LP over nonnegative variables with finite uppers as extra rows.
+#: Coefficient of a row's slack column: +1 slack, -1 surplus, 0 (none) for "=".
+_SLACK_SIGN = {LE: 1.0, EQ: 0.0, GE: -1.0}
 
-    A variable with equal bounds is a constant: it is folded into the
-    right-hand side and gets no column and no row.
+
+def _standard_form(problem: LinearProgram) -> _StandardForm:
+    """The LP as an equality system over z >= 0, ready for phase 1.
+
+    Each variable becomes structural columns: a variable with equal bounds is
+    a constant folded into the right-hand side (no column); a finite lower
+    bound shifts it (x = lo + z), a finite upper bound alone reflects it
+    (x = hi - z), and a free variable splits (x = z+ - z-). A shifted
+    variable with a finite upper bound gets an extra <= row on its width.
+    Rows with a negative right-hand side are negated, then a <= row gets a
+    slack, a >= row a surplus and an artificial, an = row an artificial. The
+    starting basis is the slack of each <= row and the artificial of the rest.
     """
-    A, c = problem.matrix, problem.objective
-    n = c.shape[0]
-    fixed = problem.lower == problem.upper
-    rhs = problem.rhs - A[:, fixed] @ problem.lower[fixed]
-    columns: list[np.ndarray] = []
-    cost: list[float] = []
-    var: list[int] = []
-    sign: list[float] = []
-    base_point = np.zeros(n)
-    upper_rows: list[tuple[int, float]] = []  # (standardized column, width)
-
-    for j in np.flatnonzero(~fixed):
-        lo, hi = problem.lower[j], problem.upper[j]
-        if np.isfinite(lo):
-            # x_j = lo + x', x' >= 0; finite width becomes an explicit row.
-            var.append(j)
-            sign.append(1.0)
-            columns.append(A[:, j].copy())
-            cost.append(c[j])
-            base_point[j] = lo
-            if np.isfinite(hi):
-                upper_rows.append((len(columns) - 1, hi - lo))
-        elif np.isfinite(hi):
-            # x_j = hi - x', x' >= 0.
-            var.append(j)
-            sign.append(-1.0)
-            columns.append(-A[:, j])
-            cost.append(-c[j])
-            base_point[j] = hi
-        else:
-            # Free variable: x_j = x+ - x-.
-            var += [j, j]
-            sign += [1.0, -1.0]
-            columns += [A[:, j].copy(), -A[:, j]]
-            cost += [c[j], -c[j]]
-
-    n_std = len(columns)
-    matrix = np.column_stack(columns) if n_std else np.zeros((A.shape[0], 0))
+    A, lower, upper = problem.matrix, problem.lower, problem.upper
+    n = A.shape[1]
+    fixed = lower == upper
+    finite_lower = np.isfinite(lower)
+    free = ~finite_lower & ~np.isfinite(upper)
+    # Columns in variable order: none for a fixed variable, two for a free one.
+    var = np.repeat(np.arange(n), np.where(fixed, 0, np.where(free, 2, 1)))
+    sign = np.where(finite_lower[var], 1.0, -1.0)
+    sign[np.flatnonzero(free[var])[::2]] = 1.0  # z+ of each free pair
+    base_point = np.where(fixed | free, 0.0, np.where(finite_lower, lower, upper))
+    # Two subtractions, not one on the merged point: that would round differently.
+    rhs = problem.rhs - A[:, fixed] @ lower[fixed]
     rhs = rhs - A @ base_point
-    senses = list(problem.senses)
 
-    for col, width in upper_rows:
-        row = np.zeros(n_std)
-        row[col] = 1.0
-        matrix = np.vstack([matrix, row])
-        rhs = np.append(rhs, width)
-        senses.append(LE)
+    boxed = np.flatnonzero(finite_lower[var] & np.isfinite(upper[var]))
+    width_rows = np.zeros((boxed.size, var.size))
+    width_rows[np.arange(boxed.size), boxed] = 1.0
+    structural = np.vstack([A[:, var] * sign, width_rows])
+    rhs = np.concatenate([rhs, upper[var[boxed]] - lower[var[boxed]]])
+    slack_sign = np.array([_SLACK_SIGN[s] for s in problem.senses] + [1.0] * boxed.size)
 
-    cost_vec = np.asarray(cost)
+    flip = rhs < 0
+    structural[flip] = -structural[flip]
+    rhs = np.where(flip, -rhs, rhs)
+    slack_sign = np.where(flip, -slack_sign, slack_sign)
+
+    m, n_std = structural.shape
+    slack_rows = np.flatnonzero(slack_sign != 0)
+    artificial_rows = np.flatnonzero(slack_sign <= 0)
+    n_slack, n_artificial = slack_rows.size, artificial_rows.size
+    slack = np.zeros((m, n_slack))
+    slack[slack_rows, np.arange(n_slack)] = slack_sign[slack_rows]
+    artificial = np.zeros((m, n_artificial))
+    artificial[artificial_rows, np.arange(n_artificial)] = 1.0
+    basis = np.where(
+        slack_sign > 0,
+        n_std + np.cumsum(slack_sign != 0) - 1,
+        n_std + n_slack + np.cumsum(slack_sign <= 0) - 1,
+    )
+
+    cost = problem.objective[var] * sign
     if problem.sense == "maximize":
-        cost_vec = -cost_vec
-    base = np.where(fixed, problem.lower, base_point)
-    return _Standardized(matrix, rhs, senses, cost_vec, base, np.array(var, dtype=int), np.array(sign))
+        cost = -cost
+    return _StandardForm(
+        matrix=np.hstack([structural, slack, artificial]),
+        rhs=rhs,
+        cost=np.concatenate([cost, np.zeros(n_slack + n_artificial)]),
+        artificial=np.arange(n_std + n_slack + n_artificial) >= n_std + n_slack,
+        basis=basis,
+        base=np.where(fixed, lower, base_point),
+        var=var,
+        sign=sign,
+    )
 
 
 def _iterate(
@@ -201,24 +226,26 @@ def _iterate(
     b: np.ndarray,
     cost: np.ndarray,
     basis: np.ndarray,
-    banned: np.ndarray,
-    pin_zero: np.ndarray,
+    artificial: np.ndarray,
+    pin_artificials: bool,
     pivots_left: int,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Pivot to optimality on min cost'x, Ax = b, x >= 0 from the given basis.
 
-    ``banned`` marks columns that may never enter. ``pin_zero`` marks columns
-    that must stay at zero whenever basic (leftover artificials): rows they own
-    get a zero-ratio exit as soon as the entering direction would move them.
+    Artificial columns never enter. With ``pin_artificials`` (phase 2) a
+    leftover basic artificial must stay at zero: its row gets a zero-ratio
+    exit as soon as the entering direction would move it.
 
-    Returns (final basis, pivots used). Raises _Unbounded or NumericalFailure.
+    Returns (final basis, basic values at it, pivots used). Raises
+    _Unbounded or NumericalFailure.
     """
     m, _ = A.shape
     if m == 0:
-        if np.any(cost[~banned] < -REDUCED_COST_TOL):
+        if np.any(cost[~artificial] < -REDUCED_COST_TOL):
             raise _Unbounded
-        return basis, 0
+        return basis, np.zeros(0), 0
 
+    pin_zero = artificial if pin_artificials else np.zeros_like(artificial)
     basis = np.array(basis, dtype=int)
     pivots = 0
     bland = False
@@ -246,12 +273,12 @@ def _iterate(
                 bland = True
 
         reduced = cost - A.T @ duals
-        candidates = ~banned
+        candidates = ~artificial
         candidates[basis] = False
         candidates &= reduced < -REDUCED_COST_TOL
         idx = np.where(candidates)[0]
         if idx.size == 0:
-            return basis, pivots
+            return basis, x_basic, pivots
 
         entering = int(idx[0]) if bland else int(idx[np.argmin(reduced[idx])])
         direction = np.linalg.solve(B, A[:, entering])
@@ -283,89 +310,31 @@ def solve_lp(problem: LinearProgram) -> LpResult:
         NumericalFailure: pivot cap exhausted or an internal consistency check failed.
     """
     problem.validate()
-    std = _standardize(problem)
-    A, rhs, senses = std.matrix, std.rhs.copy(), list(std.senses)
-    m, n_std = A.shape
-
-    # Normalize to nonnegative right-hand sides so slacks/artificials can seed the basis.
-    for i in range(m):
-        if rhs[i] < 0:
-            A[i, :] = -A[i, :]
-            rhs[i] = -rhs[i]
-            senses[i] = {LE: GE, GE: LE, EQ: EQ}[senses[i]]
-
-    slack_cols: list[np.ndarray] = []
-    artificial_cols: list[np.ndarray] = []
-    slack_owner: list[int] = []
-    artificial_owner: list[int] = []
-
-    for i, s in enumerate(senses):
-        if s == LE:
-            col = np.zeros(m)
-            col[i] = 1.0
-            slack_cols.append(col)
-            slack_owner.append(i)
-        elif s == GE:
-            col = np.zeros(m)
-            col[i] = -1.0  # surplus
-            slack_cols.append(col)
-            slack_owner.append(i)
-            art = np.zeros(m)
-            art[i] = 1.0
-            artificial_cols.append(art)
-            artificial_owner.append(i)
-        else:
-            art = np.zeros(m)
-            art[i] = 1.0
-            artificial_cols.append(art)
-            artificial_owner.append(i)
-
-    n_slack = len(slack_cols)
-    full = np.hstack(
-        [A]
-        + ([np.column_stack(slack_cols)] if slack_cols else [])
-        + ([np.column_stack(artificial_cols)] if artificial_cols else [])
-    )
-    n_total = full.shape[1]
-
-    artificial_mask = np.zeros(n_total, dtype=bool)
-    artificial_mask[n_std + n_slack :] = True
-
-    # Initial basis: the slack for <= rows, the artificial for >= and = rows.
-    basis = np.empty(m, dtype=int)
-    slack_at = {owner: n_std + k for k, owner in enumerate(slack_owner)}
-    art_at = {owner: n_std + n_slack + k for k, owner in enumerate(artificial_owner)}
-    for i, s in enumerate(senses):
-        basis[i] = slack_at[i] if s == LE else art_at[i]
-
-    pivots_left = MAX_PIVOTS
+    std = _standard_form(problem)
+    A, rhs, artificial = std.matrix, std.rhs, std.artificial
+    m = A.shape[0]
+    basis, pivots_left = std.basis, MAX_PIVOTS
 
     # Phase 1: minimize the artificial mass.
-    if artificial_cols:
-        phase1_cost = np.zeros(n_total)
-        phase1_cost[artificial_mask] = 1.0
+    if artificial.any():
         try:
-            basis, used = _iterate(
-                full, rhs, phase1_cost, basis, artificial_mask.copy(), np.zeros(n_total, dtype=bool), pivots_left
-            )
+            basis, x_basic, used = _iterate(A, rhs, artificial.astype(float), basis, artificial, False, pivots_left)
         except _Unbounded as exc:  # phase-1 objective is bounded below by zero
             raise NumericalFailure("phase-1 subproblem reported unbounded") from exc
         pivots_left -= used
-        B = full[:, basis]
-        x_basic = np.linalg.solve(B, rhs)
-        infeasibility = float(x_basic[artificial_mask[basis]].sum()) if artificial_mask[basis].any() else 0.0
+        infeasibility = float(x_basic[artificial[basis]].sum())
         if infeasibility > FEASIBILITY_TOL * max(1.0, float(np.abs(rhs).max(initial=0.0))):
             return LpResult(status=INFEASIBLE)
 
         # Drive leftover artificials out of the basis where a real pivot exists.
         for pos in range(m):
-            if not artificial_mask[basis[pos]]:
+            if not artificial[basis[pos]]:
                 continue
             unit = np.zeros(m)
             unit[pos] = 1.0
-            weights = np.linalg.solve(full[:, basis].T, unit)
-            row = weights @ full
-            row[artificial_mask] = 0.0
+            weights = np.linalg.solve(A[:, basis].T, unit)
+            row = weights @ A
+            row[artificial] = 0.0
             row[basis] = 0.0
             nonzero = np.where(np.abs(row) > 1e-7)[0]
             if nonzero.size:
@@ -373,28 +342,17 @@ def solve_lp(problem: LinearProgram) -> LpResult:
             # else: the row is redundant; the artificial stays basic at zero,
             # pinned there by the phase-2 ratio test.
 
-    # Phase 2: the real objective, artificials banned from entering.
-    phase2_cost = np.zeros(n_total)
-    phase2_cost[:n_std] = std.cost
+    # Phase 2: the real objective.
     try:
-        basis, used = _iterate(full, rhs, phase2_cost, basis, artificial_mask.copy(), artificial_mask, pivots_left)
+        basis, x_basic, _ = _iterate(A, rhs, std.cost, basis, artificial, True, pivots_left)
     except _Unbounded:
         return LpResult(status=UNBOUNDED)
-    pivots_left -= used
 
-    if m:
-        x_basic = np.linalg.solve(full[:, basis], rhs)
-        x_std = np.zeros(n_total)
-        x_std[basis] = np.maximum(x_basic, 0.0)
-    else:
-        x_std = np.zeros(n_total)
-
-    # Undo the change of variables.
-    solution = std.base.copy()
-    np.add.at(solution, std.var, std.sign * x_std[:n_std])
+    z = np.zeros(A.shape[1])
+    z[basis] = np.maximum(x_basic, 0.0)
 
     # Snap hair-width bound violations and verify feasibility before returning.
-    solution = np.clip(solution, problem.lower, problem.upper)
+    solution = np.clip(std.original_point(z), problem.lower, problem.upper)
     residuals = problem.matrix @ solution
     for i, s in enumerate(problem.senses):
         tol = FEASIBILITY_TOL * max(1.0, abs(problem.rhs[i]))

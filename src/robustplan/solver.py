@@ -104,24 +104,32 @@ def _check_decision(u: Utility, b: float) -> float:
 def _cell_rows(fs: ForecastSet) -> tuple[np.ndarray, np.ndarray]:
     """Finite (G, xs) rows equivalent to the pointwise dual constraint.
 
-    Valid when every forecast is an interval indicator: between consecutive
-    endpoints all g_i are constant (their value at the cell's left end, by the
-    half-open convention), and the concave piecewise-affine utility attains
-    its minimum over the cell's closure at one of the two ends. The isolated
-    top point of the domain gets its own row since no half-open cell covers
-    it. Column j of G is the g-vector of the row at outcome xs[j].
+    Valid when every forecast is an interval indicator: the indicator ends cut
+    the domain into open cells on which all g_i are constant (their value at
+    the cell's midpoint), and the concave piecewise-affine utility attains its
+    minimum over a cell's closure at one of its two ends. So a cell gives a
+    row at each of its ends, and each cut gives a row with its own g. At each
+    cut the distinct rows among (left cell, the cut itself, right cell) are
+    kept, in that order. Column j of G is the g-vector of the row at outcome
+    xs[j].
     """
     lo, hi = fs.domain.lower, fs.domain.upper
     cuts = np.array(sorted({lo, hi, *(e for e in fs.indicator_endpoints() if lo < e < hi)}))
-    g_at_cuts = fs.values(cuts)
-    # Rows in order: each cell's g at its left and right end, then the top
-    # point. A cell's left-end row repeats the previous cell's right-end row
-    # when the two cells have the same g; the repeat is dropped.
-    ends = np.repeat(np.arange(cuts.size), 2)
-    g_col, x_col = ends[:-1], ends[1:]
-    keep = np.ones(g_col.size, dtype=bool)
-    keep[2::2] = np.any(g_at_cuts[:, 1:] != g_at_cuts[:, :-1], axis=0)
-    return g_at_cuts[:, g_col[keep]], cuts[x_col[keep]]
+    values = fs.values(np.concatenate([cuts, (cuts[:-1] + cuts[1:]) / 2.0]))
+    at_cut, in_cell = values[:, : cuts.size], values[:, cuts.size :]
+    # The domain ends have a cell on one side only; the cut stands in for the
+    # missing one and is dropped as a repeat.
+    left = np.hstack([at_cut[:, :1], in_cell])
+    right = np.hstack([in_cell, at_cut[:, -1:]])
+
+    def differs(a, b):
+        return np.any(a != b, axis=0)
+
+    keep = np.column_stack(
+        [np.ones(cuts.size, dtype=bool), differs(at_cut, left), differs(right, at_cut) & differs(right, left)]
+    ).ravel()
+    G = np.stack([left, at_cut, right], axis=2).reshape(values.shape[0], 3 * cuts.size)
+    return G[:, keep], np.repeat(cuts, 3)[keep]
 
 
 def _dual_lp_solution(
@@ -183,15 +191,18 @@ def _solve(fs: ForecastSet, u: Utility, decision: tuple[float, float], cfg: Exch
     return _exchange(fs, u, cfg, decision)
 
 
-def worst_case_value(fs: ForecastSet, u: Utility, b: float) -> tuple[float, np.ndarray, float]:
+def worst_case_value(
+    fs: ForecastSet, u: Utility, b: float, *, cfg: ExchangeConfig | None = None
+) -> tuple[float, np.ndarray, float]:
     """Worst-case expected utility of a fixed decision, with its dual prices.
 
     Returns (value, multipliers, offset): the tightest guaranteed expected
     utility over the ambiguity set, via the exact finite reduction when all
-    forecasts are interval indicators and the exchange loop otherwise.
+    forecasts are interval indicators and the exchange loop (with the given
+    or default configuration) otherwise.
     """
     b = _check_decision(u, b)
-    sol = _solve(fs, u, (b, b), ExchangeConfig())
+    sol = _solve(fs, u, (b, b), cfg or ExchangeConfig())
     return sol.objective, sol.lambda_star, sol.eta_star
 
 
@@ -251,7 +262,9 @@ def _exchange(
     )
 
 
-def sweep(fs: ForecastSet, u: Utility, grid_size: int) -> list[tuple[float, float]]:
+def sweep(
+    fs: ForecastSet, u: Utility, grid_size: int, *, cfg: ExchangeConfig | None = None
+) -> list[tuple[float, float]]:
     """Worst-case expected utility across a uniform grid of decisions.
 
     Returns grid_size (b, value) pairs covering both decision bounds.
@@ -259,7 +272,7 @@ def sweep(fs: ForecastSet, u: Utility, grid_size: int) -> list[tuple[float, floa
     if grid_size < 2:
         raise ValidationError("grid_size", f"must be >= 2, got {grid_size}")
     lo, hi = u.decision_bounds
-    return [(float(b), worst_case_value(fs, u, float(b))[0]) for b in np.linspace(lo, hi, grid_size)]
+    return [(float(b), worst_case_value(fs, u, float(b), cfg=cfg)[0]) for b in np.linspace(lo, hi, grid_size)]
 
 
 def true_expected(truth: DiscreteDistribution, u: Utility, b: float) -> float:

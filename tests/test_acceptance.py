@@ -212,7 +212,7 @@ def test_worst_case_under_approximates_truth():
         worst, _, _ = worst_case_value(fs, u, float(b))
         assert worst <= true_expected(truth, u, float(b)) + 1e-8
 
-    trace = refine_loop(fs, u, scenario.make_oracle())
+    trace = refine_loop(fs, u, scenario.oracle)
     gaps = []
     for record in trace.iterations:
         fs_k = fs.with_bounds(record.bounds)
@@ -232,7 +232,7 @@ def test_optimal_bid_interior_and_stable_under_refinement():
     not move while refinement tightens the forecasts."""
     scenario = load_scenario("market_m6")
     trace = refine_loop(
-        scenario.forecast_set, scenario.utility, scenario.make_oracle()
+        scenario.forecast_set, scenario.utility, scenario.oracle
     )
     b0 = trace.iterations[0].b_star
     assert 1e-6 < b0 < 1.0 - 1e-6

@@ -216,6 +216,8 @@ class TestErrors:
             ({"exchange": {"search_grid_points": None}}, "solver.exchange.search_grid_points"),
             ({"exchange": {"violation_tolerance": "small"}}, "solver.exchange.violation_tolerance"),
             ({"check_grid": {"base_points": None}}, "solver.check_grid.base_points"),
+            ({"exchange": {"max_rounds": 0}}, "solver.exchange.max_rounds"),
+            ({"check_grid": {"base_points": 1}}, "solver.check_grid.base_points"),
         ],
     )
     def test_bad_solver_value_names_field(self, tmp_path, capsys, solver, field):
@@ -242,6 +244,27 @@ class TestErrors:
         code, _, err = run_cli(capsys, ["solve", write_config(tmp_path, config)])
         assert code == 1
         assert json.loads(err)["error"] == "AmbiguitySetEmpty"
+
+    @pytest.mark.parametrize("argv", [["solve"], ["sweep", "--grid", "3"], ["check"]])
+    def test_every_command_uses_the_exchange_config(self, tmp_path, capsys, argv):
+        # One exchange round cannot converge on a mean window plus E[x^2]
+        # (except at the decision ends, so the sweep needs b = 0.5).
+        config = config_with(
+            forecasts={
+                "type": "generic",
+                "constraints": [
+                    {"g": {"type": "affine", "offset": 0.0, "slope": 1.0}, "epsilon": 0.5},
+                    {"g": {"type": "affine", "offset": 0.0, "slope": -1.0}, "epsilon": -0.4},
+                    {"g": {"type": "power", "exponent": 2}, "epsilon": 0.35},
+                ],
+            },
+            solver={"exchange": {"max_rounds": 1}},
+        )
+        command, *extra = argv
+        code, out, err = run_cli(capsys, [command, write_config(tmp_path, config), *extra])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "ConvergenceFailure"
 
     def test_truth_violation_warns_but_proceeds(self, tmp_path, capsys):
         config = config_with(truth={"atoms": [[0.25, 1.0]]})

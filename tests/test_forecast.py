@@ -216,6 +216,19 @@ class TestOutcomeGrid:
         assert np.all(np.diff(grid) > 0)
         assert grid[0] == 0.0 and grid[-1] == 1.0
 
+    def test_probe_past_closed_interior_end(self):
+        fs = ForecastSet(
+            domain=Domain(0.0, 1.0),
+            forecasts=(
+                Forecast(IndicatorInterval(0.2, 0.5, closed_right=True), 0.8),
+                Forecast(NegatedIndicatorInterval(0.5, 1.0, closed_right=True), -0.1),
+            ),
+        )
+        grid = outcome_grid(fs, 2)
+        assert np.any(grid == 0.5 + 1e-9)
+        # A closed end at the top of the domain has no point past it.
+        assert grid[-1] == 1.0 and np.all(grid[:-1] < 1.0)
+
     def test_kinks_are_clipped_and_merged(self):
         fs = ForecastSet(domain=Domain(0.0, 1.0), forecasts=())
         grid = outcome_grid(fs, 3, kinks=[0.3, 0.5, 2.0])

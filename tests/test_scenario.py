@@ -76,10 +76,10 @@ class TestParsing:
         scenario = parse_scenario(config)
         assert scenario.truth.expectation(AffineFunction(0.0, 1.0)) == pytest.approx(0.5)
         assert scenario.truth_satisfies_forecasts is True
+        assert isinstance(scenario.oracle, ClampedStepOracle)
         assert (scenario.oracle.step, scenario.oracle.margin) == (0.05, 0.02)
-        oracle = scenario.make_oracle()
-        assert isinstance(oracle, ClampedStepOracle)
-        assert oracle.step == 0.05
+        assert scenario.oracle.truth is scenario.truth
+        assert scenario.oracle.forecast_set is scenario.forecast_set
 
     def test_oracle_margin_defaults_to_zero(self):
         config = base_config()
@@ -106,9 +106,6 @@ class TestParsing:
         assert scenario.exchange.violation_tolerance == 1e-7
         assert scenario.check_grid.base_points == 64
 
-    def test_make_oracle_without_oracle_section(self):
-        assert parse_scenario(base_config()).make_oracle() is None
-
 
 class TestFieldErrors:
     """Every rejection names the offending field with a dotted path."""
@@ -131,6 +128,22 @@ class TestFieldErrors:
                     forecasts={"type": "generic", "constraints": [{"g": {"type": "power", "exponent": 2.0}, "epsilon": 1.0}]}
                 ),
                 "forecasts.constraints[0].g.exponent",
+            ),
+            # Range errors raised by the config constructors carry the dotted path.
+            (lambda c: c.update(solver={"exchange": {"max_rounds": 0}}), "solver.exchange.max_rounds"),
+            (lambda c: c.update(solver={"exchange": {"initial_grid_points": 0}}), "solver.exchange.initial_grid_points"),
+            (lambda c: c.update(solver={"exchange": {"violation_tolerance": 0}}), "solver.exchange.violation_tolerance"),
+            (lambda c: c.update(solver={"exchange": {"search_grid_points": 1}}), "solver.exchange.search_grid_points"),
+            (lambda c: c.update(solver={"check_grid": {"base_points": 1}}), "solver.check_grid.base_points"),
+            (
+                lambda c: c.update(truth={"atoms": [[0.5, 1.0]]}, oracle={"type": "clamped_step", "step": 0}),
+                "oracle.step",
+            ),
+            (
+                lambda c: c.update(
+                    truth={"atoms": [[0.5, 1.0]]}, oracle={"type": "clamped_step", "step": 0.1, "margin": -0.1}
+                ),
+                "oracle.margin",
             ),
         ],
     )

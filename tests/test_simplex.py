@@ -13,7 +13,7 @@ from robustplan.simplex import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
-    _standardize,
+    _standard_form,
     solve_lp,
 )
 
@@ -189,11 +189,13 @@ class TestFixedVariables:
         assert res.objective_value == pytest.approx(ref.objective_value + 3.0, abs=1e-12)
         assert res.objective_value == pytest.approx(10.5, abs=1e-9)
         # No column and no zero-width bound row for the fixed variable.
-        assert _standardize(fixed).matrix.shape == _standardize(by_hand).matrix.shape
+        assert _standard_form(fixed).matrix.shape == _standard_form(by_hand).matrix.shape
 
     def test_all_columns_fixed(self):
         lp = make_lp([1.0, -2.0], [[1.0, 1.0], [1.0, -1.0]], [LE, GE], [3.0, -1.0], [1.0, 2.0], [1.0, 2.0])
-        assert _standardize(lp).matrix.shape == (2, 0)
+        std = _standard_form(lp)
+        assert std.var.size == 0  # no structural column
+        assert std.matrix.shape == (2, 3)  # the <= slack, the >= surplus and its artificial
         res = solve_lp(lp)
         assert res.status == OPTIMAL
         assert res.solution.tolist() == [1.0, 2.0]
@@ -202,6 +204,70 @@ class TestFixedVariables:
     def test_all_columns_fixed_infeasible(self):
         lp = make_lp([1.0, -2.0], [[1.0, 1.0]], [LE], [2.0], [1.0, 2.0], [1.0, 2.0])
         assert solve_lp(lp).status == INFEASIBLE
+
+
+class TestStandardForm:
+    """One LP with a column of each bound kind and a row of each sense, both rhs signs."""
+
+    # x0 fixed at 2, x1 >= 1, x2 <= 3, x3 in [-1, 4], x4 free.
+    LP = make_lp(
+        [1.0, 2.0, 3.0, 4.0, 5.0],
+        [
+            [1.0, 1.0, 1.0, 1.0, 1.0],
+            [0.0, 1.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 1.0],
+            [1.0, 0.0, 0.0, 0.0, 1.0],
+            [0.0, 1.0, 0.0, 0.0, -1.0],
+            [0.0, 0.0, 0.0, 1.0, 1.0],
+        ],
+        [LE, GE, EQ, LE, GE, EQ],
+        # Minus the row at the base point (2, 1, 3, -1, 0): 15, 4, 2, -2, -4, -5.
+        [20.0, 4.0, 5.0, 0.0, -3.0, -6.0],
+        [2.0, 1.0, -INF, -1.0, -INF],
+        [2.0, INF, 3.0, 4.0, INF],
+    )
+
+    def test_system(self):
+        std = _standard_form(self.LP)
+        # Structural columns z0..z4 stand for x1, -x2, x3, x4+, x4-; the last
+        # row is x3's width. Rows 3-5 had a negative rhs and are negated, so
+        # row 3 (<=) gets a surplus and row 4 (>=) a slack.
+        structural = [
+            [1, -1, 1, 1, -1],
+            [1, 0, 1, 0, 0],
+            [0, -1, 0, 1, -1],
+            [0, 0, 0, -1, 1],
+            [-1, 0, 0, 1, -1],
+            [0, 0, -1, -1, 1],
+            [0, 0, 1, 0, 0],
+        ]
+        # Slack/surplus columns for rows 0, 1, 3, 4, 6; artificials for rows 1, 2, 3, 5.
+        slack = np.zeros((7, 5))
+        slack[[0, 1, 3, 4, 6], range(5)] = [1, -1, -1, 1, 1]
+        artificial = np.zeros((7, 4))
+        artificial[[1, 2, 3, 5], range(4)] = 1
+        assert np.array_equal(std.matrix, np.hstack([structural, slack, artificial]))
+        assert std.rhs.tolist() == [15.0, 4.0, 2.0, 2.0, 4.0, 5.0, 5.0]
+        assert std.basis.tolist() == [5, 10, 11, 12, 8, 13, 9]
+        assert std.artificial.tolist() == [False] * 10 + [True] * 4
+        # Maximize, so the cost of each structural column is -sign * c[var].
+        assert std.cost.tolist() == [-2.0, 3.0, -4.0, -5.0, 5.0] + [0.0] * 9
+        assert std.var.tolist() == [1, 2, 3, 4, 4]
+        assert std.sign.tolist() == [1.0, -1.0, 1.0, 1.0, -1.0]
+
+    def test_undo(self):
+        std = _standard_form(self.LP)
+        z = np.concatenate([[0.5, 1.0, 2.0, 3.0, 1.0], np.full(9, 7.0)])
+        assert std.original_point(z).tolist() == [2.0, 1.5, 2.0, 1.0, 2.0]
+
+    def test_signed_zeros(self):
+        # Slack and artificial columns hold +0.0 off their row, and only a
+        # negative rhs is negated: a -0.0 rhs stays -0.0.
+        std = _standard_form(self.LP)
+        added = std.matrix[:, 5:]
+        assert not np.signbit(added[added == 0]).any()
+        zero_rhs = _standard_form(make_lp([1.0], [[1.0]], [GE], [-0.0], [0.0], [INF]))
+        assert np.signbit(zero_rhs.rhs).tolist() == [True]
 
 
 class TestValidation:
@@ -217,6 +283,20 @@ class TestValidation:
         with pytest.raises(ValidationError) as err:
             solve_lp(lp)
         assert "matrix" in str(err.value)
+
+    @pytest.mark.parametrize("matrix", [np.array([1.0, 2.0]), np.array(1.0)])
+    def test_non_2d_matrix_rejected(self, matrix):
+        lp = LinearProgram(
+            objective=np.array([1.0, 2.0]),
+            matrix=matrix,
+            senses=(LE,),
+            rhs=np.array([1.0]),
+            lower=np.array([0.0, 0.0]),
+            upper=np.array([INF, INF]),
+        )
+        with pytest.raises(ValidationError) as err:
+            solve_lp(lp)
+        assert err.value.field == "matrix"
 
     def test_bad_sense_string(self):
         lp = make_lp([1.0], [[1.0]], ["<"], [1.0], [0.0], [INF])

@@ -17,6 +17,7 @@ from robustplan.forecast import (
     to_generic,
 )
 from robustplan import simplex, solver
+from robustplan.bruteforce import duality_gap
 from robustplan.solver import (
     ExchangeConfig,
     _exchange,
@@ -167,23 +168,42 @@ class TestSolveGeneric:
 def loop_dual_rows(fs: ForecastSet, u):
     """Reference rows of the exact dual LP, built one (g, x) pair and one piece at a time.
 
-    Pairs are each cell's g at its left and right end, then the top point,
-    with repeated pairs dropped in first-seen order.
+    At each cut in order, the pairs are the g of the cell left of it (taken at
+    the cell's midpoint), of the cut itself and of the cell right of it, with
+    repeated pairs dropped in first-seen order.
     """
     lo, hi = fs.domain.lower, fs.domain.upper
     cuts = sorted({lo, hi, *(e for e in fs.indicator_endpoints() if lo < e < hi)})
-    g_at = fs.values(cuts).T
+    mids = [(a + b) / 2.0 for a, b in zip(cuts, cuts[1:])]
     pairs = {}
-    for j in range(len(cuts) - 1):
-        for x in (cuts[j], cuts[j + 1]):
-            pairs.setdefault((tuple(g_at[j]), x), (g_at[j], x))
-    pairs.setdefault((tuple(g_at[-1]), cuts[-1]), (g_at[-1], cuts[-1]))
+    for i, x in enumerate(cuts):
+        for point in mids[max(i - 1, 0) : i] + [x] + mids[i : i + 1]:
+            g = fs.values([point])[:, 0]
+            pairs.setdefault((tuple(g), x), (g, x))
     matrix, rhs = [], []
     for g, x in pairs.values():
         for a, c, d in u.pieces:
             matrix.append([d, *g, 1.0])
             rhs.append(-(a + c * x))
     return np.array(matrix), np.array(rhs)
+
+
+class TestClosedRightIndicator:
+    """An indicator closed on the right at an interior point prices like its half-open twin."""
+
+    @staticmethod
+    def indicator_set(closed_right):
+        return ForecastSet(Domain(0.0, 1.0), (Forecast(IndicatorInterval(0.0, 0.5, closed_right=closed_right), 0.8),))
+
+    @pytest.mark.parametrize("b", [0.3, 0.6, 0.9])
+    def test_matches_half_open_twin(self, b):
+        closed, _, _ = worst_case_value(self.indicator_set(True), MARKET, b)
+        twin, _, _ = worst_case_value(self.indicator_set(False), MARKET, b)
+        assert closed == pytest.approx(twin, abs=1e-9)
+
+    @pytest.mark.parametrize("b", [0.3, 0.6, 0.9])
+    def test_duality_gap(self, b):
+        assert duality_gap(self.indicator_set(True), MARKET, b) <= 1e-6
 
 
 class TestDualLpRows:
@@ -212,6 +232,9 @@ class TestDualLpRows:
             ),
             # With no forecasts every cell has the same (empty) g.
             ForecastSet(Domain(0.0, 1.0), ()),
+            # Closed on the right at an interior point: the cut's g is not
+            # the g of the cell right of it.
+            ForecastSet(Domain(0.0, 1.0), (Forecast(IndicatorInterval(0.0, 0.5, closed_right=True), 0.8),)),
         ],
     )
     @pytest.mark.parametrize("b", [None, 0.3])
