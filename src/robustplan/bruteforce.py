@@ -51,9 +51,7 @@ def brute_force_worst_case(
     distribution satisfies the forecasts.
     """
     grid = grid or GridSpec()
-    lo, hi = u.decision_bounds
-    if not lo <= b <= hi:
-        raise ValidationError("b", f"decision {b} outside bounds [{lo}, {hi}]")
+    b = u.check_decision(b)
     for i, fc in enumerate(fs.forecasts):
         fn = fc.function
         # The just-inside probe of an indicator must stay inside it.

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import AmbiguitySetEmpty, ContractViolation, ValidationError
 from .forecast import DiscreteDistribution, ForecastSet
+from .sensitivity import sensitivities
 from .solver import ExchangeConfig, solve_forecast_set
 from .utility import Utility
 
@@ -105,14 +106,14 @@ def refine_loop(
 ) -> RefinementTrace:
     """Run sensitivity-ranked refinement until the oracle or budget runs out.
 
-    Per iteration: solve, rank forecasts by multiplier (descending, ties to
-    the lowest index), and ask the oracle to tighten the best-priced forecast
-    with multiplier above MIN_SENSITIVITY, walking down the ranking when it
-    declines. Stops on max_iterations, when no refinable forecast remains, or
-    when the last accepted refinement improved the objective by less than
-    improvement_tolerance. An oracle answer above the current bound raises
-    ContractViolation; an answer that empties the ambiguity set is rolled
-    back and recorded on the trace.
+    Per iteration: solve, then walk the ``sensitivities`` ranking (multiplier
+    descending, ties to the lowest index) and ask the oracle to tighten the
+    best-priced forecast with multiplier above MIN_SENSITIVITY, walking down
+    the ranking when it declines. Stops on max_iterations, when no refinable
+    forecast remains, or when the last accepted refinement improved the
+    objective by less than improvement_tolerance. An oracle answer above the
+    current bound raises ContractViolation; an answer that empties the
+    ambiguity set is rolled back and recorded on the trace.
     """
     if max_iterations < 1:
         raise ValidationError("max_iterations", f"must be >= 1, got {max_iterations}")
@@ -128,12 +129,11 @@ def refine_loop(
     failed = None
     reason = MAX_ITERATIONS
     for k in range(1, max_iterations + 1):
-        ranked = sorted(
-            (i for i in range(len(fs.forecasts)) if sol.lambda_star[i] > MIN_SENSITIVITY),
-            key=lambda i: (-sol.lambda_star[i], i),
-        )
         chosen = None
-        for j in ranked:
+        for entry in sensitivities(sol, fs).entries:
+            if entry.value <= MIN_SENSITIVITY:
+                continue
+            j = entry.forecast_index
             current = fs.forecasts[j].bound
             answer = oracle.refine(j, current)
             if answer is None:

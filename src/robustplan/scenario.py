@@ -51,6 +51,17 @@ def _number(obj: dict, key: str, where: str) -> float:
     return float(value)
 
 
+def _numbers(value, where: str, length: int | None = None) -> tuple[float, ...]:
+    """An array of numbers as floats; a wrong length names ``where``, a bad element ``where[i]``."""
+    row = _sequence(value, where)
+    if length is not None and len(row) != length:
+        raise ValidationError(where, f"expected {length} numbers, got {value!r}")
+    for i, v in enumerate(row):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValidationError(f"{where}[{i}]", f"expected a number, got {v!r}")
+    return tuple(float(v) for v in row)
+
+
 def _integer(obj: dict, key: str, where: str) -> int:
     value = _require(obj, key, where)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -76,12 +87,21 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
             raise ValidationError(f"{where}.{key}" if where else key, "unknown field")
 
 
-def _construct(cls, where: str, **kwargs):
-    """cls(**kwargs), with its range errors reported under the dotted path ``where``."""
+#: Constructor fields whose scenario path is not ``<section>.<field>``.
+_RENAMED_FIELDS = {"price": "utility.p", "penalty": "utility.q", "decision_bounds": "decision"}
+
+
+def _construct(build, where: str, **kwargs):
+    """build(**kwargs), with its range errors reported under scenario paths.
+
+    Field f (or f[i]) becomes where.f (where.f[i]) unless _RENAMED_FIELDS names f.
+    """
     try:
-        return cls(**kwargs)
+        return build(**kwargs)
     except ValidationError as err:
-        raise ValidationError(f"{where}.{err.field}", err.message) from err
+        name, bracket, index = err.field.partition("[")
+        path = _RENAMED_FIELDS.get(name, f"{where}.{name}")
+        raise ValidationError(path + bracket + index, err.message) from err
 
 
 @dataclass(frozen=True)
@@ -122,21 +142,23 @@ def _parse_utility(obj: dict, decision: tuple[float, float]) -> Utility:
     kind = _require(obj, "type", "utility")
     if kind == "market_bidding":
         _check_keys(obj, {"type", "p", "q"}, "utility")
-        return market_bidding(
-            _number(obj, "p", "utility"),
-            _number(obj, "q", "utility"),
-            decision[0],
-            decision[1],
+        return _construct(
+            market_bidding,
+            "utility",
+            price=_number(obj, "p", "utility"),
+            penalty=_number(obj, "q", "utility"),
+            bid_lower=decision[0],
+            bid_upper=decision[1],
         )
     if kind == "piecewise_affine_min":
         _check_keys(obj, {"type", "pieces"}, "utility")
-        pieces = []
-        for i, piece in enumerate(_sequence(_require(obj, "pieces", "utility"), "utility.pieces")):
-            row = _sequence(piece, f"utility.pieces[{i}]")
-            if len(row) != 3 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row):
-                raise ValidationError(f"utility.pieces[{i}]", f"expected [a, c, d] numbers, got {piece!r}")
-            pieces.append((float(row[0]), float(row[1]), float(row[2])))
-        return Utility(pieces=tuple(pieces), decision_bounds=decision)
+        pieces = _sequence(_require(obj, "pieces", "utility"), "utility.pieces")
+        return _construct(
+            Utility,
+            "utility",
+            pieces=tuple(_numbers(piece, f"utility.pieces[{i}]", 3) for i, piece in enumerate(pieces)),
+            decision_bounds=decision,
+        )
     raise ValidationError("utility.type", f"unknown utility type {kind!r}")
 
 
@@ -144,10 +166,12 @@ def _parse_forecasts(obj: dict, domain: Domain) -> ForecastSet:
     kind = _require(obj, "type", "forecasts")
     if kind == "prediction_intervals":
         _check_keys(obj, {"type", "breakpoints", "lower_probs", "upper_probs"}, "forecasts")
-        pi = PredictionIntervals(
-            breakpoints=tuple(_sequence(_require(obj, "breakpoints", "forecasts"), "forecasts.breakpoints")),
-            lower_probs=tuple(_sequence(_require(obj, "lower_probs", "forecasts"), "forecasts.lower_probs")),
-            upper_probs=tuple(_sequence(_require(obj, "upper_probs", "forecasts"), "forecasts.upper_probs")),
+        pi = _construct(
+            PredictionIntervals,
+            "forecasts",
+            breakpoints=_numbers(_require(obj, "breakpoints", "forecasts"), "forecasts.breakpoints"),
+            lower_probs=_numbers(_require(obj, "lower_probs", "forecasts"), "forecasts.lower_probs"),
+            upper_probs=_numbers(_require(obj, "upper_probs", "forecasts"), "forecasts.upper_probs"),
         )
         if pi.breakpoints[0] != domain.lower or pi.breakpoints[-1] != domain.upper:
             raise ValidationError(
@@ -165,19 +189,18 @@ def _parse_forecasts(obj: dict, domain: Domain) -> ForecastSet:
             _check_keys(entry, {"g", "epsilon"}, where)
             fn = _parse_constraint_function(_mapping(_require(entry, "g", where), f"{where}.g"), f"{where}.g")
             forecasts.append(Forecast(function=fn, bound=_number(entry, "epsilon", where)))
-        return ForecastSet(domain=domain, forecasts=tuple(forecasts))
+        return _construct(ForecastSet, "forecasts", domain=domain, forecasts=tuple(forecasts))
     raise ValidationError("forecasts.type", f"unknown forecasts type {kind!r}")
 
 
 def _parse_truth(obj: dict) -> DiscreteDistribution:
     _check_keys(obj, {"atoms"}, "truth")
-    atoms = []
-    for i, atom in enumerate(_sequence(_require(obj, "atoms", "truth"), "truth.atoms")):
-        row = _sequence(atom, f"truth.atoms[{i}]")
-        if len(row) != 2 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row):
-            raise ValidationError(f"truth.atoms[{i}]", f"expected [location, probability], got {atom!r}")
-        atoms.append((float(row[0]), float(row[1])))
-    return DiscreteDistribution(atoms=tuple(atoms))
+    atoms = _sequence(_require(obj, "atoms", "truth"), "truth.atoms")
+    return _construct(
+        DiscreteDistribution,
+        "truth",
+        atoms=tuple(_numbers(atom, f"truth.atoms[{i}]", 2) for i, atom in enumerate(atoms)),
+    )
 
 
 def _parse_solver(obj: dict) -> tuple[ExchangeConfig | None, GridSpec]:

@@ -10,9 +10,11 @@ package generates (tens of rows, up to a few hundred columns).
 structural columns (fixed variables folded into the right-hand side, bounded
 ones shifted or reflected, free ones split, finite widths as extra rows),
 nonnegative right-hand sides, slack, surplus and artificial columns, and a
-starting basis. ``solve_lp`` then runs phase 1, drives leftover artificials
-out of the basis, runs phase 2, undoes the change of variables and verifies
-the point against the original rows.
+starting basis. ``solve_lp`` then runs phase 1, runs phase 2, undoes the
+change of variables and verifies the point against the original rows. An
+artificial still basic after phase 1 (at zero, on a redundant or degenerate
+row) is not driven out: phase 2 keeps it at zero and evicts it as soon as a
+pivot would move it.
 
 Pricing is Dantzig's rule (most negative reduced cost) with Bland's
 anti-cycling rule engaged automatically after a run of degenerate pivots and
@@ -232,19 +234,15 @@ def _iterate(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Pivot to optimality on min cost'x, Ax = b, x >= 0 from the given basis.
 
-    Artificial columns never enter. With ``pin_artificials`` (phase 2) a
-    leftover basic artificial must stay at zero: its row gets a zero-ratio
-    exit as soon as the entering direction would move it.
+    Artificial columns never enter, and one left basic by phase 1 is never
+    driven out. With ``pin_artificials`` (phase 2) such an artificial must
+    stay at zero: its row gets a zero-ratio exit as soon as the entering
+    direction would move it.
 
     Returns (final basis, basic values at it, pivots used). Raises
     _Unbounded or NumericalFailure.
     """
     m, _ = A.shape
-    if m == 0:
-        if np.any(cost[~artificial] < -REDUCED_COST_TOL):
-            raise _Unbounded
-        return basis, np.zeros(0), 0
-
     pin_zero = artificial if pin_artificials else np.zeros_like(artificial)
     basis = np.array(basis, dtype=int)
     pivots = 0
@@ -291,7 +289,7 @@ def _iterate(
         ratios = np.full(m, np.inf)
         ratios[blocking] = basic_vals[blocking] / direction[blocking]
         ratios[pinned_rows] = 0.0
-        theta = ratios.min()
+        theta = ratios.min(initial=np.inf)
         if not np.isfinite(theta):
             raise _Unbounded
 
@@ -312,7 +310,6 @@ def solve_lp(problem: LinearProgram) -> LpResult:
     problem.validate()
     std = _standard_form(problem)
     A, rhs, artificial = std.matrix, std.rhs, std.artificial
-    m = A.shape[0]
     basis, pivots_left = std.basis, MAX_PIVOTS
 
     # Phase 1: minimize the artificial mass.
@@ -325,22 +322,6 @@ def solve_lp(problem: LinearProgram) -> LpResult:
         infeasibility = float(x_basic[artificial[basis]].sum())
         if infeasibility > FEASIBILITY_TOL * max(1.0, float(np.abs(rhs).max(initial=0.0))):
             return LpResult(status=INFEASIBLE)
-
-        # Drive leftover artificials out of the basis where a real pivot exists.
-        for pos in range(m):
-            if not artificial[basis[pos]]:
-                continue
-            unit = np.zeros(m)
-            unit[pos] = 1.0
-            weights = np.linalg.solve(A[:, basis].T, unit)
-            row = weights @ A
-            row[artificial] = 0.0
-            row[basis] = 0.0
-            nonzero = np.where(np.abs(row) > 1e-7)[0]
-            if nonzero.size:
-                basis[pos] = int(nonzero[0])
-            # else: the row is redundant; the artificial stays basic at zero,
-            # pinned there by the phase-2 ratio test.
 
     # Phase 2: the real objective.
     try:

@@ -94,13 +94,6 @@ class ExchangeConfig:
             raise ValidationError("search_grid_points", f"must be >= 2, got {self.search_grid_points}")
 
 
-def _check_decision(u: Utility, b: float) -> float:
-    lo, hi = u.decision_bounds
-    if not lo <= b <= hi:
-        raise ValidationError("b", f"decision {b} outside bounds [{lo}, {hi}]")
-    return float(b)
-
-
 def _cell_rows(fs: ForecastSet) -> tuple[np.ndarray, np.ndarray]:
     """Finite (G, xs) rows equivalent to the pointwise dual constraint.
 
@@ -201,7 +194,7 @@ def worst_case_value(
     forecasts are interval indicators and the exchange loop (with the given
     or default configuration) otherwise.
     """
-    b = _check_decision(u, b)
+    b = u.check_decision(b)
     sol = _solve(fs, u, (b, b), cfg or ExchangeConfig())
     return sol.objective, sol.lambda_star, sol.eta_star
 
@@ -277,5 +270,4 @@ def sweep(
 
 def true_expected(truth: DiscreteDistribution, u: Utility, b: float) -> float:
     """Expected utility of decision b under a known outcome distribution."""
-    b = _check_decision(u, b)
     return float(truth.probabilities @ u.values_at(truth.locations, b))

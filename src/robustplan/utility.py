@@ -40,18 +40,21 @@ class Utility:
         if not lo < hi:
             raise ValidationError("decision_bounds", f"lower {lo} must be < upper {hi}")
 
-    def value(self, x: float, b: float) -> float:
-        """Exact minimum over the affine pieces at (x, b)."""
+    def check_decision(self, b: float) -> float:
+        """The decision b as a float, after checking it lies in decision_bounds."""
         lo, hi = self.decision_bounds
         if not lo <= b <= hi:
             raise ValidationError("b", f"decision {b} outside bounds [{lo}, {hi}]")
+        return float(b)
+
+    def value(self, x: float, b: float) -> float:
+        """Exact minimum over the affine pieces at (x, b)."""
+        b = self.check_decision(b)
         return min(a + c * x + d * b for a, c, d in self.pieces)
 
     def values_at(self, xs: np.ndarray, b: float) -> np.ndarray:
         """Vectorized value over outcomes for a fixed decision (no bound check on xs)."""
-        lo, hi = self.decision_bounds
-        if not lo <= b <= hi:
-            raise ValidationError("b", f"decision {b} outside bounds [{lo}, {hi}]")
+        b = self.check_decision(b)
         xs = np.asarray(xs, dtype=float)
         stacked = np.stack([a + c * xs + d * b for a, c, d in self.pieces])
         return stacked.min(axis=0)

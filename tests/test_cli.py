@@ -205,7 +205,25 @@ class TestErrors:
         assert out == ""
         doc = json.loads(err)
         assert doc["error"] == "ValidationError"
-        assert doc["field"] == "upper_probs[0]"
+        assert doc["field"] == "forecasts.upper_probs[0]"
+
+    @pytest.mark.parametrize(
+        "key, values, field",
+        [
+            ("breakpoints", [0.0, None, 1.0], "forecasts.breakpoints[1]"),
+            ("lower_probs", ["0.1", 0.3], "forecasts.lower_probs[0]"),
+            ("upper_probs", [True, 0.8], "forecasts.upper_probs[0]"),
+        ],
+    )
+    def test_non_number_in_interval_array(self, tmp_path, capsys, key, values, field):
+        config = config_with()
+        config["forecasts"][key] = values
+        code, out, err = run_cli(capsys, ["solve", write_config(tmp_path, config)])
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ValidationError"
+        assert doc["field"] == field
 
     @pytest.mark.parametrize(
         "solver, field",

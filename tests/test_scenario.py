@@ -118,7 +118,7 @@ class TestFieldErrors:
             (lambda c: c["utility"].update(type="mystery"), "utility.type"),
             (lambda c: c["utility"].pop("p"), "utility.p"),
             (lambda c: c["forecasts"].update(breakpoints=[0.0, 0.5, 0.9]), "forecasts.breakpoints"),
-            (lambda c: c["forecasts"].update(upper_probs=[1.5, 0.8]), "upper_probs[0]"),
+            (lambda c: c["forecasts"].update(upper_probs=[1.5, 0.8]), "forecasts.upper_probs[0]"),
             (lambda c: c.update(oracle={"type": "clamped_step", "step": 0.1}), "oracle"),
             (lambda c: c.update(domain={"lower": 1.0, "upper": 0.0}), "domain"),
             (lambda c: c.update(solver={"mystery": {}}), "solver.mystery"),
@@ -145,6 +145,27 @@ class TestFieldErrors:
                 ),
                 "oracle.margin",
             ),
+            pytest.param(lambda c: c["utility"].update(p=0.0), "utility.p", id="utility.p-range"),
+            (lambda c: c["utility"].update(q=0.5), "utility.q"),
+            (lambda c: c.update(decision={"lower": 1.0, "upper": 1.0}), "decision"),
+            (lambda c: c["forecasts"].update(breakpoints=[0.0, 0.5, 0.5, 1.0]), "forecasts.breakpoints[2]"),
+            (lambda c: c["forecasts"].update(lower_probs=[0.1]), "forecasts.lower_probs"),
+            pytest.param(
+                lambda c: c.update(truth={"atoms": [[0.5, -0.5], [0.6, 1.5]]}), "truth.atoms[0]", id="truth.atoms[0]-range"
+            ),
+            (lambda c: c.update(truth={"atoms": [[0.5, "1"]]}), "truth.atoms[0][1]"),
+            (
+                lambda c: c.update(
+                    forecasts={"type": "generic", "constraints": [{"g": {"type": "indicator", "lo": -1.0, "hi": 0.5}, "epsilon": 0.5}]}
+                ),
+                "forecasts.constraints[0]",
+            ),
+            (
+                lambda c: c.update(utility={"type": "piecewise_affine_min", "pieces": [[float("inf"), 0.0, 1.0]]}),
+                "utility.pieces[0]",
+            ),
+            (lambda c: c.update(utility={"type": "piecewise_affine_min", "pieces": [[0.0, 1.0, None]]}), "utility.pieces[0][2]"),
+            (lambda c: c.update(utility={"type": "piecewise_affine_min", "pieces": []}), "utility.pieces"),
         ],
     )
     def test_field_is_named(self, mutate, field):

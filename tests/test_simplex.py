@@ -66,6 +66,15 @@ class TestBasicSolves:
         lp = make_lp([1.0], np.zeros((0, 1)), [], [], [0.0], [INF])
         assert solve_lp(lp).status == UNBOUNDED
 
+    def test_zero_rows_optimum(self):
+        # minimize x s.t. x >= 1 as a bound, with no rows at all.
+        lp = make_lp([1.0], np.zeros((0, 1)), [], [], [1.0], [INF], sense="minimize")
+        assert _standard_form(lp).matrix.shape == (0, 1)
+        res = solve_lp(lp)
+        assert res.status == OPTIMAL
+        assert res.solution.tolist() == [1.0]
+        assert res.objective_value == 1.0
+
     def test_equality_and_free_variable(self):
         # minimize 2x + y s.t. x + y = 3, y in [0, 1], x free.
         # Substitute x = 3 - y: objective 6 - y, minimized at y = 1 -> x = 2, value 5.

@@ -17,7 +17,7 @@ from robustplan.forecast import (
     to_generic,
 )
 from robustplan import simplex, solver
-from robustplan.bruteforce import duality_gap
+from robustplan.bruteforce import brute_force_worst_case, duality_gap
 from robustplan.solver import (
     ExchangeConfig,
     _exchange,
@@ -129,8 +129,18 @@ class TestWorstCaseValue:
         assert value == pytest.approx(-0.36, abs=1e-8)
 
     def test_decision_outside_bounds(self):
-        with pytest.raises(ValidationError):
-            worst_case_value(to_generic(wide_pair()), MARKET, 1.5)
+        fs, truth = to_generic(wide_pair()), DiscreteDistribution(atoms=((0.5, 1.0),))
+        for b in (1.5, -0.1):
+            for evaluate in (
+                lambda: MARKET.value(0.5, b),
+                lambda: MARKET.values_at(np.array([0.5]), b),
+                lambda: worst_case_value(fs, MARKET, b),
+                lambda: brute_force_worst_case(fs, MARKET, b),
+                lambda: true_expected(truth, MARKET, b),
+            ):
+                with pytest.raises(ValidationError) as excinfo:
+                    evaluate()
+                assert excinfo.value.field == "b"
 
 
 class TestSolveGeneric:
