@@ -251,8 +251,8 @@ class DiscreteDistribution:
         for i, (x, p) in enumerate(atoms):
             if not math.isfinite(x):
                 raise ValidationError(f"atoms[{i}]", "location must be finite")
-            if p < 0.0:
-                raise ValidationError(f"atoms[{i}]", f"probability must be >= 0, got {p}")
+            if not (math.isfinite(p) and p >= 0.0):
+                raise ValidationError(f"atoms[{i}]", f"probability must be finite and >= 0, got {p}")
             total += p
         if abs(total - 1.0) > 1e-12:
             raise ValidationError("atoms", f"probabilities sum to {total!r}, expected 1 within 1e-12")

@@ -105,12 +105,14 @@ class LinearProgram:
             raise ValidationError("matrix", "coefficients must be finite")
         if not np.all(np.isfinite(self.rhs)):
             raise ValidationError("rhs", "entries must be finite")
-        for j in range(n):
-            lo, hi = self.lower[j], self.upper[j]
-            if np.isnan(lo) or np.isnan(hi) or lo == np.inf or hi == -np.inf:
-                raise ValidationError(f"bounds[{j}]", f"invalid bound pair ({lo}, {hi})")
-            if lo > hi:
-                raise ValidationError(f"bounds[{j}]", f"lower bound {lo} exceeds upper bound {hi}")
+        lower, upper = self.lower, self.upper
+        invalid = np.isnan(lower) | np.isnan(upper) | (lower == np.inf) | (upper == -np.inf)
+        bad = np.flatnonzero(invalid | (lower > upper))
+        if bad.size:
+            j = bad[0]
+            if invalid[j]:
+                raise ValidationError(f"bounds[{j}]", f"invalid bound pair ({lower[j]}, {upper[j]})")
+            raise ValidationError(f"bounds[{j}]", f"lower bound {lower[j]} exceeds upper bound {upper[j]}")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,14 @@ most violated point found by a dense grid search is within tolerance.
 The dual LP always admits feasible points (eta is free), and its value is
 finite exactly when the ambiguity set is nonempty; an unbounded solve
 therefore reports AmbiguitySetEmpty.
+
+The LP carries the offset negated, as nu = -eta. The simplex starts every
+column at its lower bound, so in the exchange loop's boxed LP it starts at
+eta = +OFFSET_BOX, where every row holds: each row starts on its own slack
+and the solve needs no phase 1. Carried as eta, the start would be
+eta = -OFFSET_BOX, which violates every row, and phase 1 would spend about
+one pivot per row just to reach a feasible point. On the exact path eta is
+free and the negation only swaps its two split columns.
 """
 
 from __future__ import annotations
@@ -140,18 +148,23 @@ def _dual_lp_solution(
     g-vector at each point as a column. Each point contributes one row per
     utility piece via the hypograph trick: J(x, b) >= -(...) iff every affine
     piece is. Rows are point-major, piece-minor.
+
+    The last column is nu = -eta (column of -1, cost +1), so that when
+    ``boxed`` the simplex's start at nu's lower bound, eta = +OFFSET_BOX,
+    satisfies every row and no row needs an artificial. The box is symmetric,
+    so it bounds eta as before.
     """
     n = G.shape[0]
     a, c, d = np.array(u.pieces).T
     matrix = np.empty((xs.size * a.size, n + 2))
     matrix[:, 0] = np.tile(d, xs.size)
     matrix[:, 1:-1] = np.repeat(G.T, a.size, axis=0)
-    matrix[:, -1] = 1.0
+    matrix[:, -1] = -1.0
     rhs = -(a + c * xs[:, None]).ravel()
 
     objective = np.zeros(n + 2)
     objective[1:-1] = -fs.bounds
-    objective[-1] = -1.0
+    objective[-1] = 1.0
     lower = np.zeros(n + 2)
     upper = np.full(n + 2, MULTIPLIER_BOX if boxed else np.inf)
     lower[0], upper[0] = decision
@@ -174,7 +187,8 @@ def _dual_lp_solution(
         # for reasonable utilities; reaching this indicates a numerical breakdown.
         raise NumericalFailure(f"dual subproblem unexpectedly {result.status}")
     x = result.solution
-    return PlanningSolution(b_star=x[0], lambda_star=x[1:-1], eta_star=x[-1], objective=result.objective_value)
+    # Adding 0.0 turns the -0.0 that negating a zero gives into 0.0.
+    return PlanningSolution(b_star=x[0], lambda_star=x[1:-1], eta_star=-x[-1] + 0.0, objective=result.objective_value)
 
 
 def _solve(fs: ForecastSet, u: Utility, decision: tuple[float, float], cfg: ExchangeConfig) -> PlanningSolution:

@@ -244,6 +244,16 @@ class TestErrors:
         assert out == ""
         assert json.loads(err)["field"] == field
 
+    def test_nan_atom_probability_names_field(self, tmp_path, capsys):
+        # json.dumps writes NaN, which json.loads reads back as a float.
+        config = config_with(truth={"atoms": [[0.25, float("nan")], [0.75, 1.0]]})
+        code, out, err = run_cli(capsys, ["sweep", write_config(tmp_path, config), "--grid", "3"])
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ValidationError"
+        assert doc["field"] == "truth.atoms[0]"
+
     def test_unknown_scenario_name(self, capsys):
         code, _, err = run_cli(capsys, ["solve", "no_such_scenario"])
         assert code == 2

@@ -319,6 +319,45 @@ class TestValidation:
             solve_lp(lp)
         assert "bounds[0]" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "lower, upper, message",
+        [
+            ([0.0, np.nan, 0.0], [1.0, 1.0, -1.0], "invalid bound pair (nan, 1.0)"),
+            ([0.0, 0.0, 0.0], [1.0, np.nan, -1.0], "invalid bound pair (0.0, nan)"),
+            ([0.0, INF, 0.0], [1.0, INF, -1.0], "invalid bound pair (inf, inf)"),
+            ([0.0, 0.0, np.nan], [1.0, -INF, 1.0], "invalid bound pair (0.0, -inf)"),
+            ([0.0, 2.0, np.nan], [1.0, 1.0, 1.0], "lower bound 2.0 exceeds upper bound 1.0"),
+        ],
+        ids=["nan-lower", "nan-upper", "lower-plus-inf", "upper-minus-inf", "crossed"],
+    )
+    def test_first_bad_bound_named(self, lower, upper, message):
+        lp = make_lp([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [LE], [1.0], lower, upper)
+        with pytest.raises(ValidationError) as err:
+            lp.validate()
+        assert err.value.field == "bounds[1]"
+        assert err.value.message == message
+
+    def test_bounds_check_matches_loop_reference(self):
+        def loop_reference(lower, upper):
+            for j, (lo, hi) in enumerate(zip(lower, upper)):
+                if np.isnan(lo) or np.isnan(hi) or lo == np.inf or hi == -np.inf:
+                    return f"bounds[{j}]", f"invalid bound pair ({lo}, {hi})"
+                if lo > hi:
+                    return f"bounds[{j}]", f"lower bound {lo} exceeds upper bound {hi}"
+            return None
+
+        values = [-INF, -1.0, 0.0, 1.0, INF, np.nan]
+        pairs = [(lo, hi) for lo in values for hi in values]
+        for lo0, hi0 in pairs:
+            for lo1, hi1 in pairs:
+                lp = make_lp([1.0, 1.0], [[1.0, 1.0]], [LE], [1.0], [lo0, lo1], [hi0, hi1])
+                try:
+                    lp.validate()
+                    got = None
+                except ValidationError as err:
+                    got = err.field, err.message
+                assert got == loop_reference(lp.lower, lp.upper)
+
 
 @st.composite
 def feasible_minimization(draw):

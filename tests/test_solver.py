@@ -1,5 +1,7 @@
 """Tests for the robust planning solver (exact interval path and exchange loop)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from robustplan.forecast import (
 )
 from robustplan import simplex, solver
 from robustplan.bruteforce import brute_force_worst_case, duality_gap
+from robustplan.scenario import load_scenario, parse_scenario
 from robustplan.solver import (
     ExchangeConfig,
     _exchange,
@@ -193,7 +196,7 @@ def loop_dual_rows(fs: ForecastSet, u):
     matrix, rhs = [], []
     for g, x in pairs.values():
         for a, c, d in u.pieces:
-            matrix.append([d, *g, 1.0])
+            matrix.append([d, *g, -1.0])
             rhs.append(-(a + c * x))
     return np.array(matrix), np.array(rhs)
 
@@ -267,6 +270,52 @@ class TestDualLpRows:
         matrix, rhs = loop_dual_rows(to_generic(pi), u)
         assert np.array_equal(lp.matrix, matrix)
         assert np.array_equal(lp.rhs, rhs)
+
+
+def moment_window_doc(mean_hi, mean_lo, exponent, moment_hi):
+    """Scenario document: E[x] in [mean_lo, mean_hi] and E[x^exponent] <= moment_hi on [0, 1]."""
+    return {
+        "domain": {"lower": 0.0, "upper": 1.0},
+        "decision": {"lower": 0.0, "upper": 1.0},
+        "utility": {"type": "market_bidding", "p": 1.0, "q": 1.6},
+        "forecasts": {
+            "type": "generic",
+            "constraints": [
+                {"g": {"type": "affine", "offset": 0.0, "slope": 1.0}, "epsilon": mean_hi},
+                {"g": {"type": "affine", "offset": 0.0, "slope": -1.0}, "epsilon": -mean_lo},
+                {"g": {"type": "power", "exponent": exponent}, "epsilon": moment_hi},
+            ],
+        },
+    }
+
+
+class TestExchangeStart:
+    """Every exchange-loop LP starts at a feasible vertex, so it needs no phase 1."""
+
+    def test_exchange_lps_have_no_artificials(self, monkeypatch):
+        sc = load_scenario(Path(__file__).parent / "golden" / "exchange_mixed.json")
+        lps = []
+        monkeypatch.setattr(solver, "solve_lp", lambda lp: lps.append(lp) or simplex.solve_lp(lp))
+        solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
+        assert lps
+        assert not any(simplex._standard_form(lp).artificial.any() for lp in lps)
+
+    # Both raised NumericalFailure ("row 1 (>=) off by -1.420e-09" and "row 74
+    # (>=) off by -1.005e-09" with one BLAS thread) while every exchange LP
+    # started on artificials and ran phase 1.
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            moment_window_doc(0.8418217781325632, 0.7545851673688955, 4, 0.5044861846771284),
+            moment_window_doc(0.2121404983089195, 0.16720264110684108, 2, 0.12382713669969554),
+        ],
+        ids=["mean-x4", "mean-x2"],
+    )
+    def test_moment_set_certifies(self, doc):
+        sc = parse_scenario(doc)
+        sol = solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
+        primal, _ = brute_force_worst_case(sc.forecast_set, sc.utility, sol.b_star, sc.check_grid)
+        assert sol.objective == pytest.approx(primal, abs=1e-6)
 
 
 class TestEmptyIndicatorSet:
