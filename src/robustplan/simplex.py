@@ -1,10 +1,14 @@
 """Self-contained dense linear-programming solver.
 
-Implements a two-phase primal simplex in revised form: the basis system is
-re-solved from scratch every pivot (three dense solves against the current
-basis matrix), which avoids the accumulated drift of tableau updates at the
-cost of a little arithmetic — a good trade for the small dense problems this
-package generates (tens of rows, up to a few hundred columns).
+Implements a two-phase primal simplex in revised form with an explicit basis
+inverse. A pivot costs O(m²): the duals and the entering direction come from
+the kept B⁻¹, which then takes a rank-1 (product-form) update (Bartels &
+Golub, CACM 12(5), 1969; Forrest & Tomlin, Math. Prog. 2, 1972). To keep
+update drift out of the answers, B⁻¹ is rebuilt every ``_REFACTOR_INTERVAL``
+pivots, and each exit, like every ratio test that rounding noise could
+reorder, is decided on fresh dense solves of the basis system (see
+``_iterate``). Every solve logs one DEBUG line to the ``robustplan`` logger:
+the standard-form shape, pivots per phase, refactorizations and fresh redos.
 
 ``_standard_form`` builds the whole phase-1 system in one place: nonnegative
 structural columns (fixed variables folded into the right-hand side, bounded
@@ -24,6 +28,7 @@ Bland-style (lowest variable index), so every solve is deterministic.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,6 +52,16 @@ MAX_PIVOTS = 1_000_000
 # Pivot-element and ratio-test guards.
 _PIVOT_TOL = 1e-11
 _DEGENERATE_STALL_LIMIT = 50
+#: Ratios and objectives this close count as equal.
+_TIE_BAND = 1e-12
+
+#: Pivots between fresh factorizations of the kept basis inverse.
+_REFACTOR_INTERVAL = 50
+#: A step at most this long counts as degenerate.
+_DEGENERATE_STEP = 1e-9
+#: Above this rounding noise in x_B, ratio tests that could be degenerate or tied run on fresh solves.
+_NOISE_FLOOR = 1e-14
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -225,6 +240,32 @@ def _standard_form(problem: LinearProgram) -> _StandardForm:
     )
 
 
+class _Tally:
+    """Work done by one ``solve_lp`` call, for its DEBUG log line."""
+
+    __slots__ = ("phase_pivots", "refactorizations", "fresh_redos")
+
+    def __init__(self):
+        self.phase_pivots = [0, 0]
+        self.refactorizations = 0
+        self.fresh_redos = 0
+
+
+class _Move(NamedTuple):
+    """One pivot chosen by the pricing and the ratio test."""
+
+    entering: int
+    direction: np.ndarray
+    leave_pos: int
+    theta: float
+    uncertain: bool
+
+    @property
+    def unbounded(self) -> bool:
+        """No row blocks the entering direction (and ``leave_pos`` is -1)."""
+        return self.leave_pos < 0
+
+
 def _iterate(
     A: np.ndarray,
     b: np.ndarray,
@@ -232,8 +273,8 @@ def _iterate(
     basis: np.ndarray,
     artificial: np.ndarray,
     pin_artificials: bool,
-    pivots_left: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
+    tally: _Tally,
+) -> tuple[np.ndarray, np.ndarray]:
     """Pivot to optimality on min cost'x, Ax = b, x >= 0 from the given basis.
 
     Artificial columns never enter, and one left basic by phase 1 is never
@@ -241,36 +282,54 @@ def _iterate(
     stay at zero: its row gets a zero-ratio exit as soon as the entering
     direction would move it.
 
-    Returns (final basis, basic values at it, pivots used). Raises
-    _Unbounded or NumericalFailure.
+    The basis inverse is kept explicitly. A pivot takes the duals as
+    c_B B⁻¹ and the entering direction as B⁻¹ a_e, moves x_B by the step and
+    gives B⁻¹ a rank-1 update, all O(m²). Every ``_REFACTOR_INTERVAL``
+    pivots, the first included, the step runs on fresh dense solves of the
+    basis system instead, and B⁻¹ is inverted anew. Two kinds of step that
+    the kept inverse proposes are redone on fresh solves:
+
+    - Every exit. Optimality and unboundedness are only declared on a freshly
+      solved basis, so the returned values carry no update drift.
+    - A ratio test that rounding noise could make degenerate or tied, once
+      that noise, eps·‖x_B‖∞, exceeds ``_NOISE_FLOOR``. Each blocking row's
+      ratio may then be off by the noise over its direction entry. The step
+      is redone if θ is within ``_DEGENERATE_STEP`` of zero, or another row
+      within ``_TIE_BAND`` of θ, once those errors are allowed for. This
+      matters for exchange LPs: they carry ν = −η near ``OFFSET_BOX`` = 1e6,
+      so their noise is about 2e-10 and their degenerate ties are settled at
+      that level. Settled on updated values, those ties led to other final
+      bases, some far worse conditioned, which failed ``solve_lp``'s final
+      feasibility check. Without the allowance, basic values at noise level
+      (5.8e-11) gave steps of θ ≈ 3.7e-9 that the bare thresholds call
+      neither degenerate nor tied, the noise chose the leaving row, and
+      some moment LPs ended on other vertices.
+
+    Pivot, refactorization and redo counts go to ``tally``. Returns the
+    final basis and the basic values at it. Raises _Unbounded or
+    NumericalFailure.
     """
     m, _ = A.shape
     pin_zero = artificial if pin_artificials else np.zeros_like(artificial)
     basis = np.array(basis, dtype=int)
-    pivots = 0
-    bland = False
-    stall = 0
-    best_objective = np.inf
+    phase = int(pin_artificials)
+    # (best objective, degenerate-stall count, Bland engaged)
+    progress = (np.inf, 0, False)
 
-    while True:
-        if pivots >= pivots_left:
-            raise NumericalFailure(f"pivot cap of {MAX_PIVOTS} exhausted")
-        B = A[:, basis]
-        try:
-            x_basic = np.linalg.solve(B, b)
-            duals = np.linalg.solve(B.T, cost[basis])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"singular basis matrix: {exc}") from exc
+    def decide(x_basic, duals, direction_of, noise=0.0):
+        """The stall bookkeeping and the pivot taken at (x_basic, duals); None is optimal.
 
+        With a nonzero ``noise``, the error to allow in x_basic, the move is
+        ``uncertain`` when errors that large could make its ratio test
+        degenerate or tied.
+        """
+        best, stall, bland = progress
         objective = float(cost[basis] @ x_basic)
-        if objective < best_objective - 1e-12:
-            best_objective = objective
-            stall = 0
-            bland = False
+        if objective < best - _TIE_BAND:
+            best, stall, bland = objective, 0, False
         else:
             stall += 1
-            if stall >= _DEGENERATE_STALL_LIMIT:
-                bland = True
+            bland = bland or stall >= _DEGENERATE_STALL_LIMIT
 
         reduced = cost - A.T @ duals
         candidates = ~artificial
@@ -278,28 +337,88 @@ def _iterate(
         candidates &= reduced < -REDUCED_COST_TOL
         idx = np.where(candidates)[0]
         if idx.size == 0:
-            return basis, x_basic, pivots
+            return (best, stall, bland), None
 
         entering = int(idx[0]) if bland else int(idx[np.argmin(reduced[idx])])
-        direction = np.linalg.solve(B, A[:, entering])
+        direction = direction_of(A[:, entering])
 
         # Ratio test: ordinary blocking rows, plus zero-ratio exits for pinned
         # (artificial) basics the moment the direction would move them at all.
         basic_vals = np.maximum(x_basic, 0.0)
         blocking = direction > _PIVOT_TOL
-        pinned_rows = pin_zero[basis] & (np.abs(direction) > _PIVOT_TOL)
         ratios = np.full(m, np.inf)
         ratios[blocking] = basic_vals[blocking] / direction[blocking]
-        ratios[pinned_rows] = 0.0
+        if pin_artificials:
+            ratios[pin_zero[basis] & (np.abs(direction) > _PIVOT_TOL)] = 0.0
         theta = ratios.min(initial=np.inf)
         if not np.isfinite(theta):
-            raise _Unbounded
+            return (best, stall, bland), _Move(entering, direction, -1, theta, False)
 
-        tied = np.where(ratios <= theta + 1e-12)[0]
-        # Prefer evicting pinned leftovers, then lowest variable index (Bland).
-        leave_pos = min(tied, key=lambda r: (not pin_zero[basis[r]], basis[r]))
-        basis[leave_pos] = entering
-        pivots += 1
+        tied = np.where(ratios <= theta + _TIE_BAND)[0]
+        if tied.size > 1:
+            # Prefer evicting pinned leftovers, then lowest variable index (Bland).
+            tied = tied[np.lexsort((basis[tied], ~pin_zero[basis[tied]]))]
+        leave_pos = int(tied[0])
+        uncertain = False
+        if noise:
+            # How far each blocking row's ratio could move under that noise.
+            reach = np.zeros(m)
+            reach[blocking] = noise / direction[blocking]
+            uncertain = theta <= _DEGENERATE_STEP + reach[leave_pos] or np.count_nonzero(
+                ratios - reach <= theta + reach[leave_pos] + _TIE_BAND
+            ) > 1
+        return (best, stall, bland), _Move(entering, direction, leave_pos, float(theta), uncertain)
+
+    try:
+        while True:
+            if sum(tally.phase_pivots) >= MAX_PIVOTS:
+                raise NumericalFailure(f"pivot cap of {MAX_PIVOTS} exhausted")
+            refactor = tally.phase_pivots[phase] % _REFACTOR_INTERVAL == 0
+            fresh = refactor
+            if not fresh:
+                noise = _EPS * np.abs(x_basic).max(initial=0.0)
+                step_progress, move = decide(
+                    x_basic, cost[basis] @ B_inv, B_inv.__matmul__, noise if noise > _NOISE_FLOOR else 0.0
+                )
+                fresh = move is None or move.unbounded or move.uncertain
+                tally.fresh_redos += move is not None and move.uncertain
+            if fresh:
+                # The step exactly as a from-scratch revised simplex takes it.
+                B = A[:, basis]
+                x_basic = np.linalg.solve(B, b)
+                duals = np.linalg.solve(B.T, cost[basis])
+                step_progress, move = decide(x_basic, duals, lambda column: np.linalg.solve(B, column))
+            progress = step_progress
+            if move is None:
+                return basis, x_basic
+            if move.unbounded:
+                raise _Unbounded
+
+            if refactor:
+                B_inv = np.linalg.inv(B)
+                tally.refactorizations += 1
+            d, r = move.direction, move.leave_pos
+            pivot_row = B_inv[r] / d[r]
+            B_inv -= np.outer(d, pivot_row)
+            B_inv[r] = pivot_row
+            x_basic = x_basic - move.theta * d
+            x_basic[r] = move.theta
+            basis[r] = move.entering
+            tally.phase_pivots[phase] += 1
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"singular basis matrix: {exc}") from exc
+
+
+def _log_debug(message: str, *args) -> None:
+    """Log ``message % args`` to the ``robustplan`` logger at DEBUG level.
+
+    The package does not import ``logging`` itself: a process that never
+    imported it cannot have configured a handler, and the import adds about
+    0.4 MB to the resident memory of every run.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("robustplan").debug(message, *args)
 
 
 def solve_lp(problem: LinearProgram) -> LpResult:
@@ -312,24 +431,28 @@ def solve_lp(problem: LinearProgram) -> LpResult:
     problem.validate()
     std = _standard_form(problem)
     A, rhs, artificial = std.matrix, std.rhs, std.artificial
-    basis, pivots_left = std.basis, MAX_PIVOTS
-
-    # Phase 1: minimize the artificial mass.
-    if artificial.any():
-        try:
-            basis, x_basic, used = _iterate(A, rhs, artificial.astype(float), basis, artificial, False, pivots_left)
-        except _Unbounded as exc:  # phase-1 objective is bounded below by zero
-            raise NumericalFailure("phase-1 subproblem reported unbounded") from exc
-        pivots_left -= used
-        infeasibility = float(x_basic[artificial[basis]].sum())
-        if infeasibility > FEASIBILITY_TOL * max(1.0, float(np.abs(rhs).max(initial=0.0))):
-            return LpResult(status=INFEASIBLE)
-
-    # Phase 2: the real objective.
+    basis, tally = std.basis, _Tally()
     try:
-        basis, x_basic, _ = _iterate(A, rhs, std.cost, basis, artificial, True, pivots_left)
-    except _Unbounded:
-        return LpResult(status=UNBOUNDED)
+        # Phase 1: minimize the artificial mass.
+        if artificial.any():
+            try:
+                basis, x_basic = _iterate(A, rhs, artificial.astype(float), basis, artificial, False, tally)
+            except _Unbounded as exc:  # phase-1 objective is bounded below by zero
+                raise NumericalFailure("phase-1 subproblem reported unbounded") from exc
+            infeasibility = float(x_basic[artificial[basis]].sum())
+            if infeasibility > FEASIBILITY_TOL * max(1.0, float(np.abs(rhs).max(initial=0.0))):
+                return LpResult(status=INFEASIBLE)
+
+        # Phase 2: the real objective.
+        try:
+            basis, x_basic = _iterate(A, rhs, std.cost, basis, artificial, True, tally)
+        except _Unbounded:
+            return LpResult(status=UNBOUNDED)
+    finally:
+        _log_debug(
+            "solve_lp: standard form %d x %d, pivots %d + %d (phase 1 + 2), %d refactorizations, %d fresh redos",
+            *A.shape, *tally.phase_pivots, tally.refactorizations, tally.fresh_redos,
+        )
 
     z = np.zeros(A.shape[1])
     z[basis] = np.maximum(x_basic, 0.0)

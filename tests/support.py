@@ -1,7 +1,9 @@
-"""Shared helpers for building randomized test instances."""
+"""Shared helpers for building randomized test instances, and a reference pivot loop."""
 
 import numpy as np
 
+from robustplan import simplex
+from robustplan.errors import NumericalFailure
 from robustplan.forecast import (
     DiscreteDistribution,
     ForecastSet,
@@ -53,3 +55,82 @@ def dual_feasibility_margin(fs: ForecastSet, u: Utility, sol) -> float:
     xs = outcome_grid(fs, 2, u.outcome_kinks(sol.b_star, fs.domain.lower, fs.domain.upper))
     values = u.values_at(xs, sol.b_star) + sol.eta_star + sol.lambda_star @ fs.values(xs)
     return float(values.min())
+
+
+def reference_iterate(A, b, cost, basis, artificial, pin_artificials, tally):
+    """``simplex._iterate`` as a from-scratch revised simplex: three dense solves per pivot.
+
+    The pivot loop the kept-inverse one replaced, with the same pricing,
+    tie-breaking and tolerances; a drop-in for ``simplex._iterate`` (it only
+    counts pivots in ``tally``).
+    """
+    m, _ = A.shape
+    pin_zero = artificial if pin_artificials else np.zeros_like(artificial)
+    basis = np.array(basis, dtype=int)
+    bland = False
+    stall = 0
+    best_objective = np.inf
+
+    while True:
+        if sum(tally.phase_pivots) >= simplex.MAX_PIVOTS:
+            raise NumericalFailure(f"pivot cap of {simplex.MAX_PIVOTS} exhausted")
+        B = A[:, basis]
+        try:
+            x_basic = np.linalg.solve(B, b)
+            duals = np.linalg.solve(B.T, cost[basis])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"singular basis matrix: {exc}") from exc
+
+        objective = float(cost[basis] @ x_basic)
+        if objective < best_objective - 1e-12:
+            best_objective = objective
+            stall = 0
+            bland = False
+        else:
+            stall += 1
+            if stall >= simplex._DEGENERATE_STALL_LIMIT:
+                bland = True
+
+        reduced = cost - A.T @ duals
+        candidates = ~artificial
+        candidates[basis] = False
+        candidates &= reduced < -simplex.REDUCED_COST_TOL
+        idx = np.where(candidates)[0]
+        if idx.size == 0:
+            return basis, x_basic
+
+        entering = int(idx[0]) if bland else int(idx[np.argmin(reduced[idx])])
+        direction = np.linalg.solve(B, A[:, entering])
+
+        basic_vals = np.maximum(x_basic, 0.0)
+        blocking = direction > simplex._PIVOT_TOL
+        pinned_rows = pin_zero[basis] & (np.abs(direction) > simplex._PIVOT_TOL)
+        ratios = np.full(m, np.inf)
+        ratios[blocking] = basic_vals[blocking] / direction[blocking]
+        ratios[pinned_rows] = 0.0
+        theta = ratios.min(initial=np.inf)
+        if not np.isfinite(theta):
+            raise simplex._Unbounded
+
+        tied = np.where(ratios <= theta + 1e-12)[0]
+        leave_pos = min(tied, key=lambda r: (not pin_zero[basis[r]], basis[r]))
+        basis[leave_pos] = entering
+        tally.phase_pivots[int(pin_artificials)] += 1
+
+
+def solve_with_reference(problem):
+    """``simplex.solve_lp`` run on ``reference_iterate`` instead of the kept-inverse loop."""
+    kept, simplex._iterate = simplex._iterate, reference_iterate
+    try:
+        return simplex.solve_lp(problem)
+    finally:
+        simplex._iterate = kept
+
+
+def assert_same_result(result, expected):
+    """Same status, and the same solution and objective bytes."""
+    assert result.status == expected.status
+    assert (result.solution is None) == (expected.solution is None)
+    if expected.solution is not None:
+        assert result.solution.tobytes() == expected.solution.tobytes()
+    assert np.float64(result.objective_value).tobytes() == np.float64(expected.objective_value).tobytes()

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import robustplan
+from robustplan import bruteforce, forecast, simplex, solver
 from robustplan.cli import main
+from support import assert_same_result, solve_with_reference
 
 
 def config_with(**overrides):
@@ -70,6 +72,19 @@ def test_golden_output(capsys, command, scenario):
     # vacuous_m2 has no oracle, so refine is a config error with empty stdout.
     assert code == (2 if (command, scenario) == ("refine", "vacuous_m2") else 0)
     assert out == (GOLDEN / f"{command}_{scenario}.out").read_text(encoding="utf-8")
+
+
+def test_golden_lps_match_reference_pivoting(capsys, monkeypatch):
+    """Every LP behind the golden files solves as the three-solves-per-pivot loop solves it."""
+    lps = []
+    for module in (solver, bruteforce, forecast):
+        monkeypatch.setattr(module, "solve_lp", lambda lp: lps.append(lp) or simplex.solve_lp(lp))
+    for command, scenario in GOLDEN_CASES:
+        source = GOLDEN / f"{scenario}.json" if scenario == "exchange_mixed" else scenario
+        run_cli(capsys, [command, str(source), *GOLDEN_COMMANDS[command]])
+    assert len(lps) > 250  # the 13 commands solve 299 LPs
+    for lp in lps:
+        assert_same_result(simplex.solve_lp(lp), solve_with_reference(lp))
 
 
 class TestSolve:

@@ -1,10 +1,18 @@
 """Tests for the dense two-phase simplex core."""
 
+import logging
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from robustplan import simplex, solver
 from robustplan.errors import ValidationError
+from robustplan.forecast import to_generic
+from robustplan.scenario import load_scenario
 from robustplan.simplex import (
     EQ,
     GE,
@@ -16,6 +24,9 @@ from robustplan.simplex import (
     _standard_form,
     solve_lp,
 )
+from robustplan.solver import solve_forecast_set
+from robustplan.utility import market_bidding
+from support import assert_same_result, random_interval_instance, solve_with_reference
 
 INF = np.inf
 
@@ -396,3 +407,44 @@ class TestRandomizedProperties:
         assert np.all(lp.matrix @ res.solution <= lp.rhs + 1e-9 * np.maximum(1.0, np.abs(lp.rhs)))
         assert np.all(res.solution >= -1e-9)
         assert np.all(res.solution <= lp.upper + 1e-9)
+
+
+LOG_LINE = re.compile(
+    r"solve_lp: standard form (\d+) x (\d+), pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), "
+    r"(\d+) refactorizations, (\d+) fresh redos"
+)
+
+
+def logged_solves(caplog, monkeypatch, *problem):
+    """The LPs ``solve_forecast_set(*problem)`` solves, each with the fields of its DEBUG line."""
+    lps = []
+    monkeypatch.setattr(solver, "solve_lp", lambda lp: lps.append(lp) or simplex.solve_lp(lp))
+    with caplog.at_level(logging.DEBUG, logger="robustplan"):
+        solve_forecast_set(*problem)
+    lines = [r for r in caplog.records if r.name == "robustplan" and r.getMessage().startswith("solve_lp:")]
+    assert len(lines) == len(lps)
+    return [(lp, tuple(map(int, LOG_LINE.fullmatch(r.getMessage()).groups()))) for lp, r in zip(lps, lines)]
+
+
+class TestKeptInverse:
+    """The kept basis inverse pivots as three fresh solves per pivot would."""
+
+    def test_interval_lp_matches_reference(self, caplog, monkeypatch):
+        pi, _ = random_interval_instance(np.random.default_rng(50), m=50)
+        [(lp, fields)] = logged_solves(caplog, monkeypatch, to_generic(pi), market_bidding(1.0, 1.6))
+        _, _, phase1, phase2, refactorizations, redos = fields
+        # More than 100 pivots (103 + 32 when written), so the inverse is rebuilt mid-phase.
+        assert phase1 + phase2 > 100
+        assert refactorizations == math.ceil(phase1 / 50) + math.ceil(phase2 / 50)
+        assert redos == 0
+        assert_same_result(solve_lp(lp), solve_with_reference(lp))
+
+    def test_debug_line_fields(self, caplog, monkeypatch):
+        sc = load_scenario(Path(__file__).parent / "golden" / "exchange_mixed.json")
+        solves = logged_solves(caplog, monkeypatch, sc.forecast_set, sc.utility, sc.exchange)
+        for lp, (rows, cols, phase1, phase2, refactorizations, _) in solves:
+            assert (rows, cols) == _standard_form(lp).matrix.shape
+            assert phase1 == 0  # exchange LPs start feasible
+            assert refactorizations == math.ceil(phase2 / 50)
+        # The offset sits near 1e6, so degenerate ratio tests there run on fresh solves.
+        assert sum(fields[-1] for _, fields in solves) > 0
