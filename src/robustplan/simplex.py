@@ -1,24 +1,28 @@
 """Self-contained dense linear-programming solver.
 
-Implements a two-phase primal simplex in revised form with an explicit basis
-inverse. A pivot costs O(m²): the duals and the entering direction come from
-the kept B⁻¹, which then takes a rank-1 (product-form) update (Bartels &
-Golub, CACM 12(5), 1969; Forrest & Tomlin, Math. Prog. 2, 1972). To keep
-update drift out of the answers, B⁻¹ is rebuilt every ``_REFACTOR_INTERVAL``
-pivots, and each exit, like every ratio test that rounding noise could
-reorder, is decided on fresh dense solves of the basis system (see
-``_iterate``). Every solve logs one DEBUG line to the ``robustplan`` logger:
-the standard-form shape, pivots per phase, refactorizations and fresh redos.
+Implements a two-phase bounded-variable primal simplex in revised form with
+an explicit basis inverse. A pivot costs O(m²): the duals and the entering
+direction come from the kept B⁻¹, which then takes a rank-1 (product-form)
+update (Bartels & Golub, CACM 12(5), 1969; Forrest & Tomlin, Math. Prog. 2,
+1972). To keep update drift out of the answers, B⁻¹ is rebuilt every
+``_REFACTOR_INTERVAL`` pivots, and each exit, like every ratio test that
+rounding noise could reorder, is decided on fresh dense solves of the basis
+system (see ``_iterate``). Every solve logs one DEBUG line to the
+``robustplan`` logger: the standard-form shape, pivots per phase, bound
+flips, refactorizations and fresh redos.
 
-``_standard_form`` builds the whole phase-1 system in one place: nonnegative
-structural columns (fixed variables folded into the right-hand side, bounded
-ones shifted or reflected, free ones split, finite widths as extra rows),
-nonnegative right-hand sides, slack, surplus and artificial columns, and a
-starting basis. ``solve_lp`` then runs phase 1, runs phase 2, undoes the
-change of variables and verifies the point against the original rows. An
-artificial still basic after phase 1 (at zero, on a redundant or degenerate
-row) is not driven out: phase 2 keeps it at zero and evicts it as soon as a
-pivot would move it.
+``_standard_form`` builds the whole phase-1 system in one place: structural
+columns (fixed variables folded into the right-hand side, variables with
+both bounds finite kept as boxed columns with their own bounds, one-sided
+ones shifted or reflected onto z >= 0, free ones split), rows negated where
+the starting point leaves them negative, slack, surplus and artificial
+columns, and a starting basis. Boxed columns are handled natively by the
+pivot loop (Dantzig, Econometrica 23(2), 1955): a nonbasic one sits at
+either bound, so it needs no extra row. ``solve_lp`` then runs phase 1, runs
+phase 2, undoes the change of variables and verifies the point against the
+original rows. An artificial still basic after phase 1 (at zero, on a
+redundant or degenerate row) is not driven out: phase 2 keeps it at zero and
+evicts it as soon as a pivot would move it.
 
 Pricing is Dantzig's rule (most negative reduced cost) with Bland's
 anti-cycling rule engaged automatically after a run of degenerate pivots and
@@ -140,10 +144,12 @@ class LpResult:
 
 
 class _StandardForm(NamedTuple):
-    """Phase 1-ready system: min cost @ z subject to matrix @ z = rhs, z >= 0.
+    """Phase 1-ready system: min cost @ z subject to matrix @ z = rhs, lower <= z <= upper.
 
-    The columns are [structural | slack/surplus | artificial] and rhs >= 0.
-    ``basis`` (one slack or artificial per row) is feasible for phase 1, and
+    The columns are [structural | slack/surplus | artificial]. Every column
+    lies in [0, inf) except a ``boxed`` structural column, which keeps its
+    variable's own [lo, hi]. ``basis`` (one slack or artificial per row) is
+    feasible for phase 1 with every nonbasic column at its lower bound, and
     ``artificial`` marks the artificial columns. The original point is
     ``base`` plus ``sign[k] * z[k]`` added into variable ``var[k]`` for every
     structural column k.
@@ -152,6 +158,9 @@ class _StandardForm(NamedTuple):
     matrix: np.ndarray
     rhs: np.ndarray
     cost: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    boxed: np.ndarray
     artificial: np.ndarray
     basis: np.ndarray
     base: np.ndarray
@@ -174,39 +183,44 @@ _SLACK_SIGN = {LE: 1.0, EQ: 0.0, GE: -1.0}
 
 
 def _standard_form(problem: LinearProgram) -> _StandardForm:
-    """The LP as an equality system over z >= 0, ready for phase 1.
+    """The LP as an equality system over bounded columns, ready for phase 1.
 
     Each variable becomes structural columns: a variable with equal bounds is
-    a constant folded into the right-hand side (no column); a finite lower
-    bound shifts it (x = lo + z), a finite upper bound alone reflects it
-    (x = hi - z), and a free variable splits (x = z+ - z-). A shifted
-    variable with a finite upper bound gets an extra <= row on its width.
-    Rows with a negative right-hand side are negated, then a <= row gets a
-    slack, a >= row a surplus and an artificial, an = row an artificial. The
-    starting basis is the slack of each <= row and the artificial of the rest.
+    a constant folded into the right-hand side (no column); a variable with
+    both bounds finite is a boxed column in its own coordinates and bounds; a
+    finite lower bound alone shifts it (x = lo + z), a finite upper bound
+    alone reflects it (x = hi - z), and a free variable splits (x = z+ - z-).
+    Every column starts at its lower bound. Rows whose right-hand side is
+    negative at that start are negated, then a <= row gets a slack, a >= row a
+    surplus and an artificial, an = row an artificial. The starting basis is
+    the slack of each <= row and the artificial of the rest.
     """
     A, lower, upper = problem.matrix, problem.lower, problem.upper
     n = A.shape[1]
     fixed = lower == upper
     finite_lower = np.isfinite(lower)
-    free = ~finite_lower & ~np.isfinite(upper)
+    finite_upper = np.isfinite(upper)
+    free = ~finite_lower & ~finite_upper
+    boxed = finite_lower & finite_upper & ~fixed
     # Columns in variable order: none for a fixed variable, two for a free one.
     var = np.repeat(np.arange(n), np.where(fixed, 0, np.where(free, 2, 1)))
     sign = np.where(finite_lower[var], 1.0, -1.0)
     sign[np.flatnonzero(free[var])[::2]] = 1.0  # z+ of each free pair
-    base_point = np.where(fixed | free, 0.0, np.where(finite_lower, lower, upper))
+    base_point = np.where(fixed | free | boxed, 0.0, np.where(finite_lower, lower, upper))
     # Two subtractions, not one on the merged point: that would round differently.
     rhs = problem.rhs - A[:, fixed] @ lower[fixed]
     rhs = rhs - A @ base_point
 
-    boxed = np.flatnonzero(finite_lower[var] & np.isfinite(upper[var]))
-    width_rows = np.zeros((boxed.size, var.size))
-    width_rows[np.arange(boxed.size), boxed] = 1.0
-    structural = np.vstack([A[:, var] * sign, width_rows])
-    rhs = np.concatenate([rhs, upper[var[boxed]] - lower[var[boxed]]])
-    slack_sign = np.array([_SLACK_SIGN[s] for s in problem.senses] + [1.0] * boxed.size)
+    structural = A[:, var] * sign
+    column_boxed = boxed[var]
+    column_lower = np.where(column_boxed, lower[var], 0.0)
+    column_upper = np.where(column_boxed, upper[var], np.inf)
+    start = rhs
+    if column_boxed.any():
+        start = rhs - structural[:, column_boxed] @ column_lower[column_boxed]
+    slack_sign = np.array([_SLACK_SIGN[s] for s in problem.senses], dtype=float)
 
-    flip = rhs < 0
+    flip = start < 0
     structural[flip] = -structural[flip]
     rhs = np.where(flip, -rhs, rhs)
     slack_sign = np.where(flip, -slack_sign, slack_sign)
@@ -228,11 +242,15 @@ def _standard_form(problem: LinearProgram) -> _StandardForm:
     cost = problem.objective[var] * sign
     if problem.sense == "maximize":
         cost = -cost
+    n_added = n_slack + n_artificial
     return _StandardForm(
         matrix=np.hstack([structural, slack, artificial]),
         rhs=rhs,
-        cost=np.concatenate([cost, np.zeros(n_slack + n_artificial)]),
-        artificial=np.arange(n_std + n_slack + n_artificial) >= n_std + n_slack,
+        cost=np.concatenate([cost, np.zeros(n_added)]),
+        lower=np.concatenate([column_lower, np.zeros(n_added)]),
+        upper=np.concatenate([column_upper, np.full(n_added, np.inf)]),
+        boxed=np.flatnonzero(column_boxed),
+        artificial=np.arange(n_std + n_added) >= n_std + n_slack,
         basis=basis,
         base=np.where(fixed, lower, base_point),
         var=var,
@@ -243,81 +261,149 @@ def _standard_form(problem: LinearProgram) -> _StandardForm:
 class _Tally:
     """Work done by one ``solve_lp`` call, for its DEBUG log line."""
 
-    __slots__ = ("phase_pivots", "refactorizations", "fresh_redos")
+    __slots__ = ("phase_pivots", "bound_flips", "refactorizations", "fresh_redos")
 
     def __init__(self):
         self.phase_pivots = [0, 0]
+        self.bound_flips = 0
         self.refactorizations = 0
         self.fresh_redos = 0
 
 
+class _Placement(NamedTuple):
+    """Where the boxed columns sit at a vertex, for ``_iterate``."""
+
+    off_columns: np.ndarray  # nonbasic boxed columns away from zero
+    off_values: np.ndarray  # their values
+    off_cost: float  # their share of the objective
+    at_top: np.ndarray  # nonbasic boxed columns at their upper bound
+    rows: np.ndarray  # basis positions that hold a boxed column
+    floor: np.ndarray  # the lower bound of each basic column
+
+
 class _Move(NamedTuple):
-    """One pivot chosen by the pricing and the ratio test."""
+    """One step chosen by the pricing and the ratio test.
+
+    The entering column moves off the bound it sits at by ``step``: up by it
+    from its lower bound, or down by -``step`` from its upper bound. The
+    basic values move by ``-step * direction``. ``leave_pos`` is the basis
+    position of the leaving column, which stops at its upper bound when
+    ``to_upper`` is set; it is -1 when no basic column blocks, and the step is
+    then a bound ``flip`` of the entering column, or unbounded.
+    """
 
     entering: int
     direction: np.ndarray
     leave_pos: int
-    theta: float
+    step: float
     uncertain: bool
+    to_upper: bool = False
+    flip: bool = False
 
     @property
     def unbounded(self) -> bool:
-        """No row blocks the entering direction (and ``leave_pos`` is -1)."""
-        return self.leave_pos < 0
+        """Neither a basic column nor the entering column's own bound blocks."""
+        return self.leave_pos < 0 and not self.flip
 
 
 def _iterate(
-    A: np.ndarray,
-    b: np.ndarray,
+    std: _StandardForm,
     cost: np.ndarray,
     basis: np.ndarray,
-    artificial: np.ndarray,
+    at_upper: np.ndarray,
     pin_artificials: bool,
     tally: _Tally,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot to optimality on min cost'x, Ax = b, x >= 0 from the given basis.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pivot to optimality on min cost'z, Az = b, lower <= z <= upper from the given vertex.
+
+    The vertex is ``basis`` plus the bound each nonbasic column sits at: its
+    upper bound where ``at_upper`` is set, its lower bound otherwise. Only
+    boxed columns have a finite upper bound, so an LP without them runs the
+    plain simplex. With them it is the bounded-variable simplex (Dantzig,
+    Econometrica 23(2), 1955): the basic values are B⁻¹(b − N·z_N), a
+    column at its upper bound prices with the sign of its reduced cost
+    flipped, the ratio test also stops a basic boxed column at its upper
+    bound, and the entering column may instead cross to its other bound (a
+    bound flip), which leaves the basis as it is.
 
     Artificial columns never enter, and one left basic by phase 1 is never
     driven out. With ``pin_artificials`` (phase 2) such an artificial must
     stay at zero: its row gets a zero-ratio exit as soon as the entering
     direction would move it.
 
-    The basis inverse is kept explicitly. A pivot takes the duals as
-    c_B B⁻¹ and the entering direction as B⁻¹ a_e, moves x_B by the step and
-    gives B⁻¹ a rank-1 update, all O(m²). Every ``_REFACTOR_INTERVAL``
-    pivots, the first included, the step runs on fresh dense solves of the
-    basis system instead, and B⁻¹ is inverted anew. Two kinds of step that
-    the kept inverse proposes are redone on fresh solves:
+    The basis inverse is kept explicitly. A pivot (a bound flip counts as
+    one) takes the duals as c_B B⁻¹ and the entering direction as B⁻¹ a_e,
+    moves x_B by the step and, unless it is a bound flip, gives B⁻¹ a rank-1
+    update, all O(m²). Every ``_REFACTOR_INTERVAL`` pivots, the first
+    included, the step runs on fresh dense solves of the basis system
+    instead, and B⁻¹ is inverted anew. Two kinds of step that the kept
+    inverse proposes are redone on fresh solves:
 
     - Every exit. Optimality and unboundedness are only declared on a freshly
       solved basis, so the returned values carry no update drift.
     - A ratio test that rounding noise could make degenerate or tied, once
-      that noise, eps·‖x_B‖∞, exceeds ``_NOISE_FLOOR``. Each blocking row's
-      ratio may then be off by the noise over its direction entry. The step
-      is redone if θ is within ``_DEGENERATE_STEP`` of zero, or another row
-      within ``_TIE_BAND`` of θ, once those errors are allowed for. This
-      matters for exchange LPs: they carry ν = −η near ``OFFSET_BOX`` = 1e6,
-      so their noise is about 2e-10 and their degenerate ties are settled at
-      that level. Settled on updated values, those ties led to other final
-      bases, some far worse conditioned, which failed ``solve_lp``'s final
-      feasibility check. Without the allowance, basic values at noise level
-      (5.8e-11) gave steps of θ ≈ 3.7e-9 that the bare thresholds call
-      neither degenerate nor tied, the noise chose the leaving row, and
-      some moment LPs ended on other vertices.
+      that noise exceeds ``_NOISE_FLOOR``. The noise is eps times the largest
+      ‖x_B‖∞ since the last fresh solve: an update carries the error of the
+      values it started from, so the first step of an exchange LP, which
+      drops its slacks from about ``OFFSET_BOX`` = 1e6 to O(1), leaves about
+      2e-10 of error in x_B until a fresh solve. Each blocking row's ratio
+      may be off by the noise over its direction entry. The step is redone
+      if θ is within ``_DEGENERATE_STEP`` of zero, or another row or the
+      entering column's bound flip within ``_TIE_BAND`` of θ, once those
+      errors are allowed for. Settled on updated values at that noise level,
+      degenerate ties led exchange LPs to other final bases, some far worse
+      conditioned, which failed ``solve_lp``'s final feasibility check; and
+      basic values at noise level (5.8e-11) gave steps of θ ≈ 3.7e-9 that
+      the bare thresholds call neither degenerate nor tied.
 
-    Pivot, refactorization and redo counts go to ``tally``. Returns the
-    final basis and the basic values at it. Raises _Unbounded or
-    NumericalFailure.
+    Pivot, bound-flip, refactorization and redo counts go to ``tally``.
+    Returns the final basis, the final ``at_upper`` and the basic values.
+    Raises _Unbounded or NumericalFailure.
     """
-    m, _ = A.shape
+    A, b, lower, upper = std.matrix, std.rhs, std.lower, std.upper
+    m, n = A.shape
+    artificial = std.artificial
     pin_zero = artificial if pin_artificials else np.zeros_like(artificial)
+    boxed = std.boxed
+    bounded = boxed.size > 0
+    enterable = ~artificial
     basis = np.array(basis, dtype=int)
+    if bounded:
+        at_upper = at_upper.copy()
+        is_basic = np.zeros(n, dtype=bool)
+        is_basic[basis] = True
     phase = int(pin_artificials)
     # (best objective, degenerate-stall count, Bland engaged)
     progress = (np.inf, 0, False)
 
+    placement = None
+
+    def boxed_placement() -> _Placement:
+        """Where the boxed columns sit, kept until a step moves one of them."""
+        nonlocal placement
+        if placement is None:
+            nonbasic = boxed[~is_basic[boxed]]
+            values = np.where(at_upper[nonbasic], upper[nonbasic], lower[nonbasic])
+            off = values != 0.0
+            placement = _Placement(
+                off_columns=nonbasic[off],
+                off_values=values[off],
+                off_cost=float(cost[nonbasic[off]] @ values[off]),
+                at_top=nonbasic[at_upper[nonbasic]],
+                rows=np.flatnonzero(upper[basis] < np.inf),
+                floor=lower[basis],
+            )
+        return placement
+
+    def basic_rhs():
+        """b − N·z_N: the right-hand side the basic columns must meet."""
+        if not bounded:
+            return b
+        place = boxed_placement()
+        return b - A[:, place.off_columns] @ place.off_values if place.off_columns.size else b
+
     def decide(x_basic, duals, direction_of, noise=0.0):
-        """The stall bookkeeping and the pivot taken at (x_basic, duals); None is optimal.
+        """The stall bookkeeping and the step taken at (x_basic, duals); None is optimal.
 
         With a nonzero ``noise``, the error to allow in x_basic, the move is
         ``uncertain`` when errors that large could make its ratio test
@@ -325,6 +411,9 @@ def _iterate(
         """
         best, stall, bland = progress
         objective = float(cost[basis] @ x_basic)
+        if bounded:
+            place = boxed_placement()
+            objective += place.off_cost
         if objective < best - _TIE_BAND:
             best, stall, bland = objective, 0, False
         else:
@@ -332,27 +421,49 @@ def _iterate(
             bland = bland or stall >= _DEGENERATE_STALL_LIMIT
 
         reduced = cost - A.T @ duals
-        candidates = ~artificial
+        if bounded and place.at_top.size:
+            reduced[place.at_top] = -reduced[place.at_top]
+        candidates = (reduced < -REDUCED_COST_TOL) & enterable
         candidates[basis] = False
-        candidates &= reduced < -REDUCED_COST_TOL
-        idx = np.where(candidates)[0]
+        idx = candidates.nonzero()[0]
         if idx.size == 0:
             return (best, stall, bland), None
 
         entering = int(idx[0]) if bland else int(idx[np.argmin(reduced[idx])])
         direction = direction_of(A[:, entering])
+        # x_B falls along ``toward`` as the entering column moves off its bound.
+        falling = bounded and at_upper[entering]
+        toward = -direction if falling else direction
 
-        # Ratio test: ordinary blocking rows, plus zero-ratio exits for pinned
-        # (artificial) basics the moment the direction would move them at all.
-        basic_vals = np.maximum(x_basic, 0.0)
-        blocking = direction > _PIVOT_TOL
+        # Ratio test: basic columns falling to their lower bound, rising to
+        # their upper bound, and zero-ratio exits for pinned (artificial)
+        # basics the moment the direction would move them at all.
+        boxed_basic = bounded and place.rows.size > 0
+        room = np.maximum(x_basic - place.floor if boxed_basic else x_basic, 0.0)
+        blocking = toward > _PIVOT_TOL
         ratios = np.full(m, np.inf)
-        ratios[blocking] = basic_vals[blocking] / direction[blocking]
+        ratios[blocking] = room[blocking] / toward[blocking]
+        if boxed_basic:
+            rises = place.rows[toward[place.rows] < -_PIVOT_TOL]
+            if rises.size:
+                ratios[rises] = np.maximum(upper[basis[rises]] - x_basic[rises], 0.0) / -toward[rises]
+                blocking[rises] = True
         if pin_artificials:
             ratios[pin_zero[basis] & (np.abs(direction) > _PIVOT_TOL)] = 0.0
         theta = ratios.min(initial=np.inf)
-        if not np.isfinite(theta):
-            return (best, stall, bland), _Move(entering, direction, -1, theta, False)
+        # The entering column's own bound blocks it at its box width.
+        width = upper[entering] - lower[entering] if bounded else np.inf
+        if theta == width == np.inf:
+            return (best, stall, bland), _Move(entering, direction, -1, np.inf, False)
+
+        if noise:
+            # How far each blocking row's ratio could move under that noise.
+            reach = np.zeros(m)
+            reach[blocking] = noise / np.abs(toward[blocking])
+        if width <= theta:
+            uncertain = bool(noise) and bool(np.any(ratios - reach <= width + _TIE_BAND))
+            move = _Move(entering, direction, -1, -width if falling else width, uncertain, flip=True)
+            return (best, stall, bland), move
 
         tied = np.where(ratios <= theta + _TIE_BAND)[0]
         if tied.size > 1:
@@ -361,13 +472,18 @@ def _iterate(
         leave_pos = int(tied[0])
         uncertain = False
         if noise:
-            # How far each blocking row's ratio could move under that noise.
-            reach = np.zeros(m)
-            reach[blocking] = noise / direction[blocking]
-            uncertain = theta <= _DEGENERATE_STEP + reach[leave_pos] or np.count_nonzero(
-                ratios - reach <= theta + reach[leave_pos] + _TIE_BAND
-            ) > 1
-        return (best, stall, bland), _Move(entering, direction, leave_pos, float(theta), uncertain)
+            # The blocking ratio, at the far end of its own error.
+            far = theta + reach[leave_pos] + _TIE_BAND
+            uncertain = (
+                theta <= _DEGENERATE_STEP + reach[leave_pos]
+                or np.count_nonzero(ratios - reach <= far) > 1
+                or width <= far
+            )
+        theta = float(theta)
+        # Only a boxed basic column blocks while rising.
+        stops_at_upper = bounded and toward[leave_pos] < 0.0 and upper[basis[leave_pos]] < np.inf
+        move = _Move(entering, direction, leave_pos, -theta if falling else theta, uncertain, stops_at_upper)
+        return (best, stall, bland), move
 
     try:
         while True:
@@ -376,7 +492,10 @@ def _iterate(
             refactor = tally.phase_pivots[phase] % _REFACTOR_INTERVAL == 0
             fresh = refactor
             if not fresh:
-                noise = _EPS * np.abs(x_basic).max(initial=0.0)
+                if fresh_values is not None:  # only measured when an updated step follows
+                    scale, fresh_values = np.abs(fresh_values).max(initial=0.0), None
+                scale = max(scale, np.abs(x_basic).max(initial=0.0))
+                noise = _EPS * scale
                 step_progress, move = decide(
                     x_basic, cost[basis] @ B_inv, B_inv.__matmul__, noise if noise > _NOISE_FLOOR else 0.0
                 )
@@ -385,26 +504,39 @@ def _iterate(
             if fresh:
                 # The step exactly as a from-scratch revised simplex takes it.
                 B = A[:, basis]
-                x_basic = np.linalg.solve(B, b)
+                x_basic = np.linalg.solve(B, basic_rhs())
+                fresh_values = x_basic
                 duals = np.linalg.solve(B.T, cost[basis])
                 step_progress, move = decide(x_basic, duals, lambda column: np.linalg.solve(B, column))
             progress = step_progress
             if move is None:
-                return basis, x_basic
+                return basis, at_upper, x_basic
             if move.unbounded:
                 raise _Unbounded
 
             if refactor:
                 B_inv = np.linalg.inv(B)
                 tally.refactorizations += 1
-            d, r = move.direction, move.leave_pos
+            tally.phase_pivots[phase] += 1
+            entering, d, r = move.entering, move.direction, move.leave_pos
+            x_basic = x_basic - move.step * d
+            if move.flip:
+                at_upper[entering] = not at_upper[entering]
+                placement = None
+                tally.bound_flips += 1
+                continue
             pivot_row = B_inv[r] / d[r]
             B_inv -= np.outer(d, pivot_row)
             B_inv[r] = pivot_row
-            x_basic = x_basic - move.theta * d
-            x_basic[r] = move.theta
-            basis[r] = move.entering
-            tally.phase_pivots[phase] += 1
+            leaving = basis[r]
+            basis[r] = entering
+            if bounded and (upper[entering] < np.inf or upper[leaving] < np.inf):
+                x_basic[r] = (upper if at_upper[entering] else lower)[entering] + move.step
+                at_upper[leaving], at_upper[entering] = move.to_upper, False
+                is_basic[leaving], is_basic[entering] = False, True
+                placement = None
+            else:
+                x_basic[r] = move.step
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"singular basis matrix: {exc}") from exc
 
@@ -421,6 +553,20 @@ def _log_debug(message: str, *args) -> None:
         logging.getLogger("robustplan").debug(message, *args)
 
 
+def _check_feasible(problem: LinearProgram, solution: np.ndarray) -> None:
+    """Raise NumericalFailure naming the first row that ``solution`` violates beyond tolerance."""
+    gap = problem.matrix @ solution - problem.rhs
+    # +1 for <=, -1 for >=, 0 for =: how far each row overshoots its own sense.
+    sign = np.fromiter(map(_SLACK_SIGN.__getitem__, problem.senses), float, len(problem.senses))
+    excess = np.where(sign == 0.0, np.abs(gap), sign * gap)
+    bad = np.flatnonzero(excess > FEASIBILITY_TOL * np.maximum(1.0, np.abs(problem.rhs)))
+    if bad.size:
+        i = bad[0]
+        raise NumericalFailure(
+            f"solver returned an infeasible point: row {i} ({problem.senses[i]}) off by {gap[i]:.3e}"
+        )
+
+
 def solve_lp(problem: LinearProgram) -> LpResult:
     """Solve a dense LP, returning status, an optimal point, and its objective.
 
@@ -430,43 +576,37 @@ def solve_lp(problem: LinearProgram) -> LpResult:
     """
     problem.validate()
     std = _standard_form(problem)
-    A, rhs, artificial = std.matrix, std.rhs, std.artificial
-    basis, tally = std.basis, _Tally()
+    A, artificial = std.matrix, std.artificial
+    basis, at_upper, tally = std.basis, np.zeros(A.shape[1], dtype=bool), _Tally()
     try:
         # Phase 1: minimize the artificial mass.
         if artificial.any():
             try:
-                basis, x_basic = _iterate(A, rhs, artificial.astype(float), basis, artificial, False, tally)
+                basis, at_upper, x_basic = _iterate(std, artificial.astype(float), basis, at_upper, False, tally)
             except _Unbounded as exc:  # phase-1 objective is bounded below by zero
                 raise NumericalFailure("phase-1 subproblem reported unbounded") from exc
             infeasibility = float(x_basic[artificial[basis]].sum())
-            if infeasibility > FEASIBILITY_TOL * max(1.0, float(np.abs(rhs).max(initial=0.0))):
+            if infeasibility > FEASIBILITY_TOL * max(1.0, float(np.abs(std.rhs).max(initial=0.0))):
                 return LpResult(status=INFEASIBLE)
 
         # Phase 2: the real objective.
         try:
-            basis, x_basic = _iterate(A, rhs, std.cost, basis, artificial, True, tally)
+            basis, at_upper, x_basic = _iterate(std, std.cost, basis, at_upper, True, tally)
         except _Unbounded:
             return LpResult(status=UNBOUNDED)
     finally:
         _log_debug(
-            "solve_lp: standard form %d x %d, pivots %d + %d (phase 1 + 2), %d refactorizations, %d fresh redos",
-            *A.shape, *tally.phase_pivots, tally.refactorizations, tally.fresh_redos,
+            "solve_lp: standard form %d x %d, pivots %d + %d (phase 1 + 2), %d bound flips, "
+            "%d refactorizations, %d fresh redos",
+            *A.shape, *tally.phase_pivots, tally.bound_flips, tally.refactorizations, tally.fresh_redos,
         )
 
-    z = np.zeros(A.shape[1])
-    z[basis] = np.maximum(x_basic, 0.0)
+    # Nonbasic columns sit at a bound, and basic ones are clipped to their lower bound.
+    z = np.where(at_upper, std.upper, std.lower)
+    z[basis] = np.maximum(x_basic, std.lower[basis])
 
     # Snap hair-width bound violations and verify feasibility before returning.
     solution = np.clip(std.original_point(z), problem.lower, problem.upper)
-    residuals = problem.matrix @ solution
-    for i, s in enumerate(problem.senses):
-        tol = FEASIBILITY_TOL * max(1.0, abs(problem.rhs[i]))
-        gap = residuals[i] - problem.rhs[i]
-        if (s == LE and gap > tol) or (s == GE and gap < -tol) or (s == EQ and abs(gap) > tol):
-            raise NumericalFailure(
-                f"solver returned an infeasible point: row {i} ({s}) off by {gap:.3e}"
-            )
-
+    _check_feasible(problem, solution)
     objective_value = float(problem.objective @ solution)
     return LpResult(status=OPTIMAL, solution=solution, objective_value=objective_value)

@@ -28,8 +28,12 @@ column at its lower bound, so in the exchange loop's boxed LP it starts at
 eta = +OFFSET_BOX, where every row holds: each row starts on its own slack
 and the solve needs no phase 1. Carried as eta, the start would be
 eta = -OFFSET_BOX, which violates every row, and phase 1 would spend about
-one pivot per row just to reach a feasible point. On the exact path eta is
-free and the negation only swaps its two split columns.
+one pivot per row just to reach a feasible point. The boxed columns keep
+their own coordinates in the simplex, so the start only sets the slacks near
+OFFSET_BOX; the first pivot brings nu into the basis and drops them to O(1),
+and later basic values stay at the scale of the utility and the forecasts.
+On the exact path eta is free and the negation only swaps its two split
+columns.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .forecast import DiscreteDistribution, ForecastSet, outcome_grid
-from .simplex import GE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
+from .simplex import GE, OPTIMAL, UNBOUNDED, LinearProgram, _log_debug, solve_lp
 from .utility import Utility
 
 #: Box applied to the dual variables inside the exchange loop. The finite
@@ -250,10 +254,11 @@ def _exchange(
 
     sol: PlanningSolution | None = None
     violation = np.inf
-    for _ in range(cfg.max_rounds):
+    for round_number in range(1, cfg.max_rounds + 1):
         sol = _dual_lp_solution(fs, u, fs.values(working), working, decision, boxed=True)
         x_worst, residual = _violation_search(fs, u, sol, cfg)
         violation = max(0.0, -residual)
+        _log_debug("exchange round %d: %d working points, violation %.3e", round_number, working.size, violation)
         if violation <= cfg.violation_tolerance:
             if np.any(sol.lambda_star >= MULTIPLIER_BOX - _BOX_MARGIN) or abs(sol.eta_star) >= OFFSET_BOX - _BOX_MARGIN:
                 raise AmbiguitySetEmpty(

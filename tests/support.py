@@ -57,16 +57,18 @@ def dual_feasibility_margin(fs: ForecastSet, u: Utility, sol) -> float:
     return float(values.min())
 
 
-def reference_iterate(A, b, cost, basis, artificial, pin_artificials, tally):
-    """``simplex._iterate`` as a from-scratch revised simplex: three dense solves per pivot.
+def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally):
+    """``simplex._iterate`` as a from-scratch bounded-variable simplex: three dense solves per step.
 
-    The pivot loop the kept-inverse one replaced, with the same pricing,
-    tie-breaking and tolerances; a drop-in for ``simplex._iterate`` (it only
-    counts pivots in ``tally``).
+    The pivot loop without a kept inverse, with the same pricing, bound
+    flips, tie-breaking and tolerances; a drop-in for ``simplex._iterate``
+    (it only counts steps in ``tally``).
     """
-    m, _ = A.shape
+    A, b, lower, upper, artificial = std.matrix, std.rhs, std.lower, std.upper, std.artificial
+    m, n = A.shape
     pin_zero = artificial if pin_artificials else np.zeros_like(artificial)
     basis = np.array(basis, dtype=int)
+    at_upper = at_upper.copy()
     bland = False
     stall = 0
     best_objective = np.inf
@@ -74,14 +76,22 @@ def reference_iterate(A, b, cost, basis, artificial, pin_artificials, tally):
     while True:
         if sum(tally.phase_pivots) >= simplex.MAX_PIVOTS:
             raise NumericalFailure(f"pivot cap of {simplex.MAX_PIVOTS} exhausted")
+        nonbasic = np.ones(n, dtype=bool)
+        nonbasic[basis] = False
+        # Nonbasic columns away from zero: boxed ones at a nonzero bound.
+        z_nonbasic = np.where(at_upper, upper, lower)
+        off = np.flatnonzero(nonbasic & (z_nonbasic != 0.0))
+        rhs = b - A[:, off] @ z_nonbasic[off] if off.size else b
         B = A[:, basis]
         try:
-            x_basic = np.linalg.solve(B, b)
+            x_basic = np.linalg.solve(B, rhs)
             duals = np.linalg.solve(B.T, cost[basis])
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"singular basis matrix: {exc}") from exc
 
         objective = float(cost[basis] @ x_basic)
+        if np.isfinite(upper).any():
+            objective += float(cost[off] @ z_nonbasic[off])
         if objective < best_objective - 1e-12:
             best_objective = objective
             stall = 0
@@ -92,30 +102,41 @@ def reference_iterate(A, b, cost, basis, artificial, pin_artificials, tally):
                 bland = True
 
         reduced = cost - A.T @ duals
+        reduced[at_upper] = -reduced[at_upper]
         candidates = ~artificial
         candidates[basis] = False
         candidates &= reduced < -simplex.REDUCED_COST_TOL
         idx = np.where(candidates)[0]
         if idx.size == 0:
-            return basis, x_basic
+            return basis, at_upper, x_basic
 
         entering = int(idx[0]) if bland else int(idx[np.argmin(reduced[idx])])
         direction = np.linalg.solve(B, A[:, entering])
+        # Moving the entering column off its bound moves x_B by -theta * toward.
+        toward = -direction if at_upper[entering] else direction
 
-        basic_vals = np.maximum(x_basic, 0.0)
-        blocking = direction > simplex._PIVOT_TOL
+        lower_basic, upper_basic = lower[basis], upper[basis]
+        falls = toward > simplex._PIVOT_TOL
+        rises = (toward < -simplex._PIVOT_TOL) & np.isfinite(upper_basic)
         pinned_rows = pin_zero[basis] & (np.abs(direction) > simplex._PIVOT_TOL)
         ratios = np.full(m, np.inf)
-        ratios[blocking] = basic_vals[blocking] / direction[blocking]
+        ratios[falls] = np.maximum(x_basic - lower_basic, 0.0)[falls] / toward[falls]
+        ratios[rises] = np.maximum(upper_basic - x_basic, 0.0)[rises] / -toward[rises]
         ratios[pinned_rows] = 0.0
         theta = ratios.min(initial=np.inf)
-        if not np.isfinite(theta):
+        width = upper[entering] - lower[entering]
+        if not np.isfinite(min(theta, width)):
             raise simplex._Unbounded
 
+        tally.phase_pivots[int(pin_artificials)] += 1
+        if width <= theta:
+            at_upper[entering] = not at_upper[entering]
+            continue
         tied = np.where(ratios <= theta + 1e-12)[0]
         leave_pos = min(tied, key=lambda r: (not pin_zero[basis[r]], basis[r]))
+        at_upper[basis[leave_pos]] = rises[leave_pos]
+        at_upper[entering] = False
         basis[leave_pos] = entering
-        tally.phase_pivots[int(pin_artificials)] += 1
 
 
 def solve_with_reference(problem):

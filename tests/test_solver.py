@@ -1,12 +1,14 @@
 """Tests for the robust planning solver (exact interval path and exchange loop)."""
 
+import logging
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robustplan.errors import AmbiguitySetEmpty, NumericalFailure, ValidationError
+from robustplan.errors import AmbiguitySetEmpty, ValidationError
 from robustplan.forecast import (
     AffineFunction,
     DiscreteDistribution,
@@ -317,18 +319,40 @@ class TestExchangeStart:
         primal, _ = brute_force_worst_case(sc.forecast_set, sc.utility, sol.b_star, sc.check_grid)
         assert sol.objective == pytest.approx(primal, abs=1e-6)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=NumericalFailure,
-        reason="ROADMAP item 7: solve_lp's final check scales its tolerance by |rhs| only, "
-        "while this LP's multipliers reach 1e6 ('row 35 (>=) off by -1.069e-09')",
-    )
+    # Raised NumericalFailure ("row 35 (>=) off by -1.069e-09" with one BLAS
+    # thread) while boxed columns were shifted to x = lo + z with a width row
+    # each, which put the basic values near OFFSET_BOX = 1e6.
     def test_high_power_moment_certifies(self):
         # Strictly feasible: a point mass at 0.45 meets every bound with room.
         sc = parse_scenario(moment_window_doc(0.5, 0.4, 30, 0.01))
         sol = solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
         primal, _ = brute_force_worst_case(sc.forecast_set, sc.utility, sol.b_star, sc.check_grid)
         assert sol.objective == pytest.approx(primal, abs=1e-6)
+
+
+class TestExchangeLog:
+    def test_one_debug_line_per_round(self, caplog, monkeypatch):
+        sc = parse_scenario(moment_window_doc(0.43401346786117634, 0.3510258816455903, 2, 0.26864588227366176))
+        lps = []
+        monkeypatch.setattr(solver, "solve_lp", lambda lp: lps.append(lp) or simplex.solve_lp(lp))
+        with caplog.at_level(logging.DEBUG, logger="robustplan"):
+            sol = solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
+        rounds = [
+            re.fullmatch(r"exchange round (\d+): (\d+) working points, violation (\S+)", r.getMessage()).groups()
+            for r in caplog.records
+            if r.name == "robustplan" and r.getMessage().startswith("exchange round")
+        ]
+        assert len(rounds) > 1
+        # Round k solves one LP, whose rows are its working points times the utility pieces.
+        assert [int(k) for k, _, _ in rounds] == list(range(1, len(lps) + 1))
+        sizes = [int(size) for _, size, _ in rounds]
+        assert [size * len(sc.utility.pieces) for size in sizes] == [lp.matrix.shape[0] for lp in lps]
+        assert sizes == list(range(sizes[0], sizes[0] + len(sizes)))  # one point added per round
+        violations = [float(v) for _, _, v in rounds]
+        tolerance = ExchangeConfig().violation_tolerance
+        assert all(v > tolerance for v in violations[:-1])
+        assert violations[-1] == pytest.approx(sol.max_violation, abs=5e-4 * tolerance)
+        assert violations[-1] <= tolerance
 
 
 class TestEmptyIndicatorSet:
