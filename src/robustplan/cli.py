@@ -78,6 +78,8 @@ def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> str:
 
 
 def _cmd_sensitivity(scenario: Scenario, args: argparse.Namespace) -> str:
+    if not math.isfinite(args.delta):
+        raise ValidationError("delta", f"must be finite, got {args.delta}")
     sol = solve_forecast_set(scenario.forecast_set, scenario.utility, scenario.exchange)
     report = sensitivities(sol, scenario.forecast_set)
     doc = {

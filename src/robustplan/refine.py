@@ -9,6 +9,7 @@ lambda_j * d, so the objective trace is nondecreasing by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -53,10 +54,10 @@ class ClampedStepOracle:
     margin: float = 0.0
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValidationError("step", f"must be > 0, got {self.step}")
-        if self.margin < 0:
-            raise ValidationError("margin", f"must be >= 0, got {self.margin}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValidationError("step", f"must be finite and > 0, got {self.step}")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise ValidationError("margin", f"must be finite and >= 0, got {self.margin}")
 
     def refine(self, forecast_index: int, current_bound: float) -> float | None:
         fn = self.forecast_set.forecasts[forecast_index].function

@@ -4,12 +4,13 @@ Implements a two-phase bounded-variable primal simplex in revised form with
 an explicit basis inverse. A pivot costs O(m²): the duals and the entering
 direction come from the kept B⁻¹, which then takes a rank-1 (product-form)
 update (Bartels & Golub, CACM 12(5), 1969; Forrest & Tomlin, Math. Prog. 2,
-1972). To keep update drift out of the answers, B⁻¹ is rebuilt every
-``_REFACTOR_INTERVAL`` pivots, and each exit, like every ratio test that
-rounding noise could reorder, is decided on fresh dense solves of the basis
-system (see ``_iterate``). Every solve logs one DEBUG line to the
-``robustplan`` logger: the standard-form shape, pivots per phase, bound
-flips, refactorizations and fresh redos.
+1972). Pivots are decided on B⁻¹, with the basic values recomputed from it
+at every step. Every ``_REFACTOR_INTERVAL`` pivots the step runs on fresh
+dense solves of the basis system and B⁻¹ is inverted anew, and every exit
+is decided on fresh solves, so the answers carry no update drift (see
+``_iterate``). Every solve logs one DEBUG line to the ``robustplan``
+logger: the standard-form shape, pivots per phase, bound flips and
+refactorizations.
 
 ``_standard_form`` builds the whole phase-1 system in one place: structural
 columns (fixed variables folded into the right-hand side, variables with
@@ -61,11 +62,6 @@ _TIE_BAND = 1e-12
 
 #: Pivots between fresh factorizations of the kept basis inverse.
 _REFACTOR_INTERVAL = 50
-#: A step at most this long counts as degenerate.
-_DEGENERATE_STEP = 1e-9
-#: Above this rounding noise in x_B, ratio tests that could be degenerate or tied run on fresh solves.
-_NOISE_FLOOR = 1e-14
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -261,21 +257,19 @@ def _standard_form(problem: LinearProgram) -> _StandardForm:
 class _Tally:
     """Work done by one ``solve_lp`` call, for its DEBUG log line."""
 
-    __slots__ = ("phase_pivots", "bound_flips", "refactorizations", "fresh_redos")
+    __slots__ = ("phase_pivots", "bound_flips", "refactorizations")
 
     def __init__(self):
         self.phase_pivots = [0, 0]
         self.bound_flips = 0
         self.refactorizations = 0
-        self.fresh_redos = 0
 
 
 class _Placement(NamedTuple):
     """Where the boxed columns sit at a vertex, for ``_iterate``."""
 
-    off_columns: np.ndarray  # nonbasic boxed columns away from zero
-    off_values: np.ndarray  # their values
-    off_cost: float  # their share of the objective
+    rhs: np.ndarray  # b − N·z_N: the right-hand side the basic columns must meet
+    off_cost: float  # the nonbasic boxed columns' share of the objective
     at_top: np.ndarray  # nonbasic boxed columns at their upper bound
     rows: np.ndarray  # basis positions that hold a boxed column
     floor: np.ndarray  # the lower bound of each basic column
@@ -284,19 +278,16 @@ class _Placement(NamedTuple):
 class _Move(NamedTuple):
     """One step chosen by the pricing and the ratio test.
 
-    The entering column moves off the bound it sits at by ``step``: up by it
-    from its lower bound, or down by -``step`` from its upper bound. The
-    basic values move by ``-step * direction``. ``leave_pos`` is the basis
-    position of the leaving column, which stops at its upper bound when
-    ``to_upper`` is set; it is -1 when no basic column blocks, and the step is
-    then a bound ``flip`` of the entering column, or unbounded.
+    The entering column moves off the bound it sits at along ``direction``.
+    ``leave_pos`` is the basis position of the leaving column, which stops at
+    its upper bound when ``to_upper`` is set; it is -1 when no basic column
+    blocks, and the step is then a bound ``flip`` of the entering column, or
+    unbounded.
     """
 
     entering: int
     direction: np.ndarray
     leave_pos: int
-    step: float
-    uncertain: bool
     to_upper: bool = False
     flip: bool = False
 
@@ -331,32 +322,19 @@ def _iterate(
     stay at zero: its row gets a zero-ratio exit as soon as the entering
     direction would move it.
 
-    The basis inverse is kept explicitly. A pivot (a bound flip counts as
-    one) takes the duals as c_B B⁻¹ and the entering direction as B⁻¹ a_e,
-    moves x_B by the step and, unless it is a bound flip, gives B⁻¹ a rank-1
-    update, all O(m²). Every ``_REFACTOR_INTERVAL`` pivots, the first
-    included, the step runs on fresh dense solves of the basis system
-    instead, and B⁻¹ is inverted anew. Two kinds of step that the kept
-    inverse proposes are redone on fresh solves:
+    The basis inverse is kept explicitly, and every pivot between
+    refactorizations is decided on it: the basic values B⁻¹(b − N·z_N), the
+    duals c_B B⁻¹ and the entering direction B⁻¹ a_e, all O(m²). The basic
+    values are recomputed at every step, never carried from step to step,
+    so they hold no memory of earlier, larger values. A pivot that changes
+    the basis gives B⁻¹ a rank-1 update; a bound flip (which counts as a
+    pivot) leaves it as it is. Every ``_REFACTOR_INTERVAL`` pivots, the
+    first included, the step is decided on fresh dense solves of the basis
+    system instead, and B⁻¹ is inverted anew. An exit (optimal or unbounded)
+    that the kept inverse proposes is decided again on fresh solves, so the
+    returned values carry no update drift.
 
-    - Every exit. Optimality and unboundedness are only declared on a freshly
-      solved basis, so the returned values carry no update drift.
-    - A ratio test that rounding noise could make degenerate or tied, once
-      that noise exceeds ``_NOISE_FLOOR``. The noise is eps times the largest
-      ‖x_B‖∞ since the last fresh solve: an update carries the error of the
-      values it started from, so the first step of an exchange LP, which
-      drops its slacks from about ``OFFSET_BOX`` = 1e6 to O(1), leaves about
-      2e-10 of error in x_B until a fresh solve. Each blocking row's ratio
-      may be off by the noise over its direction entry. The step is redone
-      if θ is within ``_DEGENERATE_STEP`` of zero, or another row or the
-      entering column's bound flip within ``_TIE_BAND`` of θ, once those
-      errors are allowed for. Settled on updated values at that noise level,
-      degenerate ties led exchange LPs to other final bases, some far worse
-      conditioned, which failed ``solve_lp``'s final feasibility check; and
-      basic values at noise level (5.8e-11) gave steps of θ ≈ 3.7e-9 that
-      the bare thresholds call neither degenerate nor tied.
-
-    Pivot, bound-flip, refactorization and redo counts go to ``tally``.
+    Pivot, bound-flip and refactorization counts go to ``tally``.
     Returns the final basis, the final ``at_upper`` and the basic values.
     Raises _Unbounded or NumericalFailure.
     """
@@ -385,10 +363,10 @@ def _iterate(
             nonbasic = boxed[~is_basic[boxed]]
             values = np.where(at_upper[nonbasic], upper[nonbasic], lower[nonbasic])
             off = values != 0.0
+            off_columns, off_values = nonbasic[off], values[off]
             placement = _Placement(
-                off_columns=nonbasic[off],
-                off_values=values[off],
-                off_cost=float(cost[nonbasic[off]] @ values[off]),
+                rhs=b - A[:, off_columns] @ off_values if off_columns.size else b,
+                off_cost=float(cost[off_columns] @ off_values),
                 at_top=nonbasic[at_upper[nonbasic]],
                 rows=np.flatnonzero(upper[basis] < np.inf),
                 floor=lower[basis],
@@ -397,18 +375,10 @@ def _iterate(
 
     def basic_rhs():
         """b − N·z_N: the right-hand side the basic columns must meet."""
-        if not bounded:
-            return b
-        place = boxed_placement()
-        return b - A[:, place.off_columns] @ place.off_values if place.off_columns.size else b
+        return boxed_placement().rhs if bounded else b
 
-    def decide(x_basic, duals, direction_of, noise=0.0):
-        """The stall bookkeeping and the step taken at (x_basic, duals); None is optimal.
-
-        With a nonzero ``noise``, the error to allow in x_basic, the move is
-        ``uncertain`` when errors that large could make its ratio test
-        degenerate or tied.
-        """
+    def decide(x_basic, duals, direction_of):
+        """The stall bookkeeping and the step taken at (x_basic, duals); None is optimal."""
         best, stall, bland = progress
         objective = float(cost[basis] @ x_basic)
         if bounded:
@@ -432,8 +402,7 @@ def _iterate(
         entering = int(idx[0]) if bland else int(idx[np.argmin(reduced[idx])])
         direction = direction_of(A[:, entering])
         # x_B falls along ``toward`` as the entering column moves off its bound.
-        falling = bounded and at_upper[entering]
-        toward = -direction if falling else direction
+        toward = -direction if bounded and at_upper[entering] else direction
 
         # Ratio test: basic columns falling to their lower bound, rising to
         # their upper bound, and zero-ratio exits for pinned (artificial)
@@ -447,65 +416,36 @@ def _iterate(
             rises = place.rows[toward[place.rows] < -_PIVOT_TOL]
             if rises.size:
                 ratios[rises] = np.maximum(upper[basis[rises]] - x_basic[rises], 0.0) / -toward[rises]
-                blocking[rises] = True
         if pin_artificials:
             ratios[pin_zero[basis] & (np.abs(direction) > _PIVOT_TOL)] = 0.0
         theta = ratios.min(initial=np.inf)
         # The entering column's own bound blocks it at its box width.
         width = upper[entering] - lower[entering] if bounded else np.inf
         if theta == width == np.inf:
-            return (best, stall, bland), _Move(entering, direction, -1, np.inf, False)
-
-        if noise:
-            # How far each blocking row's ratio could move under that noise.
-            reach = np.zeros(m)
-            reach[blocking] = noise / np.abs(toward[blocking])
+            return (best, stall, bland), _Move(entering, direction, -1)
         if width <= theta:
-            uncertain = bool(noise) and bool(np.any(ratios - reach <= width + _TIE_BAND))
-            move = _Move(entering, direction, -1, -width if falling else width, uncertain, flip=True)
-            return (best, stall, bland), move
+            return (best, stall, bland), _Move(entering, direction, -1, flip=True)
 
         tied = np.where(ratios <= theta + _TIE_BAND)[0]
         if tied.size > 1:
             # Prefer evicting pinned leftovers, then lowest variable index (Bland).
             tied = tied[np.lexsort((basis[tied], ~pin_zero[basis[tied]]))]
         leave_pos = int(tied[0])
-        uncertain = False
-        if noise:
-            # The blocking ratio, at the far end of its own error.
-            far = theta + reach[leave_pos] + _TIE_BAND
-            uncertain = (
-                theta <= _DEGENERATE_STEP + reach[leave_pos]
-                or np.count_nonzero(ratios - reach <= far) > 1
-                or width <= far
-            )
-        theta = float(theta)
         # Only a boxed basic column blocks while rising.
         stops_at_upper = bounded and toward[leave_pos] < 0.0 and upper[basis[leave_pos]] < np.inf
-        move = _Move(entering, direction, leave_pos, -theta if falling else theta, uncertain, stops_at_upper)
-        return (best, stall, bland), move
+        return (best, stall, bland), _Move(entering, direction, leave_pos, stops_at_upper)
 
     try:
         while True:
             if sum(tally.phase_pivots) >= MAX_PIVOTS:
                 raise NumericalFailure(f"pivot cap of {MAX_PIVOTS} exhausted")
             refactor = tally.phase_pivots[phase] % _REFACTOR_INTERVAL == 0
-            fresh = refactor
-            if not fresh:
-                if fresh_values is not None:  # only measured when an updated step follows
-                    scale, fresh_values = np.abs(fresh_values).max(initial=0.0), None
-                scale = max(scale, np.abs(x_basic).max(initial=0.0))
-                noise = _EPS * scale
-                step_progress, move = decide(
-                    x_basic, cost[basis] @ B_inv, B_inv.__matmul__, noise if noise > _NOISE_FLOOR else 0.0
-                )
-                fresh = move is None or move.unbounded or move.uncertain
-                tally.fresh_redos += move is not None and move.uncertain
-            if fresh:
+            if not refactor:
+                step_progress, move = decide(B_inv @ basic_rhs(), cost[basis] @ B_inv, B_inv.__matmul__)
+            if refactor or move is None or move.unbounded:
                 # The step exactly as a from-scratch revised simplex takes it.
                 B = A[:, basis]
                 x_basic = np.linalg.solve(B, basic_rhs())
-                fresh_values = x_basic
                 duals = np.linalg.solve(B.T, cost[basis])
                 step_progress, move = decide(x_basic, duals, lambda column: np.linalg.solve(B, column))
             progress = step_progress
@@ -519,7 +459,6 @@ def _iterate(
                 tally.refactorizations += 1
             tally.phase_pivots[phase] += 1
             entering, d, r = move.entering, move.direction, move.leave_pos
-            x_basic = x_basic - move.step * d
             if move.flip:
                 at_upper[entering] = not at_upper[entering]
                 placement = None
@@ -531,12 +470,9 @@ def _iterate(
             leaving = basis[r]
             basis[r] = entering
             if bounded and (upper[entering] < np.inf or upper[leaving] < np.inf):
-                x_basic[r] = (upper if at_upper[entering] else lower)[entering] + move.step
                 at_upper[leaving], at_upper[entering] = move.to_upper, False
                 is_basic[leaving], is_basic[entering] = False, True
                 placement = None
-            else:
-                x_basic[r] = move.step
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"singular basis matrix: {exc}") from exc
 
@@ -596,9 +532,8 @@ def solve_lp(problem: LinearProgram) -> LpResult:
             return LpResult(status=UNBOUNDED)
     finally:
         _log_debug(
-            "solve_lp: standard form %d x %d, pivots %d + %d (phase 1 + 2), %d bound flips, "
-            "%d refactorizations, %d fresh redos",
-            *A.shape, *tally.phase_pivots, tally.bound_flips, tally.refactorizations, tally.fresh_redos,
+            "solve_lp: standard form %d x %d, pivots %d + %d (phase 1 + 2), %d bound flips, %d refactorizations",
+            *A.shape, *tally.phase_pivots, tally.bound_flips, tally.refactorizations,
         )
 
     # Nonbasic columns sit at a bound, and basic ones are clipped to their lower bound.

@@ -38,6 +38,7 @@ columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -98,8 +99,10 @@ class ExchangeConfig:
     def __post_init__(self):
         if self.initial_grid_points <= 0:
             raise ValidationError("initial_grid_points", f"must be positive, got {self.initial_grid_points}")
-        if self.violation_tolerance <= 0:
-            raise ValidationError("violation_tolerance", f"must be positive, got {self.violation_tolerance}")
+        if not (math.isfinite(self.violation_tolerance) and self.violation_tolerance > 0):
+            raise ValidationError(
+                "violation_tolerance", f"must be finite and positive, got {self.violation_tolerance}"
+            )
         if self.max_rounds <= 0:
             raise ValidationError("max_rounds", f"must be positive, got {self.max_rounds}")
         if self.search_grid_points < 2:

@@ -1,4 +1,4 @@
-"""Shared helpers for building randomized test instances, and a reference pivot loop."""
+"""Shared helpers for building test instances, and a reference pivot loop."""
 
 import numpy as np
 
@@ -55,6 +55,33 @@ def dual_feasibility_margin(fs: ForecastSet, u: Utility, sol) -> float:
     xs = outcome_grid(fs, 2, u.outcome_kinks(sol.b_star, fs.domain.lower, fs.domain.upper))
     values = u.values_at(xs, sol.b_star) + sol.eta_star + sol.lambda_star @ fs.values(xs)
     return float(values.min())
+
+
+def moment_window_doc(mean_hi, mean_lo, exponent, moment_hi):
+    """Scenario document: E[x] in [mean_lo, mean_hi] and E[x^exponent] <= moment_hi on [0, 1]."""
+    return {
+        "domain": {"lower": 0.0, "upper": 1.0},
+        "decision": {"lower": 0.0, "upper": 1.0},
+        "utility": {"type": "market_bidding", "p": 1.0, "q": 1.6},
+        "forecasts": {
+            "type": "generic",
+            "constraints": [
+                {"g": {"type": "affine", "offset": 0.0, "slope": 1.0}, "epsilon": mean_hi},
+                {"g": {"type": "affine", "offset": 0.0, "slope": -1.0}, "epsilon": -mean_lo},
+                {"g": {"type": "power", "exponent": exponent}, "epsilon": moment_hi},
+            ],
+        },
+    }
+
+
+#: ``moment_window_doc`` arguments of moment sets that once ended in
+#: NumericalFailure: two moment-bank instances, and E[x^30] <= 0.01 (a point
+#: mass at 0.45 meets every bound with room, so it is strictly feasible).
+MOMENT_WINDOWS = {
+    "mean-x4": (0.8418217781325632, 0.7545851673688955, 4, 0.5044861846771284),
+    "mean-x2": (0.2121404983089195, 0.16720264110684108, 2, 0.12382713669969554),
+    "x30": (0.5, 0.4, 30, 0.01),
+}
 
 
 def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally):

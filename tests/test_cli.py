@@ -161,6 +161,16 @@ class TestSensitivity:
         top = doc["entries"][0]
         assert top["predicted_bound"] == doc["base_objective"] + top["value"] * 0.05
 
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_names_field(self, capsys, delta):
+        # json.dumps would print NaN or Infinity, which is not JSON.
+        code, out, err = run_cli(capsys, ["sensitivity", "market_m6", "--delta", delta])
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ValidationError"
+        assert doc["field"] == "delta"
+
 
 class TestRefine:
     def test_objective_column_nondecreasing(self, capsys):

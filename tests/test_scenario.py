@@ -1,6 +1,7 @@
 """Scenario-file parsing: happy paths, field-error naming, bundled lookup."""
 
 import json
+import math
 
 import pytest
 
@@ -144,6 +145,37 @@ class TestFieldErrors:
                     truth={"atoms": [[0.5, 1.0]]}, oracle={"type": "clamped_step", "step": 0.1, "margin": -0.1}
                 ),
                 "oracle.margin",
+            ),
+            # Non-finite values: a NaN margin makes the clamp's floor NaN, which switches
+            # the clamp off; a NaN tolerance is never met, an infinite one always is.
+            pytest.param(
+                lambda c: c.update(truth={"atoms": [[0.5, 1.0]]}, oracle={"type": "clamped_step", "step": math.nan}),
+                "oracle.step",
+                id="oracle.step-nan",
+            ),
+            pytest.param(
+                lambda c: c.update(
+                    truth={"atoms": [[0.5, 1.0]]}, oracle={"type": "clamped_step", "step": 0.1, "margin": math.nan}
+                ),
+                "oracle.margin",
+                id="oracle.margin-nan",
+            ),
+            pytest.param(
+                lambda c: c.update(
+                    truth={"atoms": [[0.5, 1.0]]}, oracle={"type": "clamped_step", "step": 0.1, "margin": math.inf}
+                ),
+                "oracle.margin",
+                id="oracle.margin-inf",
+            ),
+            pytest.param(
+                lambda c: c.update(solver={"exchange": {"violation_tolerance": math.nan}}),
+                "solver.exchange.violation_tolerance",
+                id="solver.exchange.violation_tolerance-nan",
+            ),
+            pytest.param(
+                lambda c: c.update(solver={"exchange": {"violation_tolerance": math.inf}}),
+                "solver.exchange.violation_tolerance",
+                id="solver.exchange.violation_tolerance-inf",
             ),
             pytest.param(lambda c: c["utility"].update(p=0.0), "utility.p", id="utility.p-range"),
             (lambda c: c["utility"].update(q=0.5), "utility.q"),

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from robustplan import simplex, solver
 from robustplan.errors import NumericalFailure, ValidationError
 from robustplan.forecast import to_generic
-from robustplan.scenario import load_scenario
+from robustplan.scenario import load_scenario, parse_scenario
 from robustplan.simplex import (
     EQ,
     GE,
@@ -26,7 +26,13 @@ from robustplan.simplex import (
 )
 from robustplan.solver import solve_forecast_set
 from robustplan.utility import market_bidding
-from support import assert_same_result, random_interval_instance, solve_with_reference
+from support import (
+    MOMENT_WINDOWS,
+    assert_same_result,
+    moment_window_doc,
+    random_interval_instance,
+    solve_with_reference,
+)
 
 INF = np.inf
 
@@ -518,7 +524,7 @@ class TestAgainstHighs:
 
 LOG_LINE = re.compile(
     r"solve_lp: standard form (\d+) x (\d+), pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), "
-    r"(\d+) bound flips, (\d+) refactorizations, (\d+) fresh redos"
+    r"(\d+) bound flips, (\d+) refactorizations"
 )
 
 
@@ -539,28 +545,34 @@ class TestKeptInverse:
     def test_interval_lp_matches_reference(self, caplog, monkeypatch):
         pi, _ = random_interval_instance(np.random.default_rng(50), m=50)
         [(lp, fields)] = logged_solves(caplog, monkeypatch, to_generic(pi), market_bidding(1.0, 1.6))
-        _, _, phase1, phase2, flips, refactorizations, redos = fields
+        _, _, phase1, phase2, flips, refactorizations = fields
         # More than 100 pivots (103 + 32 when written), so the inverse is rebuilt mid-phase.
         assert phase1 + phase2 > 100
         assert flips == 0  # b, the only boxed column, never reaches its upper bound here
         assert refactorizations == math.ceil(phase1 / 50) + math.ceil(phase2 / 50)
-        assert redos == 0
         assert_same_result(solve_lp(lp), solve_with_reference(lp))
 
     def test_debug_line_fields(self, caplog, monkeypatch):
         sc = load_scenario(Path(__file__).parent / "golden" / "exchange_mixed.json")
         solves = logged_solves(caplog, monkeypatch, sc.forecast_set, sc.utility, sc.exchange)
-        for lp, (rows, cols, phase1, phase2, flips, refactorizations, redos) in solves:
+        for lp, (rows, cols, phase1, phase2, flips, refactorizations) in solves:
             assert (rows, cols) == _standard_form(lp).matrix.shape
             assert phase1 == 0  # exchange LPs start feasible
             assert flips <= phase2
             assert refactorizations == math.ceil(phase2 / 50)
-            # Only the first step, which takes the slacks from about OFFSET_BOX
-            # down to O(1), leaves noise above the floor until a fresh solve.
-            assert redos <= 1
-        # That noise is still allowed for after the values have come down.
-        assert sum(fields[-1] for _, fields in solves) > 0
 
+    @pytest.mark.parametrize("name", list(MOMENT_WINDOWS))
+    def test_moment_window_lps_match_reference(self, monkeypatch, name):
+        # 11 exchange LPs of 31-105 pivots in all. Each starts with its slacks
+        # near OFFSET_BOX = 1e6, and its first pivot brings the basic values
+        # down to O(1), so the values the kept inverse decides on span both scales.
+        sc = parse_scenario(moment_window_doc(*MOMENT_WINDOWS[name]))
+        lps = []
+        monkeypatch.setattr(solver, "solve_lp", lambda lp: lps.append(lp) or simplex.solve_lp(lp))
+        solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
+        assert lps
+        for lp in lps:
+            assert_same_result(solve_lp(lp), solve_with_reference(lp))
 
 
 class TestBoundedColumns:
@@ -576,7 +588,7 @@ class TestBoundedColumns:
         # maximize x + y s.t. x + y <= 10, x in [-2, 1], y in [0, 3]: both
         # columns cross their boxes before the row binds, with no basis change.
         lp = make_lp([1.0, 1.0], [[1.0, 1.0]], [LE], [10.0], [-2.0, 0.0], [1.0, 3.0])
-        res, (_, _, phase1, phase2, flips, _, _) = self.solve_logged(caplog, lp)
+        res, (_, _, phase1, phase2, flips, _) = self.solve_logged(caplog, lp)
         assert res.status == OPTIMAL
         assert res.solution.tolist() == [1.0, 3.0]
         assert (phase1, phase2, flips) == ("0", "2", "2")
@@ -587,7 +599,7 @@ class TestBoundedColumns:
         # takes the row; then x, priced with its reduced cost's sign flipped,
         # falls back to 0.25 while y rises and leaves the basis at its upper bound.
         lp = make_lp([1.0, 1.0], [[2.0, 1.0]], [LE], [2.5], [0.0, 0.0], [1.0, 2.0])
-        res, (_, _, phase1, phase2, flips, _, _) = self.solve_logged(caplog, lp)
+        res, (_, _, phase1, phase2, flips, _) = self.solve_logged(caplog, lp)
         assert res.status == OPTIMAL
         assert res.solution.tolist() == [0.25, 2.0]
         assert res.objective_value == 2.25

@@ -32,7 +32,13 @@ from robustplan.solver import (
     worst_case_value,
 )
 from robustplan.utility import market_bidding
-from support import dual_feasibility_margin, random_interval_instance, random_market
+from support import (
+    MOMENT_WINDOWS,
+    dual_feasibility_margin,
+    moment_window_doc,
+    random_interval_instance,
+    random_market,
+)
 
 MARKET = market_bidding(1.0, 1.6)
 
@@ -274,23 +280,6 @@ class TestDualLpRows:
         assert np.array_equal(lp.rhs, rhs)
 
 
-def moment_window_doc(mean_hi, mean_lo, exponent, moment_hi):
-    """Scenario document: E[x] in [mean_lo, mean_hi] and E[x^exponent] <= moment_hi on [0, 1]."""
-    return {
-        "domain": {"lower": 0.0, "upper": 1.0},
-        "decision": {"lower": 0.0, "upper": 1.0},
-        "utility": {"type": "market_bidding", "p": 1.0, "q": 1.6},
-        "forecasts": {
-            "type": "generic",
-            "constraints": [
-                {"g": {"type": "affine", "offset": 0.0, "slope": 1.0}, "epsilon": mean_hi},
-                {"g": {"type": "affine", "offset": 0.0, "slope": -1.0}, "epsilon": -mean_lo},
-                {"g": {"type": "power", "exponent": exponent}, "epsilon": moment_hi},
-            ],
-        },
-    }
-
-
 class TestExchangeStart:
     """Every exchange-loop LP starts at a feasible vertex, so it needs no phase 1."""
 
@@ -305,16 +294,9 @@ class TestExchangeStart:
     # Both raised NumericalFailure ("row 1 (>=) off by -1.420e-09" and "row 74
     # (>=) off by -1.005e-09" with one BLAS thread) while every exchange LP
     # started on artificials and ran phase 1.
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            moment_window_doc(0.8418217781325632, 0.7545851673688955, 4, 0.5044861846771284),
-            moment_window_doc(0.2121404983089195, 0.16720264110684108, 2, 0.12382713669969554),
-        ],
-        ids=["mean-x4", "mean-x2"],
-    )
-    def test_moment_set_certifies(self, doc):
-        sc = parse_scenario(doc)
+    @pytest.mark.parametrize("name", ["mean-x4", "mean-x2"])
+    def test_moment_set_certifies(self, name):
+        sc = parse_scenario(moment_window_doc(*MOMENT_WINDOWS[name]))
         sol = solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
         primal, _ = brute_force_worst_case(sc.forecast_set, sc.utility, sol.b_star, sc.check_grid)
         assert sol.objective == pytest.approx(primal, abs=1e-6)
@@ -323,8 +305,7 @@ class TestExchangeStart:
     # thread) while boxed columns were shifted to x = lo + z with a width row
     # each, which put the basic values near OFFSET_BOX = 1e6.
     def test_high_power_moment_certifies(self):
-        # Strictly feasible: a point mass at 0.45 meets every bound with room.
-        sc = parse_scenario(moment_window_doc(0.5, 0.4, 30, 0.01))
+        sc = parse_scenario(moment_window_doc(*MOMENT_WINDOWS["x30"]))
         sol = solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
         primal, _ = brute_force_worst_case(sc.forecast_set, sc.utility, sol.b_star, sc.check_grid)
         assert sol.objective == pytest.approx(primal, abs=1e-6)
