@@ -19,9 +19,7 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .bruteforce import duality_gap
+from .bruteforce import brute_force_worst_case
 from .errors import (
     AmbiguitySetEmpty,
     ContractViolation,
@@ -66,6 +64,8 @@ def _cmd_solve(scenario: Scenario, args: argparse.Namespace) -> str:
 
 
 def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> str:
+    if args.grid < 2:
+        raise ValidationError("grid", f"must be >= 2, got {args.grid}")
     pairs = sweep(scenario.forecast_set, scenario.utility, args.grid, cfg=scenario.exchange)
     with_truth = scenario.truth is not None
     lines = ["b,worst_case" + (",true_expected" if with_truth else "")]
@@ -102,6 +102,8 @@ def _cmd_sensitivity(scenario: Scenario, args: argparse.Namespace) -> str:
 def _cmd_refine(scenario: Scenario, args: argparse.Namespace) -> str:
     if scenario.oracle is None:
         raise ValidationError("oracle", "the refine command needs an oracle (and truth) in the scenario")
+    if args.iters < 1:
+        raise ValidationError("iters", f"must be >= 1, got {args.iters}")
     trace = refine_loop(
         scenario.forecast_set,
         scenario.utility,
@@ -128,10 +130,11 @@ def _cmd_refine(scenario: Scenario, args: argparse.Namespace) -> str:
 
 def _cmd_check(scenario: Scenario, args: argparse.Namespace) -> str:
     fs, u = scenario.forecast_set, scenario.utility
-    lo, hi = u.decision_bounds
+    # The dual side is a sweep over the same grid, so it walks the decision
+    # grid on warm starts; each brute-force primal is solved cold.
     gap = max(
-        duality_gap(fs, u, float(b), scenario.check_grid, cfg=scenario.exchange)
-        for b in np.linspace(lo, hi, _CHECK_GRID_POINTS)
+        abs(brute_force_worst_case(fs, u, b, scenario.check_grid)[0] - dual)
+        for b, dual in sweep(fs, u, _CHECK_GRID_POINTS, cfg=scenario.exchange)
     )
     slack = strict_feasibility_slack(fs, scenario.check_grid.base_points)
     radius = feasibility_ball_radius(slack, fs.bounds) if slack > 0 else None
@@ -206,7 +209,11 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error(err)
         return 1
     if args.out is not None:
-        Path(args.out).write_text(output, encoding="utf-8")
+        try:
+            Path(args.out).write_text(output, encoding="utf-8")
+        except OSError as err:
+            _emit_error(ValidationError("out", f"cannot write {args.out!r}: {err.strerror or err}"))
+            return 2
     else:
         sys.stdout.write(output)
     return 0

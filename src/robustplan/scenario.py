@@ -296,18 +296,18 @@ def bundled_scenario_names() -> list[str]:
 def load_scenario(source: str | Path) -> Scenario:
     """Load a scenario from a JSON file path or a bundled scenario name."""
     path = Path(source)
-    if path.is_file():
-        text = path.read_text(encoding="utf-8")
-    else:
-        name = path.name.removesuffix(".json")
-        candidate = resources.files("robustplan") / "data" / f"{name}.json"
-        if not candidate.is_file():
+    if not path.is_file():
+        path = resources.files("robustplan") / "data" / f"{path.name.removesuffix('.json')}.json"
+        if not path.is_file():
             raise ValidationError(
                 "config",
                 f"{source!r} is neither a file nor a bundled scenario "
                 f"(bundled: {', '.join(bundled_scenario_names())})",
             )
-        text = candidate.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ValidationError("config", f"cannot read {source!r}: {err}") from err
     try:
         decoded = json.loads(text)
     except json.JSONDecodeError as err:

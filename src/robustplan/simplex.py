@@ -9,8 +9,8 @@ at every step. Every ``_REFACTOR_INTERVAL`` pivots the step runs on fresh
 dense solves of the basis system and B⁻¹ is inverted anew, and every exit
 is decided on fresh solves, so the answers carry no update drift (see
 ``_iterate``). Every solve logs one DEBUG line to the ``robustplan``
-logger: the standard-form shape, pivots per phase, bound flips and
-refactorizations.
+logger: the standard-form shape, pivots per phase, bound flips,
+refactorizations and what became of a given start basis.
 
 ``_standard_form`` builds the whole phase-1 system in one place: structural
 columns (fixed variables folded into the right-hand side, variables with
@@ -23,7 +23,10 @@ either bound, so it needs no extra row. ``solve_lp`` then runs phase 1, runs
 phase 2, undoes the change of variables and verifies the point against the
 original rows. An artificial still basic after phase 1 (at zero, on a
 redundant or degenerate row) is not driven out: phase 2 keeps it at zero and
-evicts it as soon as a pivot would move it.
+evicts it as soon as a pivot would move it. A solve may instead be given
+the basis of an earlier result as its start: when that basis is a feasible
+vertex of this problem's standard form, phase 1 is skipped and phase 2
+starts there (a warm start).
 
 Pricing is Dantzig's rule (most negative reduced cost) with Bland's
 anti-cycling rule engaged automatically after a run of degenerate pivots and
@@ -130,13 +133,30 @@ class LinearProgram:
             raise ValidationError(f"bounds[{j}]", f"lower bound {lower[j]} exceeds upper bound {upper[j]}")
 
 
+class Basis(NamedTuple):
+    """A vertex of an LP's standard form, as ``solve_lp`` ends at it and can start from it.
+
+    ``columns[i]`` is the standard-form column basic in position i (one per
+    row), and ``at_upper`` marks the nonbasic columns that sit at their upper
+    bound rather than their lower one.
+    """
+
+    columns: np.ndarray
+    at_upper: np.ndarray
+
+
 @dataclass(frozen=True)
 class LpResult:
-    """Outcome of a solve: status plus, when optimal, the point and its objective."""
+    """Outcome of a solve: status plus, when optimal, the point, its objective and its basis.
+
+    ``basis`` is the final vertex, which a later ``solve_lp`` of a problem
+    with the same columns and rows can take as its ``start``.
+    """
 
     status: str
     solution: np.ndarray | None = None
     objective_value: float | None = None
+    basis: Basis | None = None
 
 
 class _StandardForm(NamedTuple):
@@ -503,8 +523,45 @@ def _check_feasible(problem: LinearProgram, solution: np.ndarray) -> None:
         )
 
 
-def solve_lp(problem: LinearProgram) -> LpResult:
-    """Solve a dense LP, returning status, an optimal point, and its objective.
+def _feasible_start(std: _StandardForm, start: Basis) -> tuple[np.ndarray, np.ndarray] | None:
+    """``start`` as (basis, at_upper) for ``_iterate`` when it is a feasible vertex of ``std``, else None.
+
+    It must have one distinct column per row and a flag per column, name no
+    artificial column, put only nonbasic columns with a finite upper bound
+    at that bound, have a nonsingular basis matrix, and give basic values
+    within their bounds up to FEASIBILITY_TOL.
+    """
+    A, lower, upper = std.matrix, std.lower, std.upper
+    m, n = A.shape
+    columns, at_upper = np.asarray(start.columns), np.asarray(start.at_upper)
+    if columns.shape != (m,) or columns.dtype.kind not in "iu" or at_upper.shape != (n,) or at_upper.dtype != bool:
+        return None
+    if columns.min(initial=0) < 0 or columns.max(initial=-1) >= n:
+        return None
+    basic = np.zeros(n, dtype=bool)
+    basic[columns] = True
+    if np.count_nonzero(basic) != m or (basic & (std.artificial | at_upper)).any() or np.isinf(upper[at_upper]).any():
+        return None
+    nonbasic = np.where(at_upper, upper, lower)
+    nonbasic[basic] = 0.0
+    off = np.flatnonzero(nonbasic)
+    rhs = std.rhs - A[:, off] @ nonbasic[off] if off.size else std.rhs
+    try:
+        x_basic = np.linalg.solve(A[:, columns], rhs)
+    except np.linalg.LinAlgError:
+        return None
+    inside = (x_basic >= lower[columns] - FEASIBILITY_TOL) & (x_basic <= upper[columns] + FEASIBILITY_TOL)
+    return (columns, at_upper.copy()) if inside.all() else None
+
+
+def solve_lp(problem: LinearProgram, start: Basis | None = None) -> LpResult:
+    """Solve a dense LP, returning status, an optimal point, its objective and its basis.
+
+    ``start`` is the basis of an earlier result. It is used when it is a
+    feasible vertex of this problem's standard form (see
+    ``_feasible_start``): phase 1 is then skipped, and phase 2 starts from
+    it. Otherwise the solve begins at the slack and artificial basis, as it
+    does without a start.
 
     Raises:
         ValidationError: structural problems with the input (not a solver status).
@@ -513,10 +570,12 @@ def solve_lp(problem: LinearProgram) -> LpResult:
     problem.validate()
     std = _standard_form(problem)
     A, artificial = std.matrix, std.artificial
-    basis, at_upper, tally = std.basis, np.zeros(A.shape[1], dtype=bool), _Tally()
+    warm = None if start is None else _feasible_start(std, start)
+    basis, at_upper = warm or (std.basis, np.zeros(A.shape[1], dtype=bool))
+    tally = _Tally()
     try:
         # Phase 1: minimize the artificial mass.
-        if artificial.any():
+        if warm is None and artificial.any():
             try:
                 basis, at_upper, x_basic = _iterate(std, artificial.astype(float), basis, at_upper, False, tally)
             except _Unbounded as exc:  # phase-1 objective is bounded below by zero
@@ -532,8 +591,10 @@ def solve_lp(problem: LinearProgram) -> LpResult:
             return LpResult(status=UNBOUNDED)
     finally:
         _log_debug(
-            "solve_lp: standard form %d x %d, pivots %d + %d (phase 1 + 2), %d bound flips, %d refactorizations",
+            "solve_lp: standard form %d x %d, pivots %d + %d (phase 1 + 2), %d bound flips, %d refactorizations, "
+            "start %s",
             *A.shape, *tally.phase_pivots, tally.bound_flips, tally.refactorizations,
+            "none" if start is None else "rejected" if warm is None else "used",
         )
 
     # Nonbasic columns sit at a bound, and basic ones are clipped to their lower bound.
@@ -544,4 +605,6 @@ def solve_lp(problem: LinearProgram) -> LpResult:
     solution = np.clip(std.original_point(z), problem.lower, problem.upper)
     _check_feasible(problem, solution)
     objective_value = float(problem.objective @ solution)
-    return LpResult(status=OPTIMAL, solution=solution, objective_value=objective_value)
+    return LpResult(
+        status=OPTIMAL, solution=solution, objective_value=objective_value, basis=Basis(basis, at_upper)
+    )

@@ -50,7 +50,7 @@ from .errors import (
     ValidationError,
 )
 from .forecast import DiscreteDistribution, ForecastSet, outcome_grid
-from .simplex import GE, OPTIMAL, UNBOUNDED, LinearProgram, _log_debug, solve_lp
+from .simplex import GE, OPTIMAL, UNBOUNDED, LinearProgram, LpResult, _log_debug, solve_lp
 from .utility import Utility
 
 #: Box applied to the dual variables inside the exchange loop. The finite
@@ -140,15 +140,15 @@ def _cell_rows(fs: ForecastSet) -> tuple[np.ndarray, np.ndarray]:
     return G[:, keep], np.repeat(cuts, 3)[keep]
 
 
-def _dual_lp_solution(
+def _dual_lp(
     fs: ForecastSet,
     u: Utility,
     G: np.ndarray,
     xs: np.ndarray,
     decision: tuple[float, float],
     boxed: bool,
-) -> PlanningSolution:
-    """Solve the dual LP restricted to the outcome points xs.
+) -> LinearProgram:
+    """The dual LP restricted to the outcome points xs.
 
     Variables are (b, lambda_1..lambda_n, eta) with b in the closed interval
     ``decision``; a fixed decision is the pair (b, b). ``G`` holds the
@@ -177,7 +177,7 @@ def _dual_lp_solution(
     lower[0], upper[0] = decision
     lower[-1], upper[-1] = (-OFFSET_BOX, OFFSET_BOX) if boxed else (-np.inf, np.inf)
 
-    lp = LinearProgram(
+    return LinearProgram(
         objective=objective,
         matrix=matrix,
         senses=(GE,) * rhs.size,
@@ -186,7 +186,10 @@ def _dual_lp_solution(
         upper=upper,
         sense="maximize",
     )
-    result = solve_lp(lp)
+
+
+def _planning_solution(result: LpResult) -> PlanningSolution:
+    """The plan a solved ``_dual_lp`` gives; raises when it has none."""
     if result.status == UNBOUNDED:
         raise AmbiguitySetEmpty("no distribution satisfies every forecast bound")
     if result.status != OPTIMAL:
@@ -201,7 +204,7 @@ def _dual_lp_solution(
 def _solve(fs: ForecastSet, u: Utility, decision: tuple[float, float], cfg: ExchangeConfig) -> PlanningSolution:
     """The exact reduction for indicator-only sets, the exchange loop otherwise."""
     if fs.all_indicators():
-        return _dual_lp_solution(fs, u, *_cell_rows(fs), decision, boxed=False)
+        return _planning_solution(solve_lp(_dual_lp(fs, u, *_cell_rows(fs), decision, boxed=False)))
     return _exchange(fs, u, cfg, decision)
 
 
@@ -258,7 +261,7 @@ def _exchange(
     sol: PlanningSolution | None = None
     violation = np.inf
     for round_number in range(1, cfg.max_rounds + 1):
-        sol = _dual_lp_solution(fs, u, fs.values(working), working, decision, boxed=True)
+        sol = _planning_solution(solve_lp(_dual_lp(fs, u, fs.values(working), working, decision, boxed=True)))
         x_worst, residual = _violation_search(fs, u, sol, cfg)
         violation = max(0.0, -residual)
         _log_debug("exchange round %d: %d working points, violation %.3e", round_number, working.size, violation)
@@ -282,12 +285,27 @@ def sweep(
 ) -> list[tuple[float, float]]:
     """Worst-case expected utility across a uniform grid of decisions.
 
-    Returns grid_size (b, value) pairs covering both decision bounds.
+    Returns grid_size (b, value) pairs covering both decision bounds, each
+    value the one ``worst_case_value`` finds at that b. On indicator-only
+    sets b enters the exact LP only through its right-hand side, so the cell
+    rows are built once and each point's solve starts from the previous
+    point's optimal basis, which stays optimal across a run of points; where
+    it is no longer a feasible vertex, the point is solved cold. Generic sets
+    run the exchange loop at every point.
     """
     if grid_size < 2:
         raise ValidationError("grid_size", f"must be >= 2, got {grid_size}")
     lo, hi = u.decision_bounds
-    return [(float(b), worst_case_value(fs, u, float(b), cfg=cfg)[0]) for b in np.linspace(lo, hi, grid_size)]
+    grid = [float(b) for b in np.linspace(lo, hi, grid_size)]
+    if not fs.all_indicators():
+        return [(b, worst_case_value(fs, u, b, cfg=cfg)[0]) for b in grid]
+    G, xs = _cell_rows(fs)
+    pairs, start = [], None
+    for b in grid:
+        result = solve_lp(_dual_lp(fs, u, G, xs, (b, b), boxed=False), start=start)
+        pairs.append((b, _planning_solution(result).objective))
+        start = result.basis
+    return pairs
 
 
 def true_expected(truth: DiscreteDistribution, u: Utility, b: float) -> float:

@@ -166,11 +166,11 @@ def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally):
         basis[leave_pos] = entering
 
 
-def solve_with_reference(problem):
+def solve_with_reference(problem, start=None):
     """``simplex.solve_lp`` run on ``reference_iterate`` instead of the kept-inverse loop."""
     kept, simplex._iterate = simplex._iterate, reference_iterate
     try:
-        return simplex.solve_lp(problem)
+        return simplex.solve_lp(problem, start=start)
     finally:
         simplex._iterate = kept
 

@@ -75,16 +75,22 @@ def test_golden_output(capsys, command, scenario):
 
 
 def test_golden_lps_match_reference_pivoting(capsys, monkeypatch):
-    """Every LP behind the golden files solves as the three-solves-per-pivot loop solves it."""
-    lps = []
+    """Every LP behind the golden files solves as the three-solves-per-pivot loop solves it, from the same start."""
+    calls = []
+
+    def recording_solve_lp(lp, start=None):
+        calls.append((lp, start))
+        return simplex.solve_lp(lp, start=start)
+
     for module in (solver, bruteforce, forecast):
-        monkeypatch.setattr(module, "solve_lp", lambda lp: lps.append(lp) or simplex.solve_lp(lp))
+        monkeypatch.setattr(module, "solve_lp", recording_solve_lp)
     for command, scenario in GOLDEN_CASES:
         source = GOLDEN / f"{scenario}.json" if scenario == "exchange_mixed" else scenario
         run_cli(capsys, [command, str(source), *GOLDEN_COMMANDS[command]])
-    assert len(lps) > 250  # the 13 commands solve 299 LPs
-    for lp in lps:
-        assert_same_result(simplex.solve_lp(lp), solve_with_reference(lp))
+    assert len(calls) > 250  # the 13 commands solve 299 LPs
+    assert sum(start is not None for _, start in calls) > 200  # every sweep point after the first
+    for lp, start in calls:
+        assert_same_result(simplex.solve_lp(lp, start=start), solve_with_reference(lp, start=start))
 
 
 class TestSolve:
@@ -284,6 +290,27 @@ class TestErrors:
         assert code == 2
         assert json.loads(err)["field"] == "config"
 
+    def test_undecodable_scenario_file(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, ["solve", str(path)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["field"] == "config"
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [(["sweep", "market_m6", "--grid", "0"], "grid"), (["refine", "market_m6", "--iters", "0"], "iters")],
+        ids=["grid", "iters"],
+    )
+    def test_option_range_error_names_the_option(self, capsys, argv, field):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ValidationError"
+        assert doc["field"] == field
+
     def test_empty_ambiguity_set_is_exit_one(self, tmp_path, capsys):
         config = config_with(
             forecasts={
@@ -335,6 +362,16 @@ class TestOutputFile:
         assert out == ""
         _, stdout_copy, _ = run_cli(capsys, ["sweep", "vacuous_m2", "--grid", "3"])
         assert target.read_text(encoding="utf-8") == stdout_copy
+
+    def test_unwritable_out_names_field(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "sweep.csv"
+        code, out, err = run_cli(capsys, ["sweep", "market_m6", "--grid", "2", "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ValidationError"
+        assert doc["field"] == "out"
+        assert not target.exists()
 
 
 class TestEntryPoint:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -276,3 +277,23 @@ class TestLoading:
         with pytest.raises(ValidationError) as excinfo:
             load_scenario(path)
         assert excinfo.value.field == "config"
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ValidationError) as excinfo:
+            load_scenario(path)
+        assert excinfo.value.field == "config"
+
+    def test_unreadable_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(base_config()), encoding="utf-8")
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        with pytest.raises(ValidationError) as excinfo:
+            load_scenario(path)
+        assert excinfo.value.field == "config"
+        assert "Permission denied" in excinfo.value.message

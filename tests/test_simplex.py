@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,12 @@ from robustplan.simplex import (
     LE,
     OPTIMAL,
     UNBOUNDED,
+    Basis,
     LinearProgram,
     _standard_form,
     solve_lp,
 )
-from robustplan.solver import solve_forecast_set
+from robustplan.solver import _cell_rows, _dual_lp, solve_forecast_set
 from robustplan.utility import market_bidding
 from support import (
     MOMENT_WINDOWS,
@@ -524,8 +526,14 @@ class TestAgainstHighs:
 
 LOG_LINE = re.compile(
     r"solve_lp: standard form (\d+) x (\d+), pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), "
-    r"(\d+) bound flips, (\d+) refactorizations"
+    r"(\d+) bound flips, (\d+) refactorizations, start (none|used|rejected)"
 )
+
+
+def log_fields(message):
+    """The DEBUG line's counts as ints, then what became of the start."""
+    *counts, start = LOG_LINE.fullmatch(message).groups()
+    return (*map(int, counts), start)
 
 
 def logged_solves(caplog, monkeypatch, *problem):
@@ -536,7 +544,7 @@ def logged_solves(caplog, monkeypatch, *problem):
         solve_forecast_set(*problem)
     lines = [r for r in caplog.records if r.name == "robustplan" and r.getMessage().startswith("solve_lp:")]
     assert len(lines) == len(lps)
-    return [(lp, tuple(map(int, LOG_LINE.fullmatch(r.getMessage()).groups()))) for lp, r in zip(lps, lines)]
+    return [(lp, log_fields(r.getMessage())) for lp, r in zip(lps, lines)]
 
 
 class TestKeptInverse:
@@ -545,18 +553,20 @@ class TestKeptInverse:
     def test_interval_lp_matches_reference(self, caplog, monkeypatch):
         pi, _ = random_interval_instance(np.random.default_rng(50), m=50)
         [(lp, fields)] = logged_solves(caplog, monkeypatch, to_generic(pi), market_bidding(1.0, 1.6))
-        _, _, phase1, phase2, flips, refactorizations = fields
+        _, _, phase1, phase2, flips, refactorizations, start = fields
         # More than 100 pivots (103 + 32 when written), so the inverse is rebuilt mid-phase.
         assert phase1 + phase2 > 100
         assert flips == 0  # b, the only boxed column, never reaches its upper bound here
+        assert start == "none"
         assert refactorizations == math.ceil(phase1 / 50) + math.ceil(phase2 / 50)
         assert_same_result(solve_lp(lp), solve_with_reference(lp))
 
     def test_debug_line_fields(self, caplog, monkeypatch):
         sc = load_scenario(Path(__file__).parent / "golden" / "exchange_mixed.json")
         solves = logged_solves(caplog, monkeypatch, sc.forecast_set, sc.utility, sc.exchange)
-        for lp, (rows, cols, phase1, phase2, flips, refactorizations) in solves:
+        for lp, (rows, cols, phase1, phase2, flips, refactorizations, start) in solves:
             assert (rows, cols) == _standard_form(lp).matrix.shape
+            assert start == "none"
             assert phase1 == 0  # exchange LPs start feasible
             assert flips <= phase2
             assert refactorizations == math.ceil(phase2 / 50)
@@ -575,23 +585,26 @@ class TestKeptInverse:
             assert_same_result(solve_lp(lp), solve_with_reference(lp))
 
 
+def solve_logged(caplog, lp, start=None):
+    """``solve_lp(lp, start=start)`` with the fields of its DEBUG line."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="robustplan"):
+        res = solve_lp(lp, start=start)
+    [line] = [r.getMessage() for r in caplog.records if r.name == "robustplan"]
+    return res, log_fields(line)
+
+
 class TestBoundedColumns:
     """Boxed columns are priced, blocked and flipped at their own bounds."""
-
-    def solve_logged(self, caplog, lp):
-        with caplog.at_level(logging.DEBUG, logger="robustplan"):
-            res = solve_lp(lp)
-        [line] = [r.getMessage() for r in caplog.records if r.name == "robustplan"]
-        return res, LOG_LINE.fullmatch(line).groups()
 
     def test_entering_column_flips_to_its_upper_bound(self, caplog):
         # maximize x + y s.t. x + y <= 10, x in [-2, 1], y in [0, 3]: both
         # columns cross their boxes before the row binds, with no basis change.
         lp = make_lp([1.0, 1.0], [[1.0, 1.0]], [LE], [10.0], [-2.0, 0.0], [1.0, 3.0])
-        res, (_, _, phase1, phase2, flips, _) = self.solve_logged(caplog, lp)
+        res, (_, _, phase1, phase2, flips, _, _) = solve_logged(caplog, lp)
         assert res.status == OPTIMAL
         assert res.solution.tolist() == [1.0, 3.0]
-        assert (phase1, phase2, flips) == ("0", "2", "2")
+        assert (phase1, phase2, flips) == (0, 2, 2)
 
     def test_column_at_its_upper_bound_comes_back_down(self, caplog):
         # maximize x + y s.t. 2x + y <= 2.5, x in [0, 1], y in [0, 2]. x enters
@@ -599,9 +612,99 @@ class TestBoundedColumns:
         # takes the row; then x, priced with its reduced cost's sign flipped,
         # falls back to 0.25 while y rises and leaves the basis at its upper bound.
         lp = make_lp([1.0, 1.0], [[2.0, 1.0]], [LE], [2.5], [0.0, 0.0], [1.0, 2.0])
-        res, (_, _, phase1, phase2, flips, _) = self.solve_logged(caplog, lp)
+        res, (_, _, phase1, phase2, flips, _, _) = solve_logged(caplog, lp)
         assert res.status == OPTIMAL
         assert res.solution.tolist() == [0.25, 2.0]
         assert res.objective_value == 2.25
-        assert (phase1, phase2, flips) == ("0", "3", "1")
+        assert (phase1, phase2, flips) == (0, 3, 1)
         assert_same_result(res, solve_with_reference(lp))
+
+
+#: maximize x + y s.t. x + y <= 4, x - y <= 1, x + y >= 1. Its standard-form
+#: columns are x, y, the slacks of rows 0 and 1, the surplus of row 2 and the
+#: artificial of row 2, and its cold solve runs phase 1 and phase 2.
+TRIANGLE = make_lp(
+    [1.0, 1.0], [[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]], [LE, LE, GE], [4.0, 1.0, 1.0], [0.0, 0.0], [INF, INF]
+)
+
+
+def market_m6_dual_lp(b):
+    """The exact fixed-decision dual LP of the bundled market_m6 scenario at decision b."""
+    sc = load_scenario("market_m6")
+    return _dual_lp(sc.forecast_set, sc.utility, *_cell_rows(sc.forecast_set), (b, b), boxed=False)
+
+
+class TestWarmStart:
+    """A start is used only when it is a feasible vertex, and never changes the answer."""
+
+    @pytest.mark.parametrize(
+        "lp",
+        [
+            TRIANGLE,
+            # Its optimum has y nonbasic at its upper bound.
+            make_lp([1.0, 1.0], [[2.0, 1.0]], [LE], [2.5], [0.0, 0.0], [1.0, 2.0]),
+            market_m6_dual_lp(0.3),
+        ],
+        ids=["triangle", "boxed", "market_m6"],
+    )
+    def test_own_optimal_basis_takes_no_pivots(self, caplog, lp):
+        cold, (_, _, *cold_pivots, _, _) = solve_logged(caplog, lp)
+        assert sum(cold_pivots) > 0
+        warm, (_, _, phase1, phase2, flips, _, start) = solve_logged(caplog, lp, cold.basis)
+        assert (phase1, phase2, flips, start) == (0, 0, 0, "used")
+        assert_same_result(warm, cold)
+        assert np.array_equal(warm.basis.columns, cold.basis.columns)
+        assert np.array_equal(warm.basis.at_upper, cold.basis.at_upper)
+
+    @pytest.mark.parametrize(
+        "columns, flagged, width",
+        [
+            ([0, 3, 4], [], 6),  # x = 4 from row 0 leaves row 1's slack at -3
+            ([2, 3, 5], [], 6),  # the cold start itself: row 2's artificial
+            ([0, 1, 3], [], 6),  # rows 0 and 2 coincide on x and y: singular
+            ([0, 0, 3], [], 6),  # a column named twice
+            ([0, 3], [], 6),  # fewer columns than rows
+            ([2, 3, 0], [1], 6),  # feasible, but y has no upper bound to sit at
+            ([2, 3, 0], [], 3),  # feasible, but not one flag per column
+        ],
+        ids=["infeasible", "artificial", "singular", "repeated", "short", "unbounded-flag", "flags-short"],
+    )
+    def test_rejected_start_solves_cold(self, caplog, columns, flagged, width):
+        cold, cold_fields = solve_logged(caplog, TRIANGLE)
+        start = Basis(np.array(columns), np.isin(np.arange(width), flagged))
+        warm, warm_fields = solve_logged(caplog, TRIANGLE, start)
+        assert cold_fields[-1] == "none"
+        assert warm_fields == (*cold_fields[:-1], "rejected")
+        assert_same_result(warm, cold)
+
+    def test_feasible_start_pivots_to_the_optimum(self, caplog):
+        # x = 1 on row 2 with both slacks basic: a feasible, non-optimal vertex.
+        cold = solve_lp(TRIANGLE)
+        warm, (_, _, phase1, phase2, _, _, start) = solve_logged(
+            caplog, TRIANGLE, Basis(np.array([2, 3, 0]), np.zeros(6, dtype=bool))
+        )
+        assert (phase1, start) == (0, "used")
+        assert phase2 > 0
+        assert warm.objective_value == cold.objective_value == 4.0
+
+    # A moved right-hand side keeps the old optimum dual feasible, so a start
+    # that is still primal feasible is optimal; a moved objective keeps it
+    # primal feasible, so phase 2 pivots on from it.
+    @pytest.mark.parametrize("field", ["rhs", "objective"])
+    def test_perturbed_lps_match_cold(self, caplog, field):
+        rng = np.random.default_rng(20261018)
+        used = 0
+        for _ in range(400):
+            lp = random_mixed_lp(rng)
+            first = solve_lp(lp)
+            if first.status != OPTIMAL:
+                continue
+            values = getattr(lp, field)
+            moved = replace(lp, **{field: values + rng.uniform(-2.0, 2.0, size=values.size)})
+            cold = solve_lp(moved)
+            warm, (*_, start) = solve_logged(caplog, moved, first.basis)
+            used += start == "used"
+            assert warm.status == cold.status, moved
+            if cold.status == OPTIMAL:
+                assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-9), moved
+        assert used > 50

@@ -375,6 +375,20 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep(to_generic(vacuous()), MARKET, 1)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_warm_started_values_match_cold_solves(self, caplog, seed):
+        rng = np.random.default_rng(seed)
+        pi, _ = random_interval_instance(rng)
+        fs, u = to_generic(pi), random_market(rng)
+        with caplog.at_level(logging.DEBUG, logger="robustplan"):
+            pairs = sweep(fs, u, 41)
+        starts = [r.getMessage().rsplit(" ", 1)[1] for r in caplog.records if r.getMessage().startswith("solve_lp:")]
+        assert len(starts) == 41
+        assert starts[0] == "none"
+        assert starts.count("used") > 20
+        for b, value in pairs:
+            assert np.float64(value).tobytes() == np.float64(worst_case_value(fs, u, b)[0]).tobytes()
+
 
 class TestTrueExpected:
     def test_point_mass_at_bid(self):
