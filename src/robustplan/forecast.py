@@ -115,6 +115,15 @@ def _validate_function(fn: ConstraintFunction, domain: Domain, where: str) -> No
             raise ValidationError(where, "affine coefficients must be finite")
     else:
         raise ValidationError(where, f"unknown constraint function {type(fn).__name__}")
+    if not isinstance(fn, _INDICATOR_KINDS):
+        # |g| of an affine or power function is largest at a domain end.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = constraint_values(fn, np.array([domain.lower, domain.upper]))
+        if not np.isfinite(ends).all():
+            raise ValidationError(
+                where,
+                f"g must be finite at the domain ends, got {ends[0]} at {domain.lower} and {ends[1]} at {domain.upper}",
+            )
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ at every step. Every ``_REFACTOR_INTERVAL`` pivots the step runs on fresh
 dense solves of the basis system and B⁻¹ is inverted anew, and every exit
 is decided on fresh solves, so the answers carry no update drift (see
 ``_iterate``). Every solve logs one DEBUG line to the ``robustplan``
-logger: the standard-form shape, pivots per phase, bound flips,
-refactorizations and what became of a given start basis.
+logger: the standard-form shape, pivots per phase, dual pivots, bound
+flips, refactorizations and what became of a given start basis.
 
 ``_standard_form`` builds the whole phase-1 system in one place: structural
 columns (fixed variables folded into the right-hand side, variables with
@@ -24,14 +24,18 @@ phase 2, undoes the change of variables and verifies the point against the
 original rows. An artificial still basic after phase 1 (at zero, on a
 redundant or degenerate row) is not driven out: phase 2 keeps it at zero and
 evicts it as soon as a pivot would move it. A solve may instead be given
-the basis of an earlier result as its start: when that basis is a feasible
-vertex of this problem's standard form, phase 1 is skipped and phase 2
-starts there (a warm start).
+the basis of an earlier result as its start (a warm start), and phase 1 is
+then skipped. Phase 2 starts there at once when it is a feasible vertex of
+this problem's standard form. When it is not, but it is still dual feasible
+(an optimal basis after the right-hand side moved or rows were added), the
+pivot loop first takes dual simplex steps back to a feasible vertex.
 
 Pricing is Dantzig's rule (most negative reduced cost) with Bland's
 anti-cycling rule engaged automatically after a run of degenerate pivots and
 disengaged once the objective moves again; the ratio test always breaks ties
-Bland-style (lowest variable index), so every solve is deterministic.
+Bland-style (lowest variable index), so every solve is deterministic. A
+dual step evicts the basic column furthest outside its bounds, and its ratio
+test breaks ties the same way.
 """
 
 from __future__ import annotations
@@ -144,6 +148,24 @@ class Basis(NamedTuple):
     columns: np.ndarray
     at_upper: np.ndarray
 
+    def with_slack_rows(self, rows: np.ndarray) -> Basis:
+        """This basis carried to the LP grown by rows at positions ``rows``, each new row's slack basic.
+
+        ``rows`` are the new rows' positions in the grown LP. It holds when
+        every row of the standard form has a slack or surplus column and
+        none an artificial (as in the exchange loop's LPs, whose rows all
+        start violated and are negated): the slack columns then follow the
+        structural ones in row order, so the slack of a kept row moves up
+        by the number of new rows before it.
+        """
+        m = self.columns.size
+        structural = self.at_upper.size - m
+        kept = np.delete(np.arange(m + rows.size), rows)
+        column_of = np.concatenate([np.arange(structural), structural + kept])
+        at_upper = np.zeros(structural + m + rows.size, dtype=bool)
+        at_upper[column_of] = self.at_upper
+        return Basis(np.concatenate([column_of[self.columns], structural + rows]), at_upper)
+
 
 @dataclass(frozen=True)
 class LpResult:
@@ -192,6 +214,10 @@ class _StandardForm(NamedTuple):
 
 class _Unbounded(Exception):
     pass
+
+
+class _ColdStart(Exception):
+    """The start basis given to ``_iterate`` cannot be reoptimized from; solve cold instead."""
 
 
 #: Coefficient of a row's slack column: +1 slack, -1 surplus, 0 (none) for "=".
@@ -277,10 +303,11 @@ def _standard_form(problem: LinearProgram) -> _StandardForm:
 class _Tally:
     """Work done by one ``solve_lp`` call, for its DEBUG log line."""
 
-    __slots__ = ("phase_pivots", "bound_flips", "refactorizations")
+    __slots__ = ("phase_pivots", "dual_pivots", "bound_flips", "refactorizations")
 
     def __init__(self):
         self.phase_pivots = [0, 0]
+        self.dual_pivots = 0
         self.bound_flips = 0
         self.refactorizations = 0
 
@@ -324,6 +351,7 @@ def _iterate(
     at_upper: np.ndarray,
     pin_artificials: bool,
     tally: _Tally,
+    warm: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pivot to optimality on min cost'z, Az = b, lower <= z <= upper from the given vertex.
 
@@ -342,21 +370,36 @@ def _iterate(
     stay at zero: its row gets a zero-ratio exit as soon as the entering
     direction would move it.
 
+    With ``warm`` the vertex is a start basis, which need not be primal
+    feasible. While some basic value lies outside its bounds by more than
+    FEASIBILITY_TOL, and the vertex is dual feasible (no column may enter),
+    the loop takes bounded dual simplex steps (Lemke, Naval Res. Logist. Q.
+    1, 1954): the basic column furthest outside its bounds leaves at the
+    bound it violates, and the entering column is the one whose reduced
+    cost reaches zero first as the duals move, counting only columns whose
+    move off their own bound brings the leaving one back toward its bound.
+    Once every basic value is within its bounds the primal steps take over
+    and confirm optimality. A start whose basis matrix is singular, that is
+    neither primal nor dual feasible, or whose dual steps find no entering
+    column or leave the objective still for ``_DEGENERATE_STALL_LIMIT``
+    steps raises _ColdStart.
+
     The basis inverse is kept explicitly, and every pivot between
     refactorizations is decided on it: the basic values B⁻¹(b − N·z_N), the
-    duals c_B B⁻¹ and the entering direction B⁻¹ a_e, all O(m²). The basic
-    values are recomputed at every step, never carried from step to step,
-    so they hold no memory of earlier, larger values. A pivot that changes
-    the basis gives B⁻¹ a rank-1 update; a bound flip (which counts as a
-    pivot) leaves it as it is. Every ``_REFACTOR_INTERVAL`` pivots, the
-    first included, the step is decided on fresh dense solves of the basis
-    system instead, and B⁻¹ is inverted anew. An exit (optimal or unbounded)
-    that the kept inverse proposes is decided again on fresh solves, so the
+    duals c_B B⁻¹, the entering direction B⁻¹ a_e and a dual step's row of
+    B⁻¹, all O(m²). The basic values are recomputed at every step, never
+    carried from step to step, so they hold no memory of earlier, larger
+    values. A pivot that changes the basis gives B⁻¹ a rank-1 update; a
+    bound flip (which counts as a pivot) leaves it as it is. Every
+    ``_REFACTOR_INTERVAL`` pivots, the first included, the step is decided
+    on fresh dense solves of the basis system instead, and B⁻¹ is inverted
+    anew. An exit (optimal, unbounded, or the end of the dual steps) that
+    the kept inverse proposes is decided again on fresh solves, so the
     returned values carry no update drift.
 
-    Pivot, bound-flip and refactorization counts go to ``tally``.
+    Pivot, dual-pivot, bound-flip and refactorization counts go to ``tally``.
     Returns the final basis, the final ``at_upper`` and the basic values.
-    Raises _Unbounded or NumericalFailure.
+    Raises _Unbounded, _ColdStart or NumericalFailure.
     """
     A, b, lower, upper = std.matrix, std.rhs, std.lower, std.upper
     m, n = A.shape
@@ -371,8 +414,9 @@ def _iterate(
         is_basic = np.zeros(n, dtype=bool)
         is_basic[basis] = True
     phase = int(pin_artificials)
-    # (best objective, degenerate-stall count, Bland engaged)
-    progress = (np.inf, 0, False)
+    # (best objective, degenerate-stall count, Bland engaged, taking dual steps)
+    progress = (np.inf, 0, False, warm)
+    pivots = 0
 
     placement = None
 
@@ -397,27 +441,63 @@ def _iterate(
         """b − N·z_N: the right-hand side the basic columns must meet."""
         return boxed_placement().rhs if bounded else b
 
-    def decide(x_basic, duals, direction_of):
+    def decide(x_basic, duals, direction_of, row_of):
         """The stall bookkeeping and the step taken at (x_basic, duals); None is optimal."""
-        best, stall, bland = progress
+        best, stall, bland, dual = progress
         objective = float(cost[basis] @ x_basic)
         if bounded:
             place = boxed_placement()
             objective += place.off_cost
-        if objective < best - _TIE_BAND:
-            best, stall, bland = objective, 0, False
-        else:
-            stall += 1
-            bland = bland or stall >= _DEGENERATE_STALL_LIMIT
 
         reduced = cost - A.T @ duals
         if bounded and place.at_top.size:
             reduced[place.at_top] = -reduced[place.at_top]
         candidates = (reduced < -REDUCED_COST_TOL) & enterable
         candidates[basis] = False
+
+        if dual:
+            floor = place.floor if bounded else lower[basis]
+            excess = np.maximum(floor - x_basic, x_basic - upper[basis])
+            if excess.max(initial=0.0) > FEASIBILITY_TOL:
+                leave_pos = int(np.argmax(excess))
+                if candidates.any():
+                    raise _ColdStart  # neither primal nor dual feasible
+                # The objective rises at every dual step that is not degenerate.
+                if -objective < best - _TIE_BAND:
+                    best, stall = -objective, 0
+                else:
+                    stall += 1
+                    if stall >= _DEGENERATE_STALL_LIMIT:
+                        raise _ColdStart
+                # alpha[j] > 0 where moving column j off its bound moves the
+                # leaving column back toward the bound it violates.
+                below = x_basic[leave_pos] < floor[leave_pos]
+                alpha = row_of(leave_pos) @ A
+                if bounded and place.at_top.size:
+                    alpha[place.at_top] = -alpha[place.at_top]
+                if below:
+                    alpha = -alpha
+                eligible = (alpha > _PIVOT_TOL) & enterable
+                eligible[basis] = False
+                idx = eligible.nonzero()[0]
+                if idx.size == 0:
+                    raise _ColdStart  # the start's primal problem looks infeasible
+                ratios = np.maximum(reduced[idx], 0.0) / alpha[idx]
+                entering = int(idx[np.argmax(ratios <= ratios.min() + _TIE_BAND)])
+                move = _Move(entering, direction_of(A[:, entering]), leave_pos, to_upper=not below)
+                return (best, stall, False, True), move
+            best, stall, bland = np.inf, 0, False  # primal feasible: the primal steps take over
+
+        if objective < best - _TIE_BAND:
+            best, stall, bland = objective, 0, False
+        else:
+            stall += 1
+            bland = bland or stall >= _DEGENERATE_STALL_LIMIT
+        state = (best, stall, bland, False)
+
         idx = candidates.nonzero()[0]
         if idx.size == 0:
-            return (best, stall, bland), None
+            return state, None
 
         entering = int(idx[0]) if bland else int(idx[np.argmin(reduced[idx])])
         direction = direction_of(A[:, entering])
@@ -442,9 +522,9 @@ def _iterate(
         # The entering column's own bound blocks it at its box width.
         width = upper[entering] - lower[entering] if bounded else np.inf
         if theta == width == np.inf:
-            return (best, stall, bland), _Move(entering, direction, -1)
+            return state, _Move(entering, direction, -1)
         if width <= theta:
-            return (best, stall, bland), _Move(entering, direction, -1, flip=True)
+            return state, _Move(entering, direction, -1, flip=True)
 
         tied = np.where(ratios <= theta + _TIE_BAND)[0]
         if tied.size > 1:
@@ -453,21 +533,29 @@ def _iterate(
         leave_pos = int(tied[0])
         # Only a boxed basic column blocks while rising.
         stops_at_upper = bounded and toward[leave_pos] < 0.0 and upper[basis[leave_pos]] < np.inf
-        return (best, stall, bland), _Move(entering, direction, leave_pos, stops_at_upper)
+        return state, _Move(entering, direction, leave_pos, stops_at_upper)
+
+    def fresh_row(r):
+        """Row r of B⁻¹ from a fresh dense solve."""
+        unit = np.zeros(m)
+        unit[r] = 1.0
+        return np.linalg.solve(B.T, unit)
 
     try:
         while True:
-            if sum(tally.phase_pivots) >= MAX_PIVOTS:
+            if sum(tally.phase_pivots) + tally.dual_pivots >= MAX_PIVOTS:
                 raise NumericalFailure(f"pivot cap of {MAX_PIVOTS} exhausted")
-            refactor = tally.phase_pivots[phase] % _REFACTOR_INTERVAL == 0
+            refactor = pivots % _REFACTOR_INTERVAL == 0
             if not refactor:
-                step_progress, move = decide(B_inv @ basic_rhs(), cost[basis] @ B_inv, B_inv.__matmul__)
+                step_progress, move = decide(
+                    B_inv @ basic_rhs(), cost[basis] @ B_inv, B_inv.__matmul__, B_inv.__getitem__
+                )
             if refactor or move is None or move.unbounded:
                 # The step exactly as a from-scratch revised simplex takes it.
                 B = A[:, basis]
                 x_basic = np.linalg.solve(B, basic_rhs())
                 duals = np.linalg.solve(B.T, cost[basis])
-                step_progress, move = decide(x_basic, duals, lambda column: np.linalg.solve(B, column))
+                step_progress, move = decide(x_basic, duals, lambda column: np.linalg.solve(B, column), fresh_row)
             progress = step_progress
             if move is None:
                 return basis, at_upper, x_basic
@@ -477,7 +565,11 @@ def _iterate(
             if refactor:
                 B_inv = np.linalg.inv(B)
                 tally.refactorizations += 1
-            tally.phase_pivots[phase] += 1
+            pivots += 1
+            if progress[3]:
+                tally.dual_pivots += 1
+            else:
+                tally.phase_pivots[phase] += 1
             entering, d, r = move.entering, move.direction, move.leave_pos
             if move.flip:
                 at_upper[entering] = not at_upper[entering]
@@ -494,6 +586,8 @@ def _iterate(
                 is_basic[leaving], is_basic[entering] = False, True
                 placement = None
     except np.linalg.LinAlgError as exc:
+        if progress[3]:
+            raise _ColdStart from exc
         raise NumericalFailure(f"singular basis matrix: {exc}") from exc
 
 
@@ -523,16 +617,16 @@ def _check_feasible(problem: LinearProgram, solution: np.ndarray) -> None:
         )
 
 
-def _feasible_start(std: _StandardForm, start: Basis) -> tuple[np.ndarray, np.ndarray] | None:
-    """``start`` as (basis, at_upper) for ``_iterate`` when it is a feasible vertex of ``std``, else None.
+def _valid_start(std: _StandardForm, start: Basis) -> tuple[np.ndarray, np.ndarray] | None:
+    """``start`` as (basis, at_upper) for ``_iterate`` when it fits ``std``, else None.
 
     It must have one distinct column per row and a flag per column, name no
-    artificial column, put only nonbasic columns with a finite upper bound
-    at that bound, have a nonsingular basis matrix, and give basic values
-    within their bounds up to FEASIBILITY_TOL.
+    artificial column, and put only nonbasic columns with a finite upper
+    bound at that bound. Whether its basis matrix is nonsingular and its
+    vertex primal or dual feasible is found by ``_iterate``'s first step, on
+    the dense solves that step takes anyway.
     """
-    A, lower, upper = std.matrix, std.lower, std.upper
-    m, n = A.shape
+    m, n = std.matrix.shape
     columns, at_upper = np.asarray(start.columns), np.asarray(start.at_upper)
     if columns.shape != (m,) or columns.dtype.kind not in "iu" or at_upper.shape != (n,) or at_upper.dtype != bool:
         return None
@@ -540,28 +634,25 @@ def _feasible_start(std: _StandardForm, start: Basis) -> tuple[np.ndarray, np.nd
         return None
     basic = np.zeros(n, dtype=bool)
     basic[columns] = True
-    if np.count_nonzero(basic) != m or (basic & (std.artificial | at_upper)).any() or np.isinf(upper[at_upper]).any():
+    if np.count_nonzero(basic) != m or (basic & (std.artificial | at_upper)).any():
         return None
-    nonbasic = np.where(at_upper, upper, lower)
-    nonbasic[basic] = 0.0
-    off = np.flatnonzero(nonbasic)
-    rhs = std.rhs - A[:, off] @ nonbasic[off] if off.size else std.rhs
-    try:
-        x_basic = np.linalg.solve(A[:, columns], rhs)
-    except np.linalg.LinAlgError:
+    if np.isinf(std.upper[at_upper]).any():
         return None
-    inside = (x_basic >= lower[columns] - FEASIBILITY_TOL) & (x_basic <= upper[columns] + FEASIBILITY_TOL)
-    return (columns, at_upper.copy()) if inside.all() else None
+    return columns, at_upper.copy()
 
 
 def solve_lp(problem: LinearProgram, start: Basis | None = None) -> LpResult:
     """Solve a dense LP, returning status, an optimal point, its objective and its basis.
 
-    ``start`` is the basis of an earlier result. It is used when it is a
-    feasible vertex of this problem's standard form (see
-    ``_feasible_start``): phase 1 is then skipped, and phase 2 starts from
-    it. Otherwise the solve begins at the slack and artificial basis, as it
-    does without a start.
+    ``start`` is the basis of an earlier result. When it fits this
+    problem's standard form (see ``_valid_start``) and its basis matrix is
+    nonsingular, phase 1 is skipped and phase 2 starts from it: at once when
+    its basic values are within their bounds, after dual simplex steps when
+    they are not but it is dual feasible (as an optimal basis stays when
+    only the right-hand side moves or rows are added). Any other start, or
+    one whose dual steps find no entering column or stall, is dropped, and
+    the solve begins at the slack and artificial basis, as it does without a
+    start.
 
     Raises:
         ValidationError: structural problems with the input (not a solver status).
@@ -570,31 +661,36 @@ def solve_lp(problem: LinearProgram, start: Basis | None = None) -> LpResult:
     problem.validate()
     std = _standard_form(problem)
     A, artificial = std.matrix, std.artificial
-    warm = None if start is None else _feasible_start(std, start)
-    basis, at_upper = warm or (std.basis, np.zeros(A.shape[1], dtype=bool))
+    warm = None if start is None else _valid_start(std, start)
     tally = _Tally()
     try:
-        # Phase 1: minimize the artificial mass.
-        if warm is None and artificial.any():
+        if warm is not None:
             try:
-                basis, at_upper, x_basic = _iterate(std, artificial.astype(float), basis, at_upper, False, tally)
-            except _Unbounded as exc:  # phase-1 objective is bounded below by zero
-                raise NumericalFailure("phase-1 subproblem reported unbounded") from exc
-            infeasibility = float(x_basic[artificial[basis]].sum())
-            if infeasibility > FEASIBILITY_TOL * max(1.0, float(np.abs(std.rhs).max(initial=0.0))):
-                return LpResult(status=INFEASIBLE)
+                basis, at_upper, x_basic = _iterate(std, std.cost, *warm, True, tally, warm=True)
+            except _ColdStart:
+                warm = None
+        if warm is None:
+            basis, at_upper = std.basis, np.zeros(A.shape[1], dtype=bool)
+            # Phase 1: minimize the artificial mass.
+            if artificial.any():
+                try:
+                    basis, at_upper, x_basic = _iterate(std, artificial.astype(float), basis, at_upper, False, tally)
+                except _Unbounded as exc:  # phase-1 objective is bounded below by zero
+                    raise NumericalFailure("phase-1 subproblem reported unbounded") from exc
+                infeasibility = float(x_basic[artificial[basis]].sum())
+                if infeasibility > FEASIBILITY_TOL * max(1.0, float(np.abs(std.rhs).max(initial=0.0))):
+                    return LpResult(status=INFEASIBLE)
 
-        # Phase 2: the real objective.
-        try:
+            # Phase 2: the real objective.
             basis, at_upper, x_basic = _iterate(std, std.cost, basis, at_upper, True, tally)
-        except _Unbounded:
-            return LpResult(status=UNBOUNDED)
+    except _Unbounded:
+        return LpResult(status=UNBOUNDED)
     finally:
         _log_debug(
-            "solve_lp: standard form %d x %d, pivots %d + %d (phase 1 + 2), %d bound flips, %d refactorizations, "
-            "start %s",
-            *A.shape, *tally.phase_pivots, tally.bound_flips, tally.refactorizations,
-            "none" if start is None else "rejected" if warm is None else "used",
+            "solve_lp: standard form %d x %d, pivots %d + %d (phase 1 + 2), %d dual pivots, %d bound flips, "
+            "%d refactorizations, start %s",
+            *A.shape, *tally.phase_pivots, tally.dual_pivots, tally.bound_flips, tally.refactorizations,
+            "none" if start is None else "rejected" if warm is None else "dual" if tally.dual_pivots else "used",
         )
 
     # Nonbasic columns sit at a bound, and basic ones are clipped to their lower bound.

@@ -253,15 +253,24 @@ def _exchange(
     the most violated point each round until the dense-grid violation search
     comes back within tolerance. The first working set is the outcome grid
     with the utility's kinks at both decision bounds and their midpoint.
+
+    Every round after the first starts from the previous round's optimal
+    basis, with the new point's rows in it on their own slacks. That basis
+    stays dual feasible (the new rows' duals are zero) while the new rows
+    are violated, so the simplex reoptimizes it with dual steps, about one
+    per round, instead of solving the grown LP from scratch.
     """
     lo, hi = decision
     kinks = [x for b in (lo, 0.5 * (lo + hi), hi) for x in u.outcome_kinks(b, fs.domain.lower, fs.domain.upper)]
     working = outcome_grid(fs, cfg.initial_grid_points, kinks)
+    pieces = len(u.pieces)
 
     sol: PlanningSolution | None = None
     violation = np.inf
+    start = None
     for round_number in range(1, cfg.max_rounds + 1):
-        sol = _planning_solution(solve_lp(_dual_lp(fs, u, fs.values(working), working, decision, boxed=True)))
+        result = solve_lp(_dual_lp(fs, u, fs.values(working), working, decision, boxed=True), start=start)
+        sol = _planning_solution(result)
         x_worst, residual = _violation_search(fs, u, sol, cfg)
         violation = max(0.0, -residual)
         _log_debug("exchange round %d: %d working points, violation %.3e", round_number, working.size, violation)
@@ -271,7 +280,13 @@ def _exchange(
                     "dual variables diverged: no distribution satisfies every forecast bound"
                 )
             return replace(sol, max_violation=violation)
-        working = np.unique(np.append(working, x_worst))
+        # Rows are point-major, so the new point's rows sit at its place in the sorted working set.
+        point = int(np.searchsorted(working, x_worst))
+        if point < working.size and working[point] == x_worst:
+            start = result.basis
+        else:
+            start = result.basis.with_slack_rows(point * pieces + np.arange(pieces))
+            working = np.insert(working, point, x_worst)
 
     raise ConvergenceFailure(
         f"exchange loop still violated by {violation:.3e} after {cfg.max_rounds} rounds",
@@ -289,9 +304,10 @@ def sweep(
     value the one ``worst_case_value`` finds at that b. On indicator-only
     sets b enters the exact LP only through its right-hand side, so the cell
     rows are built once and each point's solve starts from the previous
-    point's optimal basis, which stays optimal across a run of points; where
-    it is no longer a feasible vertex, the point is solved cold. Generic sets
-    run the exchange loop at every point.
+    point's optimal basis, which stays optimal across a run of points. Past
+    the end of such a run it is still dual feasible, and dual steps
+    reoptimize it; where a row's sign flips in the standard form, the point
+    is solved cold. Generic sets run the exchange loop at every point.
     """
     if grid_size < 2:
         raise ValidationError("grid_size", f"must be >= 2, got {grid_size}")

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from robustplan import simplex
+from robustplan import simplex, solver
 from robustplan.errors import NumericalFailure
 from robustplan.forecast import (
     DiscreteDistribution,
@@ -84,12 +84,14 @@ MOMENT_WINDOWS = {
 }
 
 
-def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally):
+def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally, warm=False):
     """``simplex._iterate`` as a from-scratch bounded-variable simplex: three dense solves per step.
 
     The pivot loop without a kept inverse, with the same pricing, bound
-    flips, tie-breaking and tolerances; a drop-in for ``simplex._iterate``
-    (it only counts steps in ``tally``).
+    flips, dual steps from a ``warm`` start, tie-breaking and tolerances; a
+    drop-in for ``simplex._iterate`` (it only counts steps in ``tally``). A
+    primal step solves for x_B, the duals and the entering direction; a dual
+    step for x_B, the duals and the leaving row of B⁻¹.
     """
     A, b, lower, upper, artificial = std.matrix, std.rhs, std.lower, std.upper, std.artificial
     m, n = A.shape
@@ -99,9 +101,11 @@ def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally):
     bland = False
     stall = 0
     best_objective = np.inf
+    dual = warm
+    best_dual = -np.inf
 
     while True:
-        if sum(tally.phase_pivots) >= simplex.MAX_PIVOTS:
+        if sum(tally.phase_pivots) + tally.dual_pivots >= simplex.MAX_PIVOTS:
             raise NumericalFailure(f"pivot cap of {simplex.MAX_PIVOTS} exhausted")
         nonbasic = np.ones(n, dtype=bool)
         nonbasic[basis] = False
@@ -114,11 +118,57 @@ def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally):
             x_basic = np.linalg.solve(B, rhs)
             duals = np.linalg.solve(B.T, cost[basis])
         except np.linalg.LinAlgError as exc:
+            if dual:
+                raise simplex._ColdStart from exc
             raise NumericalFailure(f"singular basis matrix: {exc}") from exc
 
         objective = float(cost[basis] @ x_basic)
         if np.isfinite(upper).any():
             objective += float(cost[off] @ z_nonbasic[off])
+        reduced = cost - A.T @ duals
+        reduced[at_upper] = -reduced[at_upper]
+        candidates = ~artificial
+        candidates[basis] = False
+
+        if dual:
+            lower_basic, upper_basic = lower[basis], upper[basis]
+            outside = np.flatnonzero(
+                (x_basic < lower_basic - simplex.FEASIBILITY_TOL) | (x_basic > upper_basic + simplex.FEASIBILITY_TOL)
+            )
+            if outside.size:
+                if (candidates & (reduced < -simplex.REDUCED_COST_TOL)).any():
+                    raise simplex._ColdStart
+                if objective > best_dual + 1e-12:
+                    best_dual = objective
+                    stall = 0
+                else:
+                    stall += 1
+                    if stall >= simplex._DEGENERATE_STALL_LIMIT:
+                        raise simplex._ColdStart
+                excess = np.maximum(lower_basic - x_basic, x_basic - upper_basic)
+                leave_pos = int(outside[np.argmax(excess[outside])])
+                below = x_basic[leave_pos] < lower_basic[leave_pos]
+                unit = np.zeros(m)
+                unit[leave_pos] = 1.0
+                # How the leaving column moves back toward its bound as each
+                # nonbasic column moves off its own bound.
+                toward = np.linalg.solve(B.T, unit) @ A
+                toward[at_upper] = -toward[at_upper]
+                if below:
+                    toward = -toward
+                eligible = np.flatnonzero(candidates & (toward > simplex._PIVOT_TOL))
+                if eligible.size == 0:
+                    raise simplex._ColdStart
+                ratios = np.maximum(reduced[eligible], 0.0) / toward[eligible]
+                entering = int(eligible[ratios <= ratios.min() + 1e-12][0])
+                tally.dual_pivots += 1
+                at_upper[basis[leave_pos]] = not below
+                at_upper[entering] = False
+                basis[leave_pos] = entering
+                continue
+            dual = False
+            stall = 0
+
         if objective < best_objective - 1e-12:
             best_objective = objective
             stall = 0
@@ -128,10 +178,6 @@ def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally):
             if stall >= simplex._DEGENERATE_STALL_LIMIT:
                 bland = True
 
-        reduced = cost - A.T @ duals
-        reduced[at_upper] = -reduced[at_upper]
-        candidates = ~artificial
-        candidates[basis] = False
         candidates &= reduced < -simplex.REDUCED_COST_TOL
         idx = np.where(candidates)[0]
         if idx.size == 0:
@@ -164,6 +210,19 @@ def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally):
         at_upper[basis[leave_pos]] = rises[leave_pos]
         at_upper[entering] = False
         basis[leave_pos] = entering
+
+
+def record_solves(monkeypatch, *modules):
+    """Patch ``solve_lp`` in ``modules`` (default: the solver) to record each call; return the (lp, start) list."""
+    calls = []
+
+    def recording_solve_lp(lp, start=None):
+        calls.append((lp, start))
+        return simplex.solve_lp(lp, start=start)
+
+    for module in modules or (solver,):
+        monkeypatch.setattr(module, "solve_lp", recording_solve_lp)
+    return calls
 
 
 def solve_with_reference(problem, start=None):

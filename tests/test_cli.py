@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 import robustplan
 from robustplan import bruteforce, forecast, simplex, solver
 from robustplan.cli import main
-from support import assert_same_result, solve_with_reference
+from support import assert_same_result, record_solves, solve_with_reference
 
 
 def config_with(**overrides):
@@ -74,21 +75,17 @@ def test_golden_output(capsys, command, scenario):
     assert out == (GOLDEN / f"{command}_{scenario}.out").read_text(encoding="utf-8")
 
 
-def test_golden_lps_match_reference_pivoting(capsys, monkeypatch):
+def test_golden_lps_match_reference_pivoting(capsys, caplog, monkeypatch):
     """Every LP behind the golden files solves as the three-solves-per-pivot loop solves it, from the same start."""
-    calls = []
-
-    def recording_solve_lp(lp, start=None):
-        calls.append((lp, start))
-        return simplex.solve_lp(lp, start=start)
-
-    for module in (solver, bruteforce, forecast):
-        monkeypatch.setattr(module, "solve_lp", recording_solve_lp)
-    for command, scenario in GOLDEN_CASES:
-        source = GOLDEN / f"{scenario}.json" if scenario == "exchange_mixed" else scenario
-        run_cli(capsys, [command, str(source), *GOLDEN_COMMANDS[command]])
-    assert len(calls) > 250  # the 13 commands solve 299 LPs
+    calls = record_solves(monkeypatch, solver, bruteforce, forecast)
+    with caplog.at_level(logging.DEBUG, logger="robustplan"):
+        for command, scenario in GOLDEN_CASES:
+            source = GOLDEN / f"{scenario}.json" if scenario == "exchange_mixed" else scenario
+            run_cli(capsys, [command, str(source), *GOLDEN_COMMANDS[command]])
+    starts = [r.getMessage().rsplit(" ", 1)[1] for r in caplog.records if r.getMessage().startswith("solve_lp:")]
+    assert len(starts) == len(calls) > 250  # the 13 commands solve 299 LPs
     assert sum(start is not None for _, start in calls) > 200  # every sweep point after the first
+    assert starts.count("dual") > 0  # sweep points past a breakpoint of the worst-case curve
     for lp, start in calls:
         assert_same_result(simplex.solve_lp(lp, start=start), solve_with_reference(lp, start=start))
 
@@ -284,6 +281,19 @@ class TestErrors:
         doc = json.loads(err)
         assert doc["error"] == "ValidationError"
         assert doc["field"] == "truth.atoms[0]"
+
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_overflowing_forecast_names_its_constraint(self, tmp_path, capsys, command):
+        # x^2 overflows at the domain's upper end; it is rejected at load, with no numpy warning.
+        config = config_with(
+            domain={"lower": 0.0, "upper": 1e200},
+            forecasts={"type": "generic", "constraints": [{"g": {"type": "power", "exponent": 2}, "epsilon": 0.5}]},
+        )
+        code, out, err = run_cli(capsys, [command, write_config(tmp_path, config)])
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert (doc["error"], doc["field"]) == ("ValidationError", "forecasts.constraints[0]")
 
     def test_unknown_scenario_name(self, capsys):
         code, _, err = run_cli(capsys, ["solve", "no_such_scenario"])

@@ -17,6 +17,16 @@ from robustplan.scenario import (
 from robustplan.utility import market_bidding
 
 
+#: E[x] <= 0.5 and E[x^2] <= 0.5: on the domain [0, 1e200], x^2 overflows at the upper end.
+OVERFLOWING_FORECASTS = {
+    "type": "generic",
+    "constraints": [
+        {"g": {"type": "affine", "offset": 0.0, "slope": 1.0}, "epsilon": 0.5},
+        {"g": {"type": "power", "exponent": 2}, "epsilon": 0.5},
+    ],
+}
+
+
 def base_config():
     return {
         "domain": {"lower": 0.0, "upper": 1.0},
@@ -199,6 +209,11 @@ class TestFieldErrors:
             ),
             (lambda c: c.update(utility={"type": "piecewise_affine_min", "pieces": [[0.0, 1.0, None]]}), "utility.pieces[0][2]"),
             (lambda c: c.update(utility={"type": "piecewise_affine_min", "pieces": []}), "utility.pieces"),
+            pytest.param(
+                lambda c: c.update(domain={"lower": 0.0, "upper": 1e200}, forecasts=OVERFLOWING_FORECASTS),
+                "forecasts.constraints[1]",
+                id="forecasts.constraints[1]-overflow",
+            ),
         ],
     )
     def test_field_is_named(self, mutate, field):

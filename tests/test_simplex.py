@@ -1,5 +1,6 @@
 """Tests for the dense two-phase simplex core."""
 
+import collections
 import logging
 import math
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robustplan import simplex, solver
+from robustplan import simplex
 from robustplan.errors import NumericalFailure, ValidationError
 from robustplan.forecast import to_generic
 from robustplan.scenario import load_scenario, parse_scenario
@@ -33,6 +34,7 @@ from support import (
     assert_same_result,
     moment_window_doc,
     random_interval_instance,
+    record_solves,
     solve_with_reference,
 )
 
@@ -491,6 +493,27 @@ def random_mixed_lp(rng: np.random.Generator) -> LinearProgram:
     )
 
 
+def highs_solve(optimize, lp: LinearProgram) -> tuple[str, float | None]:
+    """Status and objective of ``lp`` by ``scipy.optimize.linprog(method="highs")``."""
+    senses = np.array(lp.senses)
+    scale = 1.0 if lp.sense == "minimize" else -1.0
+    upper_rows = np.vstack([lp.matrix[senses == LE], -lp.matrix[senses == GE]])
+    equal_rows = lp.matrix[senses == EQ]
+    # HiGHS's presolve reports some unbounded LPs as infeasible, so it is off.
+    ref = optimize.linprog(
+        scale * lp.objective,
+        A_ub=upper_rows if upper_rows.size else None,
+        b_ub=np.concatenate([lp.rhs[senses == LE], -lp.rhs[senses == GE]]) if upper_rows.size else None,
+        A_eq=equal_rows if equal_rows.size else None,
+        b_eq=lp.rhs[senses == EQ] if equal_rows.size else None,
+        bounds=[(lo if lo > -INF else None, hi if hi < INF else None) for lo, hi in zip(lp.lower, lp.upper)],
+        method="highs",
+        options={"presolve": False},
+    )
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
+    return status, scale * ref.fun if status == OPTIMAL else None
+
+
 class TestAgainstHighs:
     """``solve_lp`` agrees with an independent solver on random small LPs."""
 
@@ -500,33 +523,18 @@ class TestAgainstHighs:
         seen = set()
         for _ in range(400):
             lp = random_mixed_lp(rng)
-            senses = np.array(lp.senses)
-            scale = 1.0 if lp.sense == "minimize" else -1.0
-            upper_rows = np.vstack([lp.matrix[senses == LE], -lp.matrix[senses == GE]])
-            equal_rows = lp.matrix[senses == EQ]
-            # HiGHS's presolve reports some unbounded LPs as infeasible, so it is off.
-            ref = optimize.linprog(
-                scale * lp.objective,
-                A_ub=upper_rows if upper_rows.size else None,
-                b_ub=np.concatenate([lp.rhs[senses == LE], -lp.rhs[senses == GE]]) if upper_rows.size else None,
-                A_eq=equal_rows if equal_rows.size else None,
-                b_eq=lp.rhs[senses == EQ] if equal_rows.size else None,
-                bounds=[(lo if lo > -INF else None, hi if hi < INF else None) for lo, hi in zip(lp.lower, lp.upper)],
-                method="highs",
-                options={"presolve": False},
-            )
-            expected = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
+            expected, objective = highs_solve(optimize, lp)
             res = solve_lp(lp)
             assert res.status == expected, lp
             if expected == OPTIMAL:
-                assert res.objective_value == pytest.approx(scale * ref.fun, rel=1e-7, abs=1e-7), lp
+                assert res.objective_value == pytest.approx(objective, rel=1e-7, abs=1e-7), lp
             seen.add(expected)
         assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
 
 LOG_LINE = re.compile(
-    r"solve_lp: standard form (\d+) x (\d+), pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), "
-    r"(\d+) bound flips, (\d+) refactorizations, start (none|used|rejected)"
+    r"solve_lp: standard form (\d+) x (\d+), pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), (\d+) dual pivots, "
+    r"(\d+) bound flips, (\d+) refactorizations, start (none|used|dual|rejected)"
 )
 
 
@@ -537,14 +545,13 @@ def log_fields(message):
 
 
 def logged_solves(caplog, monkeypatch, *problem):
-    """The LPs ``solve_forecast_set(*problem)`` solves, each with the fields of its DEBUG line."""
-    lps = []
-    monkeypatch.setattr(solver, "solve_lp", lambda lp: lps.append(lp) or simplex.solve_lp(lp))
+    """The LPs ``solve_forecast_set(*problem)`` solves, each with its start and the fields of its DEBUG line."""
+    calls = record_solves(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="robustplan"):
         solve_forecast_set(*problem)
     lines = [r for r in caplog.records if r.name == "robustplan" and r.getMessage().startswith("solve_lp:")]
-    assert len(lines) == len(lps)
-    return [(lp, log_fields(r.getMessage())) for lp, r in zip(lps, lines)]
+    assert len(lines) == len(calls)
+    return [(lp, start, log_fields(r.getMessage())) for (lp, start), r in zip(calls, lines)]
 
 
 class TestKeptInverse:
@@ -552,37 +559,47 @@ class TestKeptInverse:
 
     def test_interval_lp_matches_reference(self, caplog, monkeypatch):
         pi, _ = random_interval_instance(np.random.default_rng(50), m=50)
-        [(lp, fields)] = logged_solves(caplog, monkeypatch, to_generic(pi), market_bidding(1.0, 1.6))
-        _, _, phase1, phase2, flips, refactorizations, start = fields
+        [(lp, _, fields)] = logged_solves(caplog, monkeypatch, to_generic(pi), market_bidding(1.0, 1.6))
+        _, _, phase1, phase2, dual, flips, refactorizations, start = fields
         # More than 100 pivots (103 + 32 when written), so the inverse is rebuilt mid-phase.
         assert phase1 + phase2 > 100
         assert flips == 0  # b, the only boxed column, never reaches its upper bound here
-        assert start == "none"
+        assert (dual, start) == (0, "none")
         assert refactorizations == math.ceil(phase1 / 50) + math.ceil(phase2 / 50)
         assert_same_result(solve_lp(lp), solve_with_reference(lp))
 
     def test_debug_line_fields(self, caplog, monkeypatch):
-        sc = load_scenario(Path(__file__).parent / "golden" / "exchange_mixed.json")
-        solves = logged_solves(caplog, monkeypatch, sc.forecast_set, sc.utility, sc.exchange)
-        for lp, (rows, cols, phase1, phase2, flips, refactorizations, start) in solves:
+        scenarios = [load_scenario(Path(__file__).parent / "golden" / "exchange_mixed.json")]
+        scenarios += [parse_scenario(moment_window_doc(*args)) for args in MOMENT_WINDOWS.values()]
+        solves = []
+        for sc in scenarios:
+            caplog.clear()
+            solves += enumerate(logged_solves(caplog, monkeypatch, sc.forecast_set, sc.utility, sc.exchange), 1)
+        assert max(round_number for round_number, _ in solves) > 5
+        for round_number, (lp, given, fields) in solves:
+            rows, cols, phase1, phase2, dual, flips, refactorizations, start = fields
             assert (rows, cols) == _standard_form(lp).matrix.shape
-            assert start == "none"
+            # Round 1 starts at its slacks, every later round from the round before.
+            assert (given is None, start) == ((True, "none") if round_number == 1 else (False, "dual"))
             assert phase1 == 0  # exchange LPs start feasible
+            assert (dual > 0) == (round_number > 1)
             assert flips <= phase2
-            assert refactorizations == math.ceil(phase2 / 50)
+            # The inverse is refactored every 50 pivots of a solve, dual steps included.
+            assert refactorizations == math.ceil((dual + phase2) / 50)
 
     @pytest.mark.parametrize("name", list(MOMENT_WINDOWS))
-    def test_moment_window_lps_match_reference(self, monkeypatch, name):
-        # 11 exchange LPs of 31-105 pivots in all. Each starts with its slacks
-        # near OFFSET_BOX = 1e6, and its first pivot brings the basic values
-        # down to O(1), so the values the kept inverse decides on span both scales.
+    def test_moment_window_lps_match_reference(self, caplog, monkeypatch, name):
+        # Round 1 starts with its slacks near OFFSET_BOX = 1e6, and its first
+        # pivot brings the basic values down to O(1), so the values the kept
+        # inverse decides on span both scales. Every later round starts from
+        # the round before and takes dual steps.
         sc = parse_scenario(moment_window_doc(*MOMENT_WINDOWS[name]))
-        lps = []
-        monkeypatch.setattr(solver, "solve_lp", lambda lp: lps.append(lp) or simplex.solve_lp(lp))
-        solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
-        assert lps
-        for lp in lps:
-            assert_same_result(solve_lp(lp), solve_with_reference(lp))
+        solves = logged_solves(caplog, monkeypatch, sc.forecast_set, sc.utility, sc.exchange)
+        assert solves
+        for lp, start, _ in solves:
+            assert_same_result(solve_lp(lp, start=start), solve_with_reference(lp, start=start))
+        if len(solves) > 1:
+            assert all(fields[-1] == "dual" for _, _, fields in solves[1:])
 
 
 def solve_logged(caplog, lp, start=None):
@@ -601,7 +618,7 @@ class TestBoundedColumns:
         # maximize x + y s.t. x + y <= 10, x in [-2, 1], y in [0, 3]: both
         # columns cross their boxes before the row binds, with no basis change.
         lp = make_lp([1.0, 1.0], [[1.0, 1.0]], [LE], [10.0], [-2.0, 0.0], [1.0, 3.0])
-        res, (_, _, phase1, phase2, flips, _, _) = solve_logged(caplog, lp)
+        res, (_, _, phase1, phase2, _, flips, _, _) = solve_logged(caplog, lp)
         assert res.status == OPTIMAL
         assert res.solution.tolist() == [1.0, 3.0]
         assert (phase1, phase2, flips) == (0, 2, 2)
@@ -612,7 +629,7 @@ class TestBoundedColumns:
         # takes the row; then x, priced with its reduced cost's sign flipped,
         # falls back to 0.25 while y rises and leaves the basis at its upper bound.
         lp = make_lp([1.0, 1.0], [[2.0, 1.0]], [LE], [2.5], [0.0, 0.0], [1.0, 2.0])
-        res, (_, _, phase1, phase2, flips, _, _) = solve_logged(caplog, lp)
+        res, (_, _, phase1, phase2, _, flips, _, _) = solve_logged(caplog, lp)
         assert res.status == OPTIMAL
         assert res.solution.tolist() == [0.25, 2.0]
         assert res.objective_value == 2.25
@@ -634,8 +651,31 @@ def market_m6_dual_lp(b):
     return _dual_lp(sc.forecast_set, sc.utility, *_cell_rows(sc.forecast_set), (b, b), boxed=False)
 
 
+def grown_start(lp: LinearProgram, grown: LinearProgram, basis: Basis) -> Basis:
+    """``basis`` of ``lp`` carried to ``grown`` (the same columns, rows appended), each new row's slack basic.
+
+    Each row's slack or surplus column is found from the standard-form
+    layout: the structural columns, then one slack per row that is not an
+    equation, in row order. An artificial in ``basis`` is kept as is, which
+    makes the start invalid.
+    """
+
+    def slack_of(problem):
+        has_slack = np.array([s != EQ for s in problem.senses], dtype=bool)
+        return np.where(has_slack, _standard_form(problem).var.size + np.cumsum(has_slack) - 1, -1)
+
+    structural = _standard_form(lp).var.size
+    old, new = slack_of(lp), slack_of(grown)
+    column_of = {int(c): int(new[i]) for i, c in enumerate(old) if c >= 0}
+    columns = [column_of.get(int(c), int(c)) if c >= structural else int(c) for c in basis.columns]
+    columns += [int(c) for c in new[old.size :]]
+    at_upper = np.zeros(_standard_form(grown).matrix.shape[1], dtype=bool)
+    at_upper[:structural] = basis.at_upper[:structural]
+    return Basis(np.array(columns), at_upper)
+
+
 class TestWarmStart:
-    """A start is used only when it is a feasible vertex, and never changes the answer."""
+    """A start is used when it is a feasible or a dual-feasible vertex, and never changes the answer."""
 
     @pytest.mark.parametrize(
         "lp",
@@ -650,8 +690,8 @@ class TestWarmStart:
     def test_own_optimal_basis_takes_no_pivots(self, caplog, lp):
         cold, (_, _, *cold_pivots, _, _) = solve_logged(caplog, lp)
         assert sum(cold_pivots) > 0
-        warm, (_, _, phase1, phase2, flips, _, start) = solve_logged(caplog, lp, cold.basis)
-        assert (phase1, phase2, flips, start) == (0, 0, 0, "used")
+        warm, (_, _, phase1, phase2, dual, flips, _, start) = solve_logged(caplog, lp, cold.basis)
+        assert (phase1, phase2, dual, flips, start) == (0, 0, 0, 0, "used")
         assert_same_result(warm, cold)
         assert np.array_equal(warm.basis.columns, cold.basis.columns)
         assert np.array_equal(warm.basis.at_upper, cold.basis.at_upper)
@@ -659,7 +699,8 @@ class TestWarmStart:
     @pytest.mark.parametrize(
         "columns, flagged, width",
         [
-            ([0, 3, 4], [], 6),  # x = 4 from row 0 leaves row 1's slack at -3
+            ([0, 3, 4], [], 6),  # x = 4 from row 0 leaves row 1's slack at -3, but y prices at 0
+            ([1, 2, 4], [], 6),  # y = -1 from row 1, and x would improve the objective
             ([2, 3, 5], [], 6),  # the cold start itself: row 2's artificial
             ([0, 1, 3], [], 6),  # rows 0 and 2 coincide on x and y: singular
             ([0, 0, 3], [], 6),  # a column named twice
@@ -667,23 +708,48 @@ class TestWarmStart:
             ([2, 3, 0], [1], 6),  # feasible, but y has no upper bound to sit at
             ([2, 3, 0], [], 3),  # feasible, but not one flag per column
         ],
-        ids=["infeasible", "artificial", "singular", "repeated", "short", "unbounded-flag", "flags-short"],
+        ids=[
+            "infeasible", "primal-and-dual-infeasible", "artificial", "singular", "repeated", "short",
+            "unbounded-flag", "flags-short",
+        ],
     )
     def test_rejected_start_solves_cold(self, caplog, columns, flagged, width):
         cold, cold_fields = solve_logged(caplog, TRIANGLE)
         start = Basis(np.array(columns), np.isin(np.arange(width), flagged))
         warm, warm_fields = solve_logged(caplog, TRIANGLE, start)
         assert cold_fields[-1] == "none"
+        if columns == [0, 3, 4]:
+            # Not rejected: the vertex is dual feasible (the optimal value is
+            # 4 there too), so one dual step from it reaches the optimum.
+            assert warm_fields[2:] == (0, 0, 1, 0, 1, "dual")
+            assert warm.objective_value == cold.objective_value == 4.0
+            assert_same_result(warm, solve_with_reference(TRIANGLE, start=start))
+            return
         assert warm_fields == (*cold_fields[:-1], "rejected")
         assert_same_result(warm, cold)
+
+    def test_boxed_column_leaves_at_the_upper_bound_it_exceeds(self, caplog):
+        # maximize x + y s.t. 2x + y <= rhs, x in [0, 1], y in [0, 2]. At rhs
+        # 2.5 the optimum has x = 0.25 basic and y at its upper bound. At rhs
+        # 4.5 that basis puts x at 1.25, above its box, so one dual step takes
+        # x out at its upper bound and the row's slack in: x = 1, y = 2.
+        boxed = make_lp([1.0, 1.0], [[2.0, 1.0]], [LE], [2.5], [0.0, 0.0], [1.0, 2.0])
+        moved = replace(boxed, rhs=np.array([4.5]))
+        start = solve_lp(boxed).basis
+        warm, (_, _, phase1, phase2, dual, flips, _, outcome) = solve_logged(caplog, moved, start)
+        assert (phase1, phase2, dual, flips, outcome) == (0, 0, 1, 0, "dual")
+        assert warm.solution.tolist() == [1.0, 2.0]
+        assert warm.basis.at_upper.tolist() == [True, True, False]
+        assert_same_result(warm, solve_with_reference(moved, start=start))
+        assert_same_result(warm, solve_lp(moved))
 
     def test_feasible_start_pivots_to_the_optimum(self, caplog):
         # x = 1 on row 2 with both slacks basic: a feasible, non-optimal vertex.
         cold = solve_lp(TRIANGLE)
-        warm, (_, _, phase1, phase2, _, _, start) = solve_logged(
+        warm, (_, _, phase1, phase2, dual, _, _, start) = solve_logged(
             caplog, TRIANGLE, Basis(np.array([2, 3, 0]), np.zeros(6, dtype=bool))
         )
-        assert (phase1, start) == (0, "used")
+        assert (phase1, dual, start) == (0, 0, "used")
         assert phase2 > 0
         assert warm.objective_value == cold.objective_value == 4.0
 
@@ -708,3 +774,46 @@ class TestWarmStart:
             if cold.status == OPTIMAL:
                 assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-9), moved
         assert used > 50
+
+    def test_grown_lps_reoptimize_by_dual_steps(self, caplog):
+        # The old optimum with a moved right-hand side and new rows cut off
+        # at that optimum, each new row on its own slack, as the exchange
+        # loop's rounds start: still dual feasible, but not primal feasible.
+        try:  # HiGHS is a third opinion where SciPy is installed
+            from scipy import optimize
+        except ImportError:
+            optimize = None
+        rng = np.random.default_rng(20261019)
+        outcomes = collections.Counter()
+        for _ in range(400):
+            lp = random_mixed_lp(rng)
+            first = solve_lp(lp)
+            if first.status != OPTIMAL:
+                continue
+            k = int(rng.integers(1, 3))
+            rows = rng.integers(-3, 4, size=(k, lp.matrix.shape[1])).astype(float)
+            senses = rng.choice([LE, GE], size=k).tolist()
+            sign = np.where(np.array(senses) == LE, -1.0, 1.0)
+            cut = rng.uniform(0.1, 1.0, size=k)
+            reach = rows @ first.solution
+            grown = replace(
+                lp,
+                matrix=np.vstack([lp.matrix, rows]),
+                senses=(*lp.senses, *senses),
+                rhs=np.concatenate([lp.rhs + rng.uniform(-0.5, 0.5, size=lp.rhs.size), reach + cut * sign]),
+            )
+            start = grown_start(lp, grown, first.basis)
+            warm, (*_, outcome) = solve_logged(caplog, grown, start)
+            cold = solve_lp(grown)
+            outcomes[outcome] += 1
+            assert warm.status == cold.status, grown
+            if optimize is not None:
+                expected, objective = highs_solve(optimize, grown)
+                assert cold.status == expected, grown
+            if cold.status == OPTIMAL:
+                assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-9), grown
+                if optimize is not None:
+                    assert warm.objective_value == pytest.approx(objective, rel=1e-9, abs=1e-9), grown
+        # A grown LP that is infeasible shows as a dual step with no entering
+        # column, which drops the start; the cold solve then says so.
+        assert outcomes["dual"] > 40 and outcomes["rejected"] > 20, outcomes

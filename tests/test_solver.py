@@ -20,7 +20,7 @@ from robustplan.forecast import (
     PredictionIntervals,
     to_generic,
 )
-from robustplan import simplex, solver
+from robustplan import simplex
 from robustplan.bruteforce import brute_force_worst_case, duality_gap
 from robustplan.scenario import load_scenario, parse_scenario
 from robustplan.solver import (
@@ -38,6 +38,7 @@ from support import (
     moment_window_doc,
     random_interval_instance,
     random_market,
+    record_solves,
 )
 
 MARKET = market_bidding(1.0, 1.6)
@@ -231,13 +232,12 @@ class TestDualLpRows:
     """The vectorized dual-LP builder reproduces the loop construction exactly."""
 
     def captured_lp(self, monkeypatch, fs, u, b=None):
-        lps = []
-        monkeypatch.setattr(solver, "solve_lp", lambda lp: lps.append(lp) or simplex.solve_lp(lp))
+        calls = record_solves(monkeypatch)
         if b is None:
             solve_forecast_set(fs, u)
         else:
             worst_case_value(fs, u, b)
-        return lps[0]
+        return calls[0][0]
 
     @pytest.mark.parametrize(
         "fs",
@@ -285,11 +285,10 @@ class TestExchangeStart:
 
     def test_exchange_lps_have_no_artificials(self, monkeypatch):
         sc = load_scenario(Path(__file__).parent / "golden" / "exchange_mixed.json")
-        lps = []
-        monkeypatch.setattr(solver, "solve_lp", lambda lp: lps.append(lp) or simplex.solve_lp(lp))
+        calls = record_solves(monkeypatch)
         solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
-        assert lps
-        assert not any(simplex._standard_form(lp).artificial.any() for lp in lps)
+        assert calls
+        assert not any(simplex._standard_form(lp).artificial.any() for lp, _ in calls)
 
     # Both raised NumericalFailure ("row 1 (>=) off by -1.420e-09" and "row 74
     # (>=) off by -1.005e-09" with one BLAS thread) while every exchange LP
@@ -311,11 +310,37 @@ class TestExchangeStart:
         assert sol.objective == pytest.approx(primal, abs=1e-6)
 
 
+class TestExchangeRounds:
+    """Every exchange round after the first reoptimizes the round before with a few dual steps."""
+
+    def test_warm_rounds_match_cold_solves(self, caplog, monkeypatch):
+        scenarios = [load_scenario(Path(__file__).parent / "golden" / "exchange_mixed.json")]
+        scenarios += [parse_scenario(moment_window_doc(*args)) for args in MOMENT_WINDOWS.values()]
+        later_pivots = []
+        for sc in scenarios:
+            caplog.clear()
+            calls = record_solves(monkeypatch)
+            with caplog.at_level(logging.DEBUG, logger="robustplan"):
+                solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
+            pivots = [
+                sum(map(int, re.search(r"pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), (\d+) dual", r.getMessage()).groups()))
+                for r in caplog.records
+                if r.getMessage().startswith("solve_lp:")
+            ]
+            assert len(pivots) == len(calls)
+            assert calls[0][1] is None and all(start is not None for _, start in calls[1:])
+            for lp, start in calls:
+                warm, cold = simplex.solve_lp(lp, start=start), simplex.solve_lp(lp)
+                assert abs(warm.objective_value - cold.objective_value) <= 1e-9
+            later_pivots += pivots[1:]
+        assert len(later_pivots) > 5  # x30 alone runs 9 rounds
+        assert sum(later_pivots) / len(later_pivots) <= 3
+
+
 class TestExchangeLog:
     def test_one_debug_line_per_round(self, caplog, monkeypatch):
         sc = parse_scenario(moment_window_doc(0.43401346786117634, 0.3510258816455903, 2, 0.26864588227366176))
-        lps = []
-        monkeypatch.setattr(solver, "solve_lp", lambda lp: lps.append(lp) or simplex.solve_lp(lp))
+        calls = record_solves(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="robustplan"):
             sol = solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
         rounds = [
@@ -325,9 +350,9 @@ class TestExchangeLog:
         ]
         assert len(rounds) > 1
         # Round k solves one LP, whose rows are its working points times the utility pieces.
-        assert [int(k) for k, _, _ in rounds] == list(range(1, len(lps) + 1))
+        assert [int(k) for k, _, _ in rounds] == list(range(1, len(calls) + 1))
         sizes = [int(size) for _, size, _ in rounds]
-        assert [size * len(sc.utility.pieces) for size in sizes] == [lp.matrix.shape[0] for lp in lps]
+        assert [size * len(sc.utility.pieces) for size in sizes] == [lp.matrix.shape[0] for lp, _ in calls]
         assert sizes == list(range(sizes[0], sizes[0] + len(sizes)))  # one point added per round
         violations = [float(v) for _, _, v in rounds]
         tolerance = ExchangeConfig().violation_tolerance
@@ -386,8 +411,19 @@ class TestSweep:
         assert len(starts) == 41
         assert starts[0] == "none"
         assert starts.count("used") > 20
-        for b, value in pairs:
-            assert np.float64(value).tobytes() == np.float64(worst_case_value(fs, u, b)[0]).tobytes()
+        # Dual steps reach the cold solve's optimal basis with its columns in
+        # other positions, so a point on such a basis (the one reached by dual
+        # steps, and every point that starts from it in turn) may differ from
+        # the cold value in the last bits. Every other value is the cold one.
+        dual_basis = False
+        for (b, value), start in zip(pairs, starts):
+            dual_basis = start == "dual" or (dual_basis and start == "used")
+            cold = worst_case_value(fs, u, b)[0]
+            if dual_basis:
+                assert abs(value - cold) <= 1e-12
+            else:
+                assert np.float64(value).tobytes() == np.float64(cold).tobytes()
+        assert "dual" in starts
 
 
 class TestTrueExpected:
