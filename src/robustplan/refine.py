@@ -118,7 +118,7 @@ def refine_loop(
     """
     if max_iterations < 1:
         raise ValidationError("max_iterations", f"must be >= 1, got {max_iterations}")
-    if improvement_tolerance < 0:
+    if not improvement_tolerance >= 0:
         raise ValidationError(
             "improvement_tolerance", f"must be >= 0, got {improvement_tolerance}"
         )

@@ -17,18 +17,20 @@ columns (fixed variables folded into the right-hand side, variables with
 both bounds finite kept as boxed columns with their own bounds, one-sided
 ones shifted or reflected onto z >= 0, free ones split), rows negated where
 the starting point leaves them negative, slack, surplus and artificial
-columns, and a starting basis. Boxed columns are handled natively by the
-pivot loop (Dantzig, Econometrica 23(2), 1955): a nonbasic one sits at
-either bound, so it needs no extra row. ``solve_lp`` then runs phase 1, runs
-phase 2, undoes the change of variables and verifies the point against the
-original rows. An artificial still basic after phase 1 (at zero, on a
-redundant or degenerate row) is not driven out: phase 2 keeps it at zero and
-evicts it as soon as a pivot would move it. A solve may instead be given
-the basis of an earlier result as its start (a warm start), and phase 1 is
-then skipped. Phase 2 starts there at once when it is a feasible vertex of
-this problem's standard form. When it is not, but it is still dual feasible
-(an optimal basis after the right-hand side moved or rows were added), the
-pivot loop first takes dual simplex steps back to a feasible vertex.
+columns, and a starting basis. Every LP runs one pivot loop, a
+bounded-variable simplex (Dantzig, Econometrica 23(2), 1955): a nonbasic
+column sits at either of its bounds, so a boxed column needs no extra row,
+and a column without a finite upper bound never sits at it. ``solve_lp``
+then runs phase 1, runs phase 2, undoes the change of variables and verifies
+the point against the original rows. An artificial still basic after phase 1
+(at zero, on a redundant or degenerate row) is not driven out: phase 2 keeps
+it at zero and evicts it as soon as a pivot would move it. A solve may
+instead be given the basis of an earlier result as its start (a warm start),
+and phase 1 is then skipped. Phase 2 starts there at once when it is a
+feasible vertex of this problem's standard form. When it is not, but it is
+still dual feasible (an optimal basis after the right-hand side moved or
+rows were added), the pivot loop first takes dual simplex steps back to a
+feasible vertex.
 
 Pricing is Dantzig's rule (most negative reduced cost) with Bland's
 anti-cycling rule engaged automatically after a run of degenerate pivots and
@@ -185,7 +187,7 @@ class _StandardForm(NamedTuple):
     """Phase 1-ready system: min cost @ z subject to matrix @ z = rhs, lower <= z <= upper.
 
     The columns are [structural | slack/surplus | artificial]. Every column
-    lies in [0, inf) except a ``boxed`` structural column, which keeps its
+    lies in [0, inf) except a boxed structural column, which keeps its
     variable's own [lo, hi]. ``basis`` (one slack or artificial per row) is
     feasible for phase 1 with every nonbasic column at its lower bound, and
     ``artificial`` marks the artificial columns. The original point is
@@ -198,7 +200,6 @@ class _StandardForm(NamedTuple):
     cost: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    boxed: np.ndarray
     artificial: np.ndarray
     basis: np.ndarray
     base: np.ndarray
@@ -257,9 +258,7 @@ def _standard_form(problem: LinearProgram) -> _StandardForm:
     column_boxed = boxed[var]
     column_lower = np.where(column_boxed, lower[var], 0.0)
     column_upper = np.where(column_boxed, upper[var], np.inf)
-    start = rhs
-    if column_boxed.any():
-        start = rhs - structural[:, column_boxed] @ column_lower[column_boxed]
+    start = rhs - structural[:, column_boxed] @ column_lower[column_boxed]
     slack_sign = np.array([_SLACK_SIGN[s] for s in problem.senses], dtype=float)
 
     flip = start < 0
@@ -291,7 +290,6 @@ def _standard_form(problem: LinearProgram) -> _StandardForm:
         cost=np.concatenate([cost, np.zeros(n_added)]),
         lower=np.concatenate([column_lower, np.zeros(n_added)]),
         upper=np.concatenate([column_upper, np.full(n_added, np.inf)]),
-        boxed=np.flatnonzero(column_boxed),
         artificial=np.arange(n_std + n_added) >= n_std + n_slack,
         basis=basis,
         base=np.where(fixed, lower, base_point),
@@ -310,16 +308,6 @@ class _Tally:
         self.dual_pivots = 0
         self.bound_flips = 0
         self.refactorizations = 0
-
-
-class _Placement(NamedTuple):
-    """Where the boxed columns sit at a vertex, for ``_iterate``."""
-
-    rhs: np.ndarray  # b − N·z_N: the right-hand side the basic columns must meet
-    off_cost: float  # the nonbasic boxed columns' share of the objective
-    at_top: np.ndarray  # nonbasic boxed columns at their upper bound
-    rows: np.ndarray  # basis positions that hold a boxed column
-    floor: np.ndarray  # the lower bound of each basic column
 
 
 class _Move(NamedTuple):
@@ -356,14 +344,15 @@ def _iterate(
     """Pivot to optimality on min cost'z, Az = b, lower <= z <= upper from the given vertex.
 
     The vertex is ``basis`` plus the bound each nonbasic column sits at: its
-    upper bound where ``at_upper`` is set, its lower bound otherwise. Only
-    boxed columns have a finite upper bound, so an LP without them runs the
-    plain simplex. With them it is the bounded-variable simplex (Dantzig,
-    Econometrica 23(2), 1955): the basic values are B⁻¹(b − N·z_N), a
-    column at its upper bound prices with the sign of its reduced cost
-    flipped, the ratio test also stops a basic boxed column at its upper
-    bound, and the entering column may instead cross to its other bound (a
-    bound flip), which leaves the basis as it is.
+    upper bound where ``at_upper`` is set, its lower bound otherwise. Every
+    LP runs the same bounded-variable simplex (Dantzig, Econometrica 23(2),
+    1955): the basic values are B⁻¹(b − N·z_N), a column at its upper bound
+    prices with the sign of its reduced cost flipped, the ratio test stops
+    each basic column at its lower or its (finite) upper bound, and the
+    entering column may instead cross to its other bound (a bound flip),
+    which leaves the basis as it is. Only a boxed column can sit at a
+    nonzero bound, so b − N·z_N and the objective share c_N·z_N are worked
+    out afresh only after a step that moves one.
 
     Artificial columns never enter, and one left basic by phase 1 is never
     driven out. With ``pin_artificials`` (phase 2) such an artificial must
@@ -405,59 +394,37 @@ def _iterate(
     m, n = A.shape
     artificial = std.artificial
     pin_zero = artificial if pin_artificials else np.zeros_like(artificial)
-    boxed = std.boxed
-    bounded = boxed.size > 0
     enterable = ~artificial
     basis = np.array(basis, dtype=int)
-    if bounded:
-        at_upper = at_upper.copy()
-        is_basic = np.zeros(n, dtype=bool)
-        is_basic[basis] = True
+    at_upper = at_upper.copy()
     phase = int(pin_artificials)
     # (best objective, degenerate-stall count, Bland engaged, taking dual steps)
     progress = (np.inf, 0, False, warm)
     pivots = 0
 
-    placement = None
+    def nonbasic_share():
+        """b − N·z_N, and c_N·z_N: the nonbasic columns at a nonzero bound, in the rows and the objective."""
+        z = np.where(at_upper, upper, lower)
+        z[basis] = 0.0
+        off = z.nonzero()[0]
+        z_off = z[off]
+        return b - A[:, off] @ z_off, float(cost[off] @ z_off)
 
-    def boxed_placement() -> _Placement:
-        """Where the boxed columns sit, kept until a step moves one of them."""
-        nonlocal placement
-        if placement is None:
-            nonbasic = boxed[~is_basic[boxed]]
-            values = np.where(at_upper[nonbasic], upper[nonbasic], lower[nonbasic])
-            off = values != 0.0
-            off_columns, off_values = nonbasic[off], values[off]
-            placement = _Placement(
-                rhs=b - A[:, off_columns] @ off_values if off_columns.size else b,
-                off_cost=float(cost[off_columns] @ off_values),
-                at_top=nonbasic[at_upper[nonbasic]],
-                rows=np.flatnonzero(upper[basis] < np.inf),
-                floor=lower[basis],
-            )
-        return placement
-
-    def basic_rhs():
-        """b − N·z_N: the right-hand side the basic columns must meet."""
-        return boxed_placement().rhs if bounded else b
+    rhs, off_cost = nonbasic_share()
 
     def decide(x_basic, duals, direction_of, row_of):
         """The stall bookkeeping and the step taken at (x_basic, duals); None is optimal."""
         best, stall, bland, dual = progress
-        objective = float(cost[basis] @ x_basic)
-        if bounded:
-            place = boxed_placement()
-            objective += place.off_cost
+        objective = float(cost[basis] @ x_basic) + off_cost
+        floor, ceiling = lower[basis], upper[basis]
 
         reduced = cost - A.T @ duals
-        if bounded and place.at_top.size:
-            reduced[place.at_top] = -reduced[place.at_top]
+        reduced[at_upper] = -reduced[at_upper]
         candidates = (reduced < -REDUCED_COST_TOL) & enterable
         candidates[basis] = False
 
         if dual:
-            floor = place.floor if bounded else lower[basis]
-            excess = np.maximum(floor - x_basic, x_basic - upper[basis])
+            excess = np.maximum(floor - x_basic, x_basic - ceiling)
             if excess.max(initial=0.0) > FEASIBILITY_TOL:
                 leave_pos = int(np.argmax(excess))
                 if candidates.any():
@@ -473,8 +440,7 @@ def _iterate(
                 # leaving column back toward the bound it violates.
                 below = x_basic[leave_pos] < floor[leave_pos]
                 alpha = row_of(leave_pos) @ A
-                if bounded and place.at_top.size:
-                    alpha[place.at_top] = -alpha[place.at_top]
+                alpha[at_upper] = -alpha[at_upper]
                 if below:
                     alpha = -alpha
                 eligible = (alpha > _PIVOT_TOL) & enterable
@@ -502,25 +468,20 @@ def _iterate(
         entering = int(idx[0]) if bland else int(idx[np.argmin(reduced[idx])])
         direction = direction_of(A[:, entering])
         # x_B falls along ``toward`` as the entering column moves off its bound.
-        toward = -direction if bounded and at_upper[entering] else direction
+        toward = -direction if at_upper[entering] else direction
 
-        # Ratio test: basic columns falling to their lower bound, rising to
-        # their upper bound, and zero-ratio exits for pinned (artificial)
-        # basics the moment the direction would move them at all.
-        boxed_basic = bounded and place.rows.size > 0
-        room = np.maximum(x_basic - place.floor if boxed_basic else x_basic, 0.0)
-        blocking = toward > _PIVOT_TOL
-        ratios = np.full(m, np.inf)
-        ratios[blocking] = room[blocking] / toward[blocking]
-        if boxed_basic:
-            rises = place.rows[toward[place.rows] < -_PIVOT_TOL]
-            if rises.size:
-                ratios[rises] = np.maximum(upper[basis[rises]] - x_basic[rises], 0.0) / -toward[rises]
+        # Ratio test: basic columns falling to their lower bound or rising to
+        # their upper one (an infinite one never blocks), and zero-ratio exits
+        # for pinned (artificial) basics the moment the direction moves them.
+        room = np.maximum(np.where(toward > 0.0, x_basic - floor, ceiling - x_basic), 0.0)
+        speed = np.abs(toward)
+        moves = speed > _PIVOT_TOL
+        ratios = np.divide(room, speed, out=np.full(m, np.inf), where=moves)
         if pin_artificials:
-            ratios[pin_zero[basis] & (np.abs(direction) > _PIVOT_TOL)] = 0.0
+            ratios[pin_zero[basis] & moves] = 0.0
         theta = ratios.min(initial=np.inf)
         # The entering column's own bound blocks it at its box width.
-        width = upper[entering] - lower[entering] if bounded else np.inf
+        width = upper[entering] - lower[entering]
         if theta == width == np.inf:
             return state, _Move(entering, direction, -1)
         if width <= theta:
@@ -531,8 +492,8 @@ def _iterate(
             # Prefer evicting pinned leftovers, then lowest variable index (Bland).
             tied = tied[np.lexsort((basis[tied], ~pin_zero[basis[tied]]))]
         leave_pos = int(tied[0])
-        # Only a boxed basic column blocks while rising.
-        stops_at_upper = bounded and toward[leave_pos] < 0.0 and upper[basis[leave_pos]] < np.inf
+        # A pinned artificial can leave while rising, but only a boxed column stops at its upper bound.
+        stops_at_upper = toward[leave_pos] < 0.0 and ceiling[leave_pos] < np.inf
         return state, _Move(entering, direction, leave_pos, stops_at_upper)
 
     def fresh_row(r):
@@ -547,13 +508,11 @@ def _iterate(
                 raise NumericalFailure(f"pivot cap of {MAX_PIVOTS} exhausted")
             refactor = pivots % _REFACTOR_INTERVAL == 0
             if not refactor:
-                step_progress, move = decide(
-                    B_inv @ basic_rhs(), cost[basis] @ B_inv, B_inv.__matmul__, B_inv.__getitem__
-                )
+                step_progress, move = decide(B_inv @ rhs, cost[basis] @ B_inv, B_inv.__matmul__, B_inv.__getitem__)
             if refactor or move is None or move.unbounded:
                 # The step exactly as a from-scratch revised simplex takes it.
                 B = A[:, basis]
-                x_basic = np.linalg.solve(B, basic_rhs())
+                x_basic = np.linalg.solve(B, rhs)
                 duals = np.linalg.solve(B.T, cost[basis])
                 step_progress, move = decide(x_basic, duals, lambda column: np.linalg.solve(B, column), fresh_row)
             progress = step_progress
@@ -573,7 +532,7 @@ def _iterate(
             entering, d, r = move.entering, move.direction, move.leave_pos
             if move.flip:
                 at_upper[entering] = not at_upper[entering]
-                placement = None
+                rhs, off_cost = nonbasic_share()
                 tally.bound_flips += 1
                 continue
             pivot_row = B_inv[r] / d[r]
@@ -581,10 +540,9 @@ def _iterate(
             B_inv[r] = pivot_row
             leaving = basis[r]
             basis[r] = entering
-            if bounded and (upper[entering] < np.inf or upper[leaving] < np.inf):
-                at_upper[leaving], at_upper[entering] = move.to_upper, False
-                is_basic[leaving], is_basic[entering] = False, True
-                placement = None
+            at_upper[leaving], at_upper[entering] = move.to_upper, False
+            if upper[entering] < np.inf or upper[leaving] < np.inf:
+                rhs, off_cost = nonbasic_share()
     except np.linalg.LinAlgError as exc:
         if progress[3]:
             raise _ColdStart from exc

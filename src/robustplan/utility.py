@@ -79,15 +79,6 @@ class Utility:
                     kinks.append(float(x))
         return sorted(set(kinks))
 
-    def scaled(self, factor: float) -> "Utility":
-        """The utility with every piece coefficient multiplied by factor > 0."""
-        if factor <= 0:
-            raise ValidationError("factor", f"must be > 0, got {factor}")
-        return Utility(
-            pieces=tuple((factor * a, factor * c, factor * d) for a, c, d in self.pieces),
-            decision_bounds=self.decision_bounds,
-        )
-
 
 def market_bidding(
     price: float, penalty: float, bid_lower: float = 0.0, bid_upper: float = 1.0
@@ -98,10 +89,10 @@ def market_bidding(
     is bought back at the penalty rate, which must exceed the price for the
     problem to be meaningful. Equals min(price*b, penalty*x + (price-penalty)*b).
     """
-    if price <= 0:
-        raise ValidationError("price", f"must be > 0, got {price}")
-    if penalty <= price:
-        raise ValidationError("penalty", f"must exceed price {price}, got {penalty}")
+    if not 0 < price < math.inf:
+        raise ValidationError("price", f"must be finite and > 0, got {price}")
+    if not price < penalty < math.inf:
+        raise ValidationError("penalty", f"must be finite and exceed price {price}, got {penalty}")
     return Utility(
         pieces=((0.0, 0.0, price), (0.0, penalty, price - penalty)),
         decision_bounds=(bid_lower, bid_upper),

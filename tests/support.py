@@ -38,6 +38,14 @@ def random_interval_instance(rng: np.random.Generator, m: int | None = None):
     return pi, truth
 
 
+def scaled(u: Utility, factor: float) -> Utility:
+    """The utility u with every piece coefficient multiplied by factor."""
+    return Utility(
+        pieces=tuple((factor * a, factor * c, factor * d) for a, c, d in u.pieces),
+        decision_bounds=u.decision_bounds,
+    )
+
+
 def random_market(rng: np.random.Generator):
     """A market utility with 0 < price < penalty <= 3."""
     price = float(rng.uniform(0.2, 2.5))

@@ -282,6 +282,17 @@ class TestErrors:
         assert doc["error"] == "ValidationError"
         assert doc["field"] == "truth.atoms[0]"
 
+    @pytest.mark.parametrize("key", ["p", "q"])
+    def test_non_finite_market_parameter_names_field(self, tmp_path, capsys, key):
+        # json.dumps writes NaN and Infinity literals, which json.loads reads back as floats.
+        utility = {"type": "market_bidding", "p": 1.0, "q": 1.6}
+        utility[key] = float("nan") if key == "p" else float("inf")
+        code, out, err = run_cli(capsys, ["solve", write_config(tmp_path, config_with(utility=utility))])
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert (doc["error"], doc["field"]) == ("ValidationError", f"utility.{key}")
+
     @pytest.mark.parametrize("command", ["solve", "check"])
     def test_overflowing_forecast_names_its_constraint(self, tmp_path, capsys, command):
         # x^2 overflows at the domain's upper end; it is rejected at load, with no numpy warning.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robustplan.errors import ContractViolation
+from robustplan.errors import ContractViolation, ValidationError
 from robustplan.forecast import DiscreteDistribution, PredictionIntervals, to_generic
 from robustplan.refine import (
     IMPROVEMENT_BELOW_TOLERANCE,
@@ -74,6 +74,14 @@ class TestTermination:
         trace = refine_loop(binding_pair(), MARKET, oracle, improvement_tolerance=1.0)
         assert trace.termination_reason == IMPROVEMENT_BELOW_TOLERANCE
         assert len(trace.iterations) == 2
+
+    @pytest.mark.parametrize("tolerance", [-1e-6, float("nan")])
+    def test_invalid_improvement_tolerance_rejected(self, tolerance):
+        # A NaN tolerance would never stop the loop: improvement < nan is always false.
+        oracle = ClampedStepOracle(binding_pair(), quarter_truth(), step=0.01, margin=0.05)
+        with pytest.raises(ValidationError) as excinfo:
+            refine_loop(binding_pair(), MARKET, oracle, improvement_tolerance=tolerance)
+        assert excinfo.value.field == "improvement_tolerance"
 
 
 class TestBindingPairTrajectory:

@@ -190,6 +190,11 @@ class TestFieldErrors:
             ),
             pytest.param(lambda c: c["utility"].update(p=0.0), "utility.p", id="utility.p-range"),
             (lambda c: c["utility"].update(q=0.5), "utility.q"),
+            # A non-finite price or penalty is named itself, not the utility piece it would fill.
+            pytest.param(lambda c: c["utility"].update(p=math.nan), "utility.p", id="utility.p-nan"),
+            pytest.param(lambda c: c["utility"].update(p=math.inf), "utility.p", id="utility.p-inf"),
+            pytest.param(lambda c: c["utility"].update(q=math.nan), "utility.q", id="utility.q-nan"),
+            pytest.param(lambda c: c["utility"].update(q=math.inf), "utility.q", id="utility.q-inf"),
             (lambda c: c.update(decision={"lower": 1.0, "upper": 1.0}), "decision"),
             (lambda c: c["forecasts"].update(breakpoints=[0.0, 0.5, 0.5, 1.0]), "forecasts.breakpoints[2]"),
             (lambda c: c["forecasts"].update(lower_probs=[0.1]), "forecasts.lower_probs"),

@@ -568,6 +568,14 @@ class TestKeptInverse:
         assert refactorizations == math.ceil(phase1 / 50) + math.ceil(phase2 / 50)
         assert_same_result(solve_lp(lp), solve_with_reference(lp))
 
+    def test_every_bound_kind_matches_reference(self):
+        # The LPs of TestAgainstHighs: fixed, boxed (at a nonzero lower bound
+        # too), wide, upper-only and free columns, and every status.
+        rng = np.random.default_rng(20261018)
+        for _ in range(400):
+            lp = random_mixed_lp(rng)
+            assert_same_result(solve_lp(lp), solve_with_reference(lp))
+
     def test_debug_line_fields(self, caplog, monkeypatch):
         scenarios = [load_scenario(Path(__file__).parent / "golden" / "exchange_mixed.json")]
         scenarios += [parse_scenario(moment_window_doc(*args)) for args in MOMENT_WINDOWS.values()]

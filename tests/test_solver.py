@@ -39,6 +39,7 @@ from support import (
     random_interval_instance,
     random_market,
     record_solves,
+    scaled,
 )
 
 MARKET = market_bidding(1.0, 1.6)
@@ -463,14 +464,14 @@ class TestSolverProperties:
         u = random_market(rng)
         factor = float(rng.uniform(0.1, 10.0))
         base = solve_intervals(pi, u)
-        scaled = solve_intervals(pi, u.scaled(factor))
-        assert scaled.objective == pytest.approx(
+        rescaled = solve_intervals(pi, scaled(u, factor))
+        assert rescaled.objective == pytest.approx(
             factor * base.objective, abs=1e-8 * max(1.0, factor)
         )
         # The base decision must achieve the scaled optimum too (argmax-level
         # invariance; the returned vertex itself may differ under ties).
-        value_at_base, _, _ = worst_case_value(to_generic(pi), u.scaled(factor), base.b_star)
-        assert value_at_base == pytest.approx(scaled.objective, abs=1e-7 * max(1.0, factor))
+        value_at_base, _, _ = worst_case_value(to_generic(pi), scaled(u, factor), base.b_star)
+        assert value_at_base == pytest.approx(rescaled.objective, abs=1e-7 * max(1.0, factor))
 
     @given(seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=30, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from robustplan.errors import ValidationError
 from robustplan.utility import Utility, market_bidding
+from support import scaled
 
 
 class TestMarketBidding:
@@ -83,19 +84,14 @@ class TestUtilityGeneral:
 
     def test_power_of_two_scaling_is_exact(self):
         u = market_bidding(1.0, 1.6)
-        doubled = u.scaled(2.0)
-        halved = u.scaled(0.5)
+        doubled = scaled(u, 2.0)
+        halved = scaled(u, 0.5)
         rng = np.random.default_rng(11)
         for _ in range(200):
             x = float(rng.uniform(0.0, 1.0))
             b = float(rng.uniform(0.0, 1.0))
             assert doubled.value(x, b) == 2.0 * u.value(x, b)
             assert halved.value(x, b) == 0.5 * u.value(x, b)
-
-    def test_scaling_rejects_nonpositive_factor(self):
-        u = market_bidding(1.0, 1.6)
-        with pytest.raises(ValidationError):
-            u.scaled(0.0)
 
 
 @st.composite
