@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguitySetEmpty, NumericalFailure, ValidationError
+from .errors import AmbiguitySetEmpty, NumericalFailure, ValidationError, check_count
 from .forecast import (
     BOUNDARY_SHIFT,
     DiscreteDistribution,
@@ -37,8 +37,7 @@ class GridSpec:
     base_points: int = 512
 
     def __post_init__(self):
-        if self.base_points < 2:
-            raise ValidationError("base_points", f"must be >= 2, got {self.base_points}")
+        check_count("base_points", self.base_points, 2)
 
 
 def brute_force_worst_case(
@@ -93,8 +92,7 @@ def brute_force_plan(
 
     Returns (decision, value); ties go to the lowest decision.
     """
-    if b_grid < 2:
-        raise ValidationError("b_grid", f"must be >= 2, got {b_grid}")
+    check_count("b_grid", b_grid, 2)
     lo, hi = u.decision_bounds
     best_b, best_value = None, -np.inf
     for b in np.linspace(lo, hi, b_grid):

@@ -26,6 +26,7 @@ from .errors import (
     ConvergenceFailure,
     NumericalFailure,
     ValidationError,
+    check_count,
 )
 from .forecast import feasibility_ball_radius, strict_feasibility_slack
 from .refine import refine_loop
@@ -64,8 +65,7 @@ def _cmd_solve(scenario: Scenario, args: argparse.Namespace) -> str:
 
 
 def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> str:
-    if args.grid < 2:
-        raise ValidationError("grid", f"must be >= 2, got {args.grid}")
+    check_count("grid", args.grid, 2)
     pairs = sweep(scenario.forecast_set, scenario.utility, args.grid, cfg=scenario.exchange)
     with_truth = scenario.truth is not None
     lines = ["b,worst_case" + (",true_expected" if with_truth else "")]
@@ -102,8 +102,7 @@ def _cmd_sensitivity(scenario: Scenario, args: argparse.Namespace) -> str:
 def _cmd_refine(scenario: Scenario, args: argparse.Namespace) -> str:
     if scenario.oracle is None:
         raise ValidationError("oracle", "the refine command needs an oracle (and truth) in the scenario")
-    if args.iters < 1:
-        raise ValidationError("iters", f"must be >= 1, got {args.iters}")
+    check_count("iters", args.iters, 1)
     trace = refine_loop(
         scenario.forecast_set,
         scenario.utility,

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its check of integer parameters."""
 
 from __future__ import annotations
+
+import numbers
 
 
 class RobustPlanError(Exception):
@@ -19,6 +21,16 @@ class ValidationError(RobustPlanError):
         self.field = field
         self.message = message
         super().__init__(f"{field}: {message}")
+
+
+def check_count(field: str, value, minimum: int) -> None:
+    """Raise ValidationError naming ``field`` unless ``value`` is an integer >= ``minimum``.
+
+    Python and numpy integers pass; bools, floats (NaN included) and
+    anything else do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValidationError(field, f"must be an integer >= {minimum}, got {value!r}")
 
 
 class AmbiguitySetEmpty(RobustPlanError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, ValidationError
+from .errors import NumericalFailure, ValidationError, check_count
 from .simplex import EQ, LE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
 
 #: Offset used to probe just inside a half-open boundary.
@@ -108,8 +108,7 @@ def _validate_function(fn: ConstraintFunction, domain: Domain, where: str) -> No
                 f"{domain.lower} <= lo < hi <= {domain.upper}",
             )
     elif isinstance(fn, (PowerFunction, NegatedPowerFunction)):
-        if not (isinstance(fn.exponent, int) and fn.exponent >= 1):
-            raise ValidationError(where, f"exponent must be a positive integer, got {fn.exponent!r}")
+        check_count(f"{where}.exponent", fn.exponent, 1)
     elif isinstance(fn, AffineFunction):
         if not (math.isfinite(fn.offset) and math.isfinite(fn.slope)):
             raise ValidationError(where, "affine coefficients must be finite")
@@ -342,8 +341,7 @@ def strict_feasibility_slack(fs: ForecastSet, grid_size: int) -> float:
     with room to spare (at this grid resolution). Returns +inf when there are
     no forecasts to violate.
     """
-    if grid_size < 2:
-        raise ValidationError("grid_size", f"must be >= 2, got {grid_size}")
+    check_count("grid_size", grid_size, 2)
     n = len(fs.forecasts)
     if n == 0:
         return math.inf
@@ -383,12 +381,13 @@ def feasibility_ball_radius(slack: float, bounds) -> float:
     Given a distribution satisfying every forecast with uniform slack > 0,
     any perturbed bound vector within this radius (in max norm) still admits
     that distribution after scaling; computed as
-    min(1, min_i slack / (1 + |bounds_i - slack|)).
+    min(1, min_i slack / (1 + |bounds_i - slack|)), which tends to 1 as the
+    slack grows, so an infinite slack gives 1.
     """
-    if slack <= 0:
+    if not slack > 0:
         raise ValidationError("slack", f"must be > 0, got {slack}")
     bounds = np.asarray(bounds, dtype=float)
-    if bounds.size == 0:
+    if bounds.size == 0 or slack == math.inf:
         return 1.0
     ratios = slack / (1.0 + np.abs(bounds - slack))
     return float(min(1.0, ratios.min()))

@@ -15,7 +15,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import AmbiguitySetEmpty, ContractViolation, ValidationError
+from .errors import AmbiguitySetEmpty, ContractViolation, ValidationError, check_count
 from .forecast import DiscreteDistribution, ForecastSet
 from .sensitivity import sensitivities
 from .solver import ExchangeConfig, solve_forecast_set
@@ -116,8 +116,7 @@ def refine_loop(
     current bound raises ContractViolation; an answer that empties the
     ambiguity set is rolled back and recorded on the trace.
     """
-    if max_iterations < 1:
-        raise ValidationError("max_iterations", f"must be >= 1, got {max_iterations}")
+    check_count("max_iterations", max_iterations, 1)
     if not improvement_tolerance >= 0:
         raise ValidationError(
             "improvement_tolerance", f"must be >= 0, got {improvement_tolerance}"

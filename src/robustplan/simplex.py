@@ -1,16 +1,17 @@
 """Self-contained dense linear-programming solver.
 
 Implements a two-phase bounded-variable primal simplex in revised form with
-an explicit basis inverse. A pivot costs O(m²): the duals and the entering
-direction come from the kept B⁻¹, which then takes a rank-1 (product-form)
-update (Bartels & Golub, CACM 12(5), 1969; Forrest & Tomlin, Math. Prog. 2,
-1972). Pivots are decided on B⁻¹, with the basic values recomputed from it
-at every step. Every ``_REFACTOR_INTERVAL`` pivots the step runs on fresh
-dense solves of the basis system and B⁻¹ is inverted anew, and every exit
-is decided on fresh solves, so the answers carry no update drift (see
-``_iterate``). Every solve logs one DEBUG line to the ``robustplan``
-logger: the standard-form shape, pivots per phase, dual pivots, bound
-flips, refactorizations and what became of a given start basis.
+an explicit basis inverse. A pivot costs O(m²): the basic values, the duals
+and the entering direction come from the kept B⁻¹, which then takes a
+rank-1 (product-form) update (Bartels & Golub, CACM 12(5), 1969; Forrest &
+Tomlin, Math. Prog. 2, 1972). Every pivot is decided on B⁻¹, and B⁻¹ is the
+only route to those values: every ``_REFACTOR_INTERVAL`` pivots it is
+inverted anew before the step is decided, and an optimal or unbounded exit
+that an updated B⁻¹ proposes is decided again on a fresh inverse, so the
+answers carry no update drift (see ``_iterate``). Every solve logs one
+DEBUG line to the ``robustplan`` logger: the standard-form shape, pivots
+per phase, dual pivots, bound flips, refactorizations and what became of a
+given start basis.
 
 ``_standard_form`` builds the whole phase-1 system in one place: structural
 columns (fixed variables folded into the right-hand side, variables with
@@ -150,23 +151,19 @@ class Basis(NamedTuple):
     columns: np.ndarray
     at_upper: np.ndarray
 
-    def with_slack_rows(self, rows: np.ndarray) -> Basis:
-        """This basis carried to the LP grown by rows at positions ``rows``, each new row's slack basic.
+    def with_slack_rows(self, count: int) -> Basis:
+        """This basis carried to the LP grown by ``count`` rows after its last, each new row's slack basic.
 
-        ``rows`` are the new rows' positions in the grown LP. It holds when
-        every row of the standard form has a slack or surplus column and
-        none an artificial (as in the exchange loop's LPs, whose rows all
-        start violated and are negated): the slack columns then follow the
-        structural ones in row order, so the slack of a kept row moves up
-        by the number of new rows before it.
+        It holds when every row of the standard form has a slack or surplus
+        column and none an artificial (as in the exchange loop's LPs, whose
+        rows all start satisfied and are negated): the new rows' slacks are
+        then the standard form's last columns.
         """
-        m = self.columns.size
-        structural = self.at_upper.size - m
-        kept = np.delete(np.arange(m + rows.size), rows)
-        column_of = np.concatenate([np.arange(structural), structural + kept])
-        at_upper = np.zeros(structural + m + rows.size, dtype=bool)
-        at_upper[column_of] = self.at_upper
-        return Basis(np.concatenate([column_of[self.columns], structural + rows]), at_upper)
+        n = self.at_upper.size
+        return Basis(
+            np.concatenate([self.columns, np.arange(n, n + count)]),
+            np.concatenate([self.at_upper, np.zeros(count, dtype=bool)]),
+        )
 
 
 @dataclass(frozen=True)
@@ -373,18 +370,18 @@ def _iterate(
     column or leave the objective still for ``_DEGENERATE_STALL_LIMIT``
     steps raises _ColdStart.
 
-    The basis inverse is kept explicitly, and every pivot between
-    refactorizations is decided on it: the basic values B⁻¹(b − N·z_N), the
-    duals c_B B⁻¹, the entering direction B⁻¹ a_e and a dual step's row of
-    B⁻¹, all O(m²). The basic values are recomputed at every step, never
-    carried from step to step, so they hold no memory of earlier, larger
-    values. A pivot that changes the basis gives B⁻¹ a rank-1 update; a
-    bound flip (which counts as a pivot) leaves it as it is. Every
-    ``_REFACTOR_INTERVAL`` pivots, the first included, the step is decided
-    on fresh dense solves of the basis system instead, and B⁻¹ is inverted
-    anew. An exit (optimal, unbounded, or the end of the dual steps) that
-    the kept inverse proposes is decided again on fresh solves, so the
-    returned values carry no update drift.
+    The basis inverse is kept explicitly, and every step is decided on it:
+    the basic values B⁻¹(b − N·z_N), the duals c_B B⁻¹, the entering
+    direction B⁻¹ a_e and a dual step's row of B⁻¹, all O(m²). The basic
+    values are recomputed at every step, never carried from step to step, so
+    they hold no memory of earlier, larger values. A pivot that changes the
+    basis gives B⁻¹ a rank-1 update; a bound flip (which counts as a pivot)
+    leaves it as it is. Every ``_REFACTOR_INTERVAL`` pivots, the first
+    included, B⁻¹ is inverted anew from the basis columns before the step is
+    decided; such a refactorization is counted when a pivot follows it. An
+    optimal or unbounded exit that the kept inverse proposes between
+    refactorizations is decided again on a fresh inverse, so the returned
+    values carry no update drift.
 
     Pivot, dual-pivot, bound-flip and refactorization counts go to ``tally``.
     Returns the final basis, the final ``at_upper`` and the basic values.
@@ -412,13 +409,14 @@ def _iterate(
 
     rhs, off_cost = nonbasic_share()
 
-    def decide(x_basic, duals, direction_of, row_of):
-        """The stall bookkeeping and the step taken at (x_basic, duals); None is optimal."""
+    def decide(B_inv):
+        """The stall bookkeeping and the step taken at the vertex with basis inverse B_inv; None is optimal."""
         best, stall, bland, dual = progress
+        x_basic = B_inv @ rhs
         objective = float(cost[basis] @ x_basic) + off_cost
         floor, ceiling = lower[basis], upper[basis]
 
-        reduced = cost - A.T @ duals
+        reduced = cost - A.T @ (cost[basis] @ B_inv)
         reduced[at_upper] = -reduced[at_upper]
         candidates = (reduced < -REDUCED_COST_TOL) & enterable
         candidates[basis] = False
@@ -439,7 +437,7 @@ def _iterate(
                 # alpha[j] > 0 where moving column j off its bound moves the
                 # leaving column back toward the bound it violates.
                 below = x_basic[leave_pos] < floor[leave_pos]
-                alpha = row_of(leave_pos) @ A
+                alpha = B_inv[leave_pos] @ A
                 alpha[at_upper] = -alpha[at_upper]
                 if below:
                     alpha = -alpha
@@ -450,7 +448,7 @@ def _iterate(
                     raise _ColdStart  # the start's primal problem looks infeasible
                 ratios = np.maximum(reduced[idx], 0.0) / alpha[idx]
                 entering = int(idx[np.argmax(ratios <= ratios.min() + _TIE_BAND)])
-                move = _Move(entering, direction_of(A[:, entering]), leave_pos, to_upper=not below)
+                move = _Move(entering, B_inv @ A[:, entering], leave_pos, to_upper=not below)
                 return (best, stall, False, True), move
             best, stall, bland = np.inf, 0, False  # primal feasible: the primal steps take over
 
@@ -466,7 +464,7 @@ def _iterate(
             return state, None
 
         entering = int(idx[0]) if bland else int(idx[np.argmin(reduced[idx])])
-        direction = direction_of(A[:, entering])
+        direction = B_inv @ A[:, entering]
         # x_B falls along ``toward`` as the entering column moves off its bound.
         toward = -direction if at_upper[entering] else direction
 
@@ -496,33 +494,23 @@ def _iterate(
         stops_at_upper = toward[leave_pos] < 0.0 and ceiling[leave_pos] < np.inf
         return state, _Move(entering, direction, leave_pos, stops_at_upper)
 
-    def fresh_row(r):
-        """Row r of B⁻¹ from a fresh dense solve."""
-        unit = np.zeros(m)
-        unit[r] = 1.0
-        return np.linalg.solve(B.T, unit)
-
     try:
         while True:
             if sum(tally.phase_pivots) + tally.dual_pivots >= MAX_PIVOTS:
                 raise NumericalFailure(f"pivot cap of {MAX_PIVOTS} exhausted")
             refactor = pivots % _REFACTOR_INTERVAL == 0
             if not refactor:
-                step_progress, move = decide(B_inv @ rhs, cost[basis] @ B_inv, B_inv.__matmul__, B_inv.__getitem__)
+                step_progress, move = decide(B_inv)
             if refactor or move is None or move.unbounded:
-                # The step exactly as a from-scratch revised simplex takes it.
-                B = A[:, basis]
-                x_basic = np.linalg.solve(B, rhs)
-                duals = np.linalg.solve(B.T, cost[basis])
-                step_progress, move = decide(x_basic, duals, lambda column: np.linalg.solve(B, column), fresh_row)
+                B_inv = np.linalg.inv(A[:, basis])
+                step_progress, move = decide(B_inv)
             progress = step_progress
             if move is None:
-                return basis, at_upper, x_basic
+                return basis, at_upper, B_inv @ rhs
             if move.unbounded:
                 raise _Unbounded
 
             if refactor:
-                B_inv = np.linalg.inv(B)
                 tally.refactorizations += 1
             pivots += 1
             if progress[3]:
@@ -582,7 +570,7 @@ def _valid_start(std: _StandardForm, start: Basis) -> tuple[np.ndarray, np.ndarr
     artificial column, and put only nonbasic columns with a finite upper
     bound at that bound. Whether its basis matrix is nonsingular and its
     vertex primal or dual feasible is found by ``_iterate``'s first step, on
-    the dense solves that step takes anyway.
+    the fresh inverse that step takes anyway.
     """
     m, n = std.matrix.shape
     columns, at_upper = np.asarray(start.columns), np.asarray(start.at_upper)

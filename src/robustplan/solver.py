@@ -48,6 +48,7 @@ from .errors import (
     ConvergenceFailure,
     NumericalFailure,
     ValidationError,
+    check_count,
 )
 from .forecast import DiscreteDistribution, ForecastSet, outcome_grid
 from .simplex import GE, OPTIMAL, UNBOUNDED, LinearProgram, LpResult, _log_debug, solve_lp
@@ -97,16 +98,13 @@ class ExchangeConfig:
     search_grid_points: int = 10_000
 
     def __post_init__(self):
-        if self.initial_grid_points <= 0:
-            raise ValidationError("initial_grid_points", f"must be positive, got {self.initial_grid_points}")
+        check_count("initial_grid_points", self.initial_grid_points, 1)
         if not (math.isfinite(self.violation_tolerance) and self.violation_tolerance > 0):
             raise ValidationError(
                 "violation_tolerance", f"must be finite and positive, got {self.violation_tolerance}"
             )
-        if self.max_rounds <= 0:
-            raise ValidationError("max_rounds", f"must be positive, got {self.max_rounds}")
-        if self.search_grid_points < 2:
-            raise ValidationError("search_grid_points", f"must be >= 2, got {self.search_grid_points}")
+        check_count("max_rounds", self.max_rounds, 1)
+        check_count("search_grid_points", self.search_grid_points, 2)
 
 
 def _cell_rows(fs: ForecastSet) -> tuple[np.ndarray, np.ndarray]:
@@ -280,13 +278,12 @@ def _exchange(
                     "dual variables diverged: no distribution satisfies every forecast bound"
                 )
             return replace(sol, max_violation=violation)
-        # Rows are point-major, so the new point's rows sit at its place in the sorted working set.
-        point = int(np.searchsorted(working, x_worst))
-        if point < working.size and working[point] == x_worst:
+        # Rows are point-major, so the new point's rows come after the last ones.
+        if x_worst in working:
             start = result.basis
         else:
-            start = result.basis.with_slack_rows(point * pieces + np.arange(pieces))
-            working = np.insert(working, point, x_worst)
+            start = result.basis.with_slack_rows(pieces)
+            working = np.append(working, x_worst)
 
     raise ConvergenceFailure(
         f"exchange loop still violated by {violation:.3e} after {cfg.max_rounds} rounds",
@@ -309,8 +306,7 @@ def sweep(
     reoptimize it; where a row's sign flips in the standard form, the point
     is solved cold. Generic sets run the exchange loop at every point.
     """
-    if grid_size < 2:
-        raise ValidationError("grid_size", f"must be >= 2, got {grid_size}")
+    check_count("grid_size", grid_size, 2)
     lo, hi = u.decision_bounds
     grid = [float(b) for b in np.linspace(lo, hi, grid_size)]
     if not fs.all_indicators():

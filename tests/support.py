@@ -93,13 +93,13 @@ MOMENT_WINDOWS = {
 
 
 def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally, warm=False):
-    """``simplex._iterate`` as a from-scratch bounded-variable simplex: three dense solves per step.
+    """``simplex._iterate`` as a from-scratch bounded-variable simplex: a freshly inverted basis per step.
 
     The pivot loop without a kept inverse, with the same pricing, bound
     flips, dual steps from a ``warm`` start, tie-breaking and tolerances; a
-    drop-in for ``simplex._iterate`` (it only counts steps in ``tally``). A
-    primal step solves for x_B, the duals and the entering direction; a dual
-    step for x_B, the duals and the leaving row of B⁻¹.
+    drop-in for ``simplex._iterate`` (it only counts steps in ``tally``). Every
+    step inverts the basis matrix anew and takes x_B, the duals, and the
+    entering direction or a dual step's leaving row of B⁻¹ from that inverse.
     """
     A, b, lower, upper, artificial = std.matrix, std.rhs, std.lower, std.upper, std.artificial
     m, n = A.shape
@@ -121,14 +121,14 @@ def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally, warm=F
         z_nonbasic = np.where(at_upper, upper, lower)
         off = np.flatnonzero(nonbasic & (z_nonbasic != 0.0))
         rhs = b - A[:, off] @ z_nonbasic[off] if off.size else b
-        B = A[:, basis]
         try:
-            x_basic = np.linalg.solve(B, rhs)
-            duals = np.linalg.solve(B.T, cost[basis])
+            B_inv = np.linalg.inv(A[:, basis])
         except np.linalg.LinAlgError as exc:
             if dual:
                 raise simplex._ColdStart from exc
             raise NumericalFailure(f"singular basis matrix: {exc}") from exc
+        x_basic = B_inv @ rhs
+        duals = cost[basis] @ B_inv
 
         objective = float(cost[basis] @ x_basic)
         if np.isfinite(upper).any():
@@ -156,11 +156,9 @@ def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally, warm=F
                 excess = np.maximum(lower_basic - x_basic, x_basic - upper_basic)
                 leave_pos = int(outside[np.argmax(excess[outside])])
                 below = x_basic[leave_pos] < lower_basic[leave_pos]
-                unit = np.zeros(m)
-                unit[leave_pos] = 1.0
                 # How the leaving column moves back toward its bound as each
                 # nonbasic column moves off its own bound.
-                toward = np.linalg.solve(B.T, unit) @ A
+                toward = B_inv[leave_pos] @ A
                 toward[at_upper] = -toward[at_upper]
                 if below:
                     toward = -toward
@@ -192,7 +190,7 @@ def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally, warm=F
             return basis, at_upper, x_basic
 
         entering = int(idx[0]) if bland else int(idx[np.argmin(reduced[idx])])
-        direction = np.linalg.solve(B, A[:, entering])
+        direction = B_inv @ A[:, entering]
         # Moving the entering column off its bound moves x_B by -theta * toward.
         toward = -direction if at_upper[entering] else direction
 

@@ -76,7 +76,7 @@ def test_golden_output(capsys, command, scenario):
 
 
 def test_golden_lps_match_reference_pivoting(capsys, caplog, monkeypatch):
-    """Every LP behind the golden files solves as the three-solves-per-pivot loop solves it, from the same start."""
+    """Every LP behind the golden files solves as the loop inverting its basis at every pivot, from the same start."""
     calls = record_solves(monkeypatch, solver, bruteforce, forecast)
     with caplog.at_level(logging.DEBUG, logger="robustplan"):
         for command, scenario in GOLDEN_CASES:

@@ -1,6 +1,7 @@
 """Tests for forecast constraints, interval conversion, and feasibility checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,16 @@ class TestFeasibilityBallRadius:
     def test_nonpositive_slack_rejected(self):
         with pytest.raises(ValidationError):
             feasibility_ball_radius(0.0, [1.0])
+
+    def test_nan_slack_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            feasibility_ball_radius(float("nan"), [1.0])
+        assert err.value.field == "slack"
+
+    def test_infinite_slack_gives_cap_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert feasibility_ball_radius(math.inf, [0.5, -0.5]) == 1.0
 
     @given(
         zetas=st.tuples(

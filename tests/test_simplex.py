@@ -555,7 +555,7 @@ def logged_solves(caplog, monkeypatch, *problem):
 
 
 class TestKeptInverse:
-    """The kept basis inverse pivots as three fresh solves per pivot would."""
+    """The kept basis inverse pivots as a basis inverted afresh at every pivot would."""
 
     def test_interval_lp_matches_reference(self, caplog, monkeypatch):
         pi, _ = random_interval_instance(np.random.default_rng(50), m=50)

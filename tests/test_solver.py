@@ -17,11 +17,14 @@ from robustplan.forecast import (
     ForecastSet,
     IndicatorInterval,
     NegatedIndicatorInterval,
+    PowerFunction,
     PredictionIntervals,
+    strict_feasibility_slack,
     to_generic,
 )
 from robustplan import simplex
-from robustplan.bruteforce import brute_force_worst_case, duality_gap
+from robustplan.bruteforce import GridSpec, brute_force_plan, brute_force_worst_case, duality_gap
+from robustplan.refine import ClampedStepOracle, refine_loop
 from robustplan.scenario import load_scenario, parse_scenario
 from robustplan.solver import (
     ExchangeConfig,
@@ -154,6 +157,40 @@ class TestWorstCaseValue:
                 with pytest.raises(ValidationError) as excinfo:
                     evaluate()
                 assert excinfo.value.field == "b"
+
+
+def _integer_parameters():
+    """(field, call) pairs: each call passes its argument as the integer parameter ``field``."""
+    fs = to_generic(wide_pair())
+    oracle = ClampedStepOracle(fs, DiscreteDistribution(atoms=((0.5, 1.0),)), 0.1)
+    calls = {
+        "refine_loop": ("max_iterations", lambda v: refine_loop(fs, MARKET, oracle, max_iterations=v)),
+        "sweep": ("grid_size", lambda v: sweep(fs, MARKET, v)),
+        "strict_feasibility_slack": ("grid_size", lambda v: strict_feasibility_slack(fs, v)),
+        "brute_force_plan": ("b_grid", lambda v: brute_force_plan(fs, MARKET, v)),
+        "GridSpec": ("base_points", lambda v: GridSpec(base_points=v)),
+        "initial_grid_points": ("initial_grid_points", lambda v: ExchangeConfig(initial_grid_points=v)),
+        "max_rounds": ("max_rounds", lambda v: ExchangeConfig(max_rounds=v)),
+        "search_grid_points": ("search_grid_points", lambda v: ExchangeConfig(search_grid_points=v)),
+        "PowerFunction": (
+            "constraints[0].exponent",
+            lambda v: ForecastSet(Domain(0.0, 1.0), (Forecast(PowerFunction(v), 0.5),)),
+        ),
+    }
+    return [pytest.param(field, call, id=name) for name, (field, call) in calls.items()]
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize("value", [2.5, float("nan"), True, np.float64(3.0)])
+    @pytest.mark.parametrize(("field", "call"), _integer_parameters())
+    def test_non_integers_rejected_up_front(self, field, call, value):
+        with pytest.raises(ValidationError) as excinfo:
+            call(value)
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize(("field", "call"), _integer_parameters())
+    def test_numpy_integers_accepted(self, field, call):
+        call(np.int64(3))
 
 
 class TestSolveGeneric:
@@ -323,13 +360,15 @@ class TestExchangeRounds:
             calls = record_solves(monkeypatch)
             with caplog.at_level(logging.DEBUG, logger="robustplan"):
                 solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
+            lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve_lp:")]
             pivots = [
-                sum(map(int, re.search(r"pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), (\d+) dual", r.getMessage()).groups()))
-                for r in caplog.records
-                if r.getMessage().startswith("solve_lp:")
+                sum(map(int, re.search(r"pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), (\d+) dual", line).groups()))
+                for line in lines
             ]
             assert len(pivots) == len(calls)
             assert calls[0][1] is None and all(start is not None for _, start in calls[1:])
+            # Every later round takes its start: none is rejected and solved cold.
+            assert all(line.rsplit(" ", 1)[1] in ("used", "dual") for line in lines[1:])
             for lp, start in calls:
                 warm, cold = simplex.solve_lp(lp, start=start), simplex.solve_lp(lp)
                 assert abs(warm.objective_value - cold.objective_value) <= 1e-9
