@@ -27,6 +27,7 @@ from .errors import (
     NumericalFailure,
     ValidationError,
     check_count,
+    finite_real,
 )
 from .forecast import feasibility_ball_radius, strict_feasibility_slack
 from .refine import refine_loop
@@ -78,7 +79,7 @@ def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> str:
 
 
 def _cmd_sensitivity(scenario: Scenario, args: argparse.Namespace) -> str:
-    if not math.isfinite(args.delta):
+    if not finite_real(args.delta):
         raise ValidationError("delta", f"must be finite, got {args.delta}")
     sol = solve_forecast_set(scenario.forecast_set, scenario.utility, scenario.exchange)
     report = sensitivities(sol, scenario.forecast_set)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -31,6 +32,15 @@ def check_count(field: str, value, minimum: int) -> None:
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValidationError(field, f"must be an integer >= {minimum}, got {value!r}")
+
+
+def finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number.
+
+    Python and numpy integers and floats pass; bools (numpy's too), NaN,
+    infinities and anything else do not.
+    """
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 class AmbiguitySetEmpty(RobustPlanError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, ValidationError, check_count
+from .errors import NumericalFailure, ValidationError, check_count, finite_real
 from .simplex import EQ, LE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
 
 #: Offset used to probe just inside a half-open boundary.
@@ -30,7 +30,7 @@ class Domain:
     upper: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+        if not (finite_real(self.lower) and finite_real(self.upper)):
             raise ValidationError("domain", "bounds must be finite")
         if not self.lower < self.upper:
             raise ValidationError("domain", f"lower {self.lower} must be < upper {self.upper}")
@@ -110,7 +110,7 @@ def _validate_function(fn: ConstraintFunction, domain: Domain, where: str) -> No
     elif isinstance(fn, (PowerFunction, NegatedPowerFunction)):
         check_count(f"{where}.exponent", fn.exponent, 1)
     elif isinstance(fn, AffineFunction):
-        if not (math.isfinite(fn.offset) and math.isfinite(fn.slope)):
+        if not (finite_real(fn.offset) and finite_real(fn.slope)):
             raise ValidationError(where, "affine coefficients must be finite")
     else:
         raise ValidationError(where, f"unknown constraint function {type(fn).__name__}")
@@ -151,7 +151,7 @@ class ForecastSet:
         object.__setattr__(self, "forecasts", tuple(self.forecasts))
         for i, fc in enumerate(self.forecasts):
             _validate_function(fc.function, self.domain, f"constraints[{i}]")
-            if not math.isfinite(fc.bound):
+            if not finite_real(fc.bound):
                 raise ValidationError(f"constraints[{i}]", "bound must be finite")
         if self.interval_count is not None and 2 * self.interval_count != len(self.forecasts):
             raise ValidationError(
@@ -207,16 +207,17 @@ class PredictionIntervals:
     upper_probs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(float(x) for x in self.breakpoints))
-        object.__setattr__(self, "lower_probs", tuple(float(x) for x in self.lower_probs))
-        object.__setattr__(self, "upper_probs", tuple(float(x) for x in self.upper_probs))
-        if len(self.breakpoints) < 2:
+        breakpoints = tuple(self.breakpoints)
+        if len(breakpoints) < 2:
             raise ValidationError("breakpoints", "need at least two breakpoints")
-        for i, (a, b) in enumerate(zip(self.breakpoints, self.breakpoints[1:])):
-            if not (math.isfinite(a) and math.isfinite(b)):
+        for i, (a, b) in enumerate(zip(breakpoints, breakpoints[1:])):
+            if not (finite_real(a) and finite_real(b)):
                 raise ValidationError(f"breakpoints[{i}]", "breakpoints must be finite")
             if not a < b:
                 raise ValidationError(f"breakpoints[{i + 1}]", f"breakpoints must be strictly increasing, got {b} after {a}")
+        object.__setattr__(self, "breakpoints", tuple(float(x) for x in breakpoints))
+        object.__setattr__(self, "lower_probs", tuple(float(x) for x in self.lower_probs))
+        object.__setattr__(self, "upper_probs", tuple(float(x) for x in self.upper_probs))
         m = len(self.breakpoints) - 1
         if len(self.lower_probs) != m:
             raise ValidationError("lower_probs", f"expected {m} entries, got {len(self.lower_probs)}")
@@ -251,17 +252,17 @@ class DiscreteDistribution:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        atoms = tuple((float(x), float(p)) for x, p in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
+        atoms = tuple(self.atoms)
         if not atoms:
             raise ValidationError("atoms", "need at least one atom")
         total = 0.0
         for i, (x, p) in enumerate(atoms):
-            if not math.isfinite(x):
+            if not finite_real(x):
                 raise ValidationError(f"atoms[{i}]", "location must be finite")
-            if not (math.isfinite(p) and p >= 0.0):
+            if not (finite_real(p) and p >= 0.0):
                 raise ValidationError(f"atoms[{i}]", f"probability must be finite and >= 0, got {p}")
-            total += p
+            total += float(p)
+        object.__setattr__(self, "atoms", tuple((float(x), float(p)) for x, p in atoms))
         if abs(total - 1.0) > 1e-12:
             raise ValidationError("atoms", f"probabilities sum to {total!r}, expected 1 within 1e-12")
 

@@ -9,13 +9,12 @@ lambda_j * d, so the objective trace is nondecreasing by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
-from .errors import AmbiguitySetEmpty, ContractViolation, ValidationError, check_count
+from .errors import AmbiguitySetEmpty, ContractViolation, ValidationError, check_count, finite_real
 from .forecast import DiscreteDistribution, ForecastSet
 from .sensitivity import sensitivities
 from .solver import ExchangeConfig, solve_forecast_set
@@ -54,9 +53,9 @@ class ClampedStepOracle:
     margin: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.step) and self.step > 0):
+        if not (finite_real(self.step) and self.step > 0):
             raise ValidationError("step", f"must be finite and > 0, got {self.step}")
-        if not (math.isfinite(self.margin) and self.margin >= 0):
+        if not (finite_real(self.margin) and self.margin >= 0):
             raise ValidationError("margin", f"must be finite and >= 0, got {self.margin}")
 
     def refine(self, forecast_index: int, current_bound: float) -> float | None:

@@ -8,10 +8,13 @@ Tomlin, Math. Prog. 2, 1972). Every pivot is decided on B⁻¹, and B⁻¹ is th
 only route to those values: every ``_REFACTOR_INTERVAL`` pivots it is
 inverted anew before the step is decided, and an optimal or unbounded exit
 that an updated B⁻¹ proposes is decided again on a fresh inverse, so the
-answers carry no update drift (see ``_iterate``). Every solve logs one
-DEBUG line to the ``robustplan`` logger: the standard-form shape, pivots
-per phase, dual pivots, bound flips, refactorizations and what became of a
-given start basis.
+answers carry no update drift (see ``_iterate``). Basic slack, surplus and
+artificial columns are unit columns, so a fresh inverse inverts only the
+k × k block of the k basic structural columns (``_basis_inverse``), and the
+LPs here are tall: k is small. Every solve logs one DEBUG line to the
+``robustplan`` logger: the standard-form shape, pivots per phase, dual
+pivots, bound flips, refactorizations and what became of a given start
+basis.
 
 ``_standard_form`` builds the whole phase-1 system in one place: structural
 columns (fixed variables folded into the right-hand side, variables with
@@ -35,10 +38,12 @@ feasible vertex.
 
 Pricing is Dantzig's rule (most negative reduced cost) with Bland's
 anti-cycling rule engaged automatically after a run of degenerate pivots and
-disengaged once the objective moves again; the ratio test always breaks ties
-Bland-style (lowest variable index), so every solve is deterministic. A
-dual step evicts the basic column furthest outside its bounds, and its ratio
-test breaks ties the same way.
+disengaged once the objective moves again. Pricing and the ratio test both
+break ties Bland-style (lowest variable index), counting values within
+``_TIE_BAND`` of the best as tied, so every solve is deterministic and a
+last-bit difference between two inverses of one basis does not decide a
+pivot. A dual step evicts the basic column furthest outside its bounds, and
+its ratio test breaks ties the same way.
 """
 
 from __future__ import annotations
@@ -187,9 +192,11 @@ class _StandardForm(NamedTuple):
     lies in [0, inf) except a boxed structural column, which keeps its
     variable's own [lo, hi]. ``basis`` (one slack or artificial per row) is
     feasible for phase 1 with every nonbasic column at its lower bound, and
-    ``artificial`` marks the artificial columns. The original point is
-    ``base`` plus ``sign[k] * z[k]`` added into variable ``var[k]`` for every
-    structural column k.
+    ``artificial`` marks the artificial columns. A slack, surplus or
+    artificial column is a unit column (±1 on one row): ``unit_row`` holds
+    that row for each of them and -1 for a structural column. The original
+    point is ``base`` plus ``sign[k] * z[k]`` added into variable ``var[k]``
+    for every structural column k.
     """
 
     matrix: np.ndarray
@@ -198,6 +205,7 @@ class _StandardForm(NamedTuple):
     lower: np.ndarray
     upper: np.ndarray
     artificial: np.ndarray
+    unit_row: np.ndarray
     basis: np.ndarray
     base: np.ndarray
     var: np.ndarray
@@ -288,11 +296,43 @@ def _standard_form(problem: LinearProgram) -> _StandardForm:
         lower=np.concatenate([column_lower, np.zeros(n_added)]),
         upper=np.concatenate([column_upper, np.full(n_added, np.inf)]),
         artificial=np.arange(n_std + n_added) >= n_std + n_slack,
+        unit_row=np.concatenate([np.full(n_std, -1), slack_rows, artificial_rows]),
         basis=basis,
         base=np.where(fixed, lower, base_point),
         var=var,
         sign=sign,
     )
+
+
+def _basis_inverse(std: _StandardForm, basis: np.ndarray) -> np.ndarray:
+    """B⁻¹ for the columns ``basis`` of ``std``, inverting only the block of its structural columns.
+
+    Each basic unit column is s·e_r with s = ±1 on its own row r; call those
+    rows R. The k structural basic columns and the k rows T left over give
+    the block C = A[T, structural], and B is block triangular once its rows
+    and columns are permuted, so (Hellerman & Rarick, Math. Prog. 1, 1971)
+    B⁻¹[structural, T] = C⁻¹, B⁻¹[unit, T] = −s ⊙ (A[R, structural] C⁻¹),
+    B⁻¹[unit, R] = diag(s), and every other entry is zero. Raises
+    np.linalg.LinAlgError, as B is singular, when C is or when two basic
+    unit columns share a row.
+    """
+    rows = std.unit_row[basis]
+    unit = rows >= 0
+    unit_rows = rows[unit]
+    T = (np.bincount(unit_rows, minlength=basis.size) == 0).nonzero()[0]
+    if T.size + unit_rows.size != basis.size:
+        raise np.linalg.LinAlgError("two basic unit columns share a row")
+    block = std.matrix[:, basis[~unit]]
+    C_inv = np.linalg.inv(block[T])
+    s = std.matrix[unit_rows, basis[unit]]
+    # B⁻¹[:, T], one row per basis position.
+    columns_T = np.empty((basis.size, T.size))
+    columns_T[~unit] = C_inv
+    columns_T[unit] = -s[:, None] * (block[unit_rows] @ C_inv)
+    B_inv = np.zeros((basis.size, basis.size))
+    B_inv[:, T] = columns_T
+    B_inv[unit, unit_rows] = s
+    return B_inv
 
 
 class _Tally:
@@ -377,7 +417,7 @@ def _iterate(
     they hold no memory of earlier, larger values. A pivot that changes the
     basis gives B⁻¹ a rank-1 update; a bound flip (which counts as a pivot)
     leaves it as it is. Every ``_REFACTOR_INTERVAL`` pivots, the first
-    included, B⁻¹ is inverted anew from the basis columns before the step is
+    included, B⁻¹ is computed anew (``_basis_inverse``) before the step is
     decided; such a refactorization is counted when a pivot follows it. An
     optimal or unbounded exit that the kept inverse proposes between
     refactorizations is decided again on a fresh inverse, so the returned
@@ -463,7 +503,8 @@ def _iterate(
         if idx.size == 0:
             return state, None
 
-        entering = int(idx[0]) if bland else int(idx[np.argmin(reduced[idx])])
+        prices = reduced[idx]
+        entering = int(idx[0] if bland else idx[np.argmax(prices <= prices.min() + _TIE_BAND)])
         direction = B_inv @ A[:, entering]
         # x_B falls along ``toward`` as the entering column moves off its bound.
         toward = -direction if at_upper[entering] else direction
@@ -502,7 +543,7 @@ def _iterate(
             if not refactor:
                 step_progress, move = decide(B_inv)
             if refactor or move is None or move.unbounded:
-                B_inv = np.linalg.inv(A[:, basis])
+                B_inv = _basis_inverse(std, basis)
                 step_progress, move = decide(B_inv)
             progress = step_progress
             if move is None:

@@ -38,7 +38,6 @@ columns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,6 +48,7 @@ from .errors import (
     NumericalFailure,
     ValidationError,
     check_count,
+    finite_real,
 )
 from .forecast import DiscreteDistribution, ForecastSet, outcome_grid
 from .simplex import GE, OPTIMAL, UNBOUNDED, LinearProgram, LpResult, _log_debug, solve_lp
@@ -99,7 +99,7 @@ class ExchangeConfig:
 
     def __post_init__(self):
         check_count("initial_grid_points", self.initial_grid_points, 1)
-        if not (math.isfinite(self.violation_tolerance) and self.violation_tolerance > 0):
+        if not (finite_real(self.violation_tolerance) and self.violation_tolerance > 0):
             raise ValidationError(
                 "violation_tolerance", f"must be finite and positive, got {self.violation_tolerance}"
             )

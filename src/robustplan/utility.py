@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, finite_real
 
 
 @dataclass(frozen=True)
@@ -25,20 +25,19 @@ class Utility:
     decision_bounds: tuple[float, float]
 
     def __post_init__(self):
-        pieces = tuple((float(a), float(c), float(d)) for a, c, d in self.pieces)
-        object.__setattr__(self, "pieces", pieces)
-        bounds = (float(self.decision_bounds[0]), float(self.decision_bounds[1]))
-        object.__setattr__(self, "decision_bounds", bounds)
+        pieces = tuple(self.pieces)
         if not pieces:
             raise ValidationError("pieces", "need at least one affine piece")
         for k, (a, c, d) in enumerate(pieces):
-            if not (math.isfinite(a) and math.isfinite(c) and math.isfinite(d)):
+            if not (finite_real(a) and finite_real(c) and finite_real(d)):
                 raise ValidationError(f"pieces[{k}]", "coefficients must be finite")
-        lo, hi = bounds
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+        lo, hi = self.decision_bounds[0], self.decision_bounds[1]
+        if not (finite_real(lo) and finite_real(hi)):
             raise ValidationError("decision_bounds", "bounds must be finite")
         if not lo < hi:
             raise ValidationError("decision_bounds", f"lower {lo} must be < upper {hi}")
+        object.__setattr__(self, "pieces", tuple((float(a), float(c), float(d)) for a, c, d in pieces))
+        object.__setattr__(self, "decision_bounds", (float(lo), float(hi)))
 
     def check_decision(self, b: float) -> float:
         """The decision b as a float, after checking it lies in decision_bounds."""

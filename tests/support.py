@@ -98,7 +98,8 @@ def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally, warm=F
     The pivot loop without a kept inverse, with the same pricing, bound
     flips, dual steps from a ``warm`` start, tie-breaking and tolerances; a
     drop-in for ``simplex._iterate`` (it only counts steps in ``tally``). Every
-    step inverts the basis matrix anew and takes x_B, the duals, and the
+    step inverts the basis matrix anew (with ``simplex._basis_inverse``, as
+    ``_iterate``'s refactor steps do) and takes x_B, the duals, and the
     entering direction or a dual step's leaving row of B⁻¹ from that inverse.
     """
     A, b, lower, upper, artificial = std.matrix, std.rhs, std.lower, std.upper, std.artificial
@@ -122,7 +123,7 @@ def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally, warm=F
         off = np.flatnonzero(nonbasic & (z_nonbasic != 0.0))
         rhs = b - A[:, off] @ z_nonbasic[off] if off.size else b
         try:
-            B_inv = np.linalg.inv(A[:, basis])
+            B_inv = simplex._basis_inverse(std, basis)
         except np.linalg.LinAlgError as exc:
             if dual:
                 raise simplex._ColdStart from exc
@@ -189,7 +190,10 @@ def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally, warm=F
         if idx.size == 0:
             return basis, at_upper, x_basic
 
-        entering = int(idx[0]) if bland else int(idx[np.argmin(reduced[idx])])
+        if bland:
+            entering = int(idx[0])
+        else:
+            entering = int(idx[reduced[idx] <= reduced[idx].min() + 1e-12][0])
         direction = B_inv @ A[:, entering]
         # Moving the entering column off its bound moves x_B by -theta * toward.
         toward = -direction if at_upper[entering] else direction

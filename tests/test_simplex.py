@@ -160,6 +160,12 @@ class TestBasicSolves:
         assert res.status == OPTIMAL
         assert res.objective_value == pytest.approx(-0.05, abs=1e-8)
 
+    def test_pricing_tie_goes_to_the_lowest_column(self):
+        # The reduced costs -3 and -3 - 4.4e-16 lie within _TIE_BAND of each
+        # other, so x0 enters first, and then x1 has no gain left to enter.
+        lp = make_lp([3.0, 3.0 + 1e-15], [[1.0, 1.0]], [LE], [1.0], [0.0, 0.0], [INF, INF])
+        assert solve_lp(lp).solution.tolist() == [1.0, 0.0]
+
 
 class TestResultInvariants:
     def _polygon_lp(self):
@@ -288,6 +294,7 @@ class TestStandardForm:
         assert (std.rhs - std.matrix @ std.lower).tolist() == [15.0, 4.0, 2.0, 2.0, 4.0, 5.0, 0.5]
         assert std.basis.tolist() == [5, 10, 11, 12, 8, 13, 14]
         assert std.artificial.tolist() == [False] * 10 + [True] * 5
+        assert std.unit_row.tolist() == [-1] * 5 + [0, 1, 3, 4, 6] + [1, 2, 3, 5, 6]
         # Maximize, so the cost of each structural column is -sign * c[var].
         assert std.cost.tolist() == [-2.0, 3.0, -4.0, -5.0, 5.0] + [0.0] * 10
         assert std.var.tolist() == [1, 2, 3, 4, 4]
@@ -608,6 +615,88 @@ class TestKeptInverse:
             assert_same_result(solve_lp(lp, start=start), solve_with_reference(lp, start=start))
         if len(solves) > 1:
             assert all(fields[-1] == "dual" for _, _, fields in solves[1:])
+
+
+def random_basis(rng: np.random.Generator, std, k: int) -> np.ndarray:
+    """k distinct structural columns, and on each of m - k other rows one of its unit columns, in shuffled positions."""
+    m = std.matrix.shape[0]
+    structural_rows = rng.choice(m, size=k, replace=False)
+    columns = list(rng.choice(np.flatnonzero(std.unit_row < 0), size=k, replace=False))
+    columns += [rng.choice(np.flatnonzero(std.unit_row == r)) for r in np.setdiff1d(np.arange(m), structural_rows)]
+    return rng.permutation(np.array(columns, dtype=int))
+
+
+def random_tall_lp(rng: np.random.Generator) -> LinearProgram:
+    """An LP with small integer rows of every sense and both rhs signs; half its columns boxed, the rest >= 0."""
+    m = int(rng.integers(1, 9))
+    n = int(rng.integers(m, m + 4))
+    boxed = rng.random(n) < 0.5
+    return make_lp(
+        np.ones(n),
+        rng.integers(-3, 4, size=(m, n)).astype(float),
+        rng.choice([LE, GE, EQ], size=m).tolist(),
+        rng.integers(-6, 7, size=m).astype(float),
+        np.where(boxed, -2.0, 0.0),
+        np.where(boxed, 3.0, INF),
+    )
+
+
+class TestBasisInverse:
+    """``_basis_inverse`` inverts only the structural block of a basis and agrees with a full inversion."""
+
+    @pytest.mark.parametrize("kind", ["phase-1 start", "all structural", "mixed"])
+    def test_matches_full_inversion(self, kind):
+        rng = np.random.default_rng(20261019)
+        seen_boxed = seen_signs = 0
+        compared = 0
+        while compared < 200:
+            std = _standard_form(random_tall_lp(rng))
+            m = std.matrix.shape[0]
+            k = {"phase-1 start": 0, "all structural": m, "mixed": int(rng.integers(1, m + 1))}[kind]
+            basis = std.basis if kind == "phase-1 start" else random_basis(rng, std, k)
+            B = std.matrix[:, basis]
+            # The data are integers, so a nonsingular B has |det B| >= 1.
+            if abs(np.linalg.det(B)) < 0.5:
+                continue
+            full = np.linalg.inv(B)
+            assert np.abs(simplex._basis_inverse(std, basis) - full).max() <= 1e-12 * np.abs(full).max()
+            compared += 1
+            seen_boxed += np.isfinite(std.upper[basis]).any()
+            rows = std.unit_row[basis]
+            seen_signs += set(B[rows[rows >= 0], rows >= 0]) == {-1.0, 1.0}
+        if kind == "mixed":
+            assert seen_boxed and seen_signs
+        if kind == "phase-1 start":
+            assert seen_boxed == 0  # every column of the start is a unit column
+
+    def test_duplicate_unit_rows_raise(self):
+        # Row 0 is a >= row with a positive rhs: its surplus and its artificial both sit on it.
+        std = _standard_form(make_lp([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [GE, LE], [1.0, 1.0], [0.0, 0.0], [INF, INF]))
+        surplus, slack, artificial = 2, 3, 4
+        assert std.unit_row[[surplus, slack, artificial]].tolist() == [0, 1, 0]
+        with pytest.raises(np.linalg.LinAlgError):
+            simplex._basis_inverse(std, np.array([surplus, artificial]))
+
+    def test_singular_structural_block_raises(self):
+        # Columns 0 and 1 are equal, so no basis holding both is invertible.
+        std = _standard_form(make_lp([1.0, 2.0, 0.0], [[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [0.0, 0.0, 1.0]], [LE] * 3, [1.0] * 3, [0.0] * 3, [INF] * 3))
+        with pytest.raises(np.linalg.LinAlgError):
+            simplex._basis_inverse(std, np.array([0, 1, 5]))
+
+    @pytest.mark.parametrize("name", list(MOMENT_WINDOWS))
+    def test_moment_solve_inverts_at_most_5_by_5(self, monkeypatch, name):
+        # The exchange LPs have 130 or more rows but only five structural columns.
+        sizes = []
+        invert = np.linalg.inv
+
+        def spy(matrix):
+            sizes.append(matrix.shape)
+            return invert(matrix)
+
+        monkeypatch.setattr(np.linalg, "inv", spy)
+        sc = parse_scenario(moment_window_doc(*MOMENT_WINDOWS[name]))
+        solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
+        assert sizes and max(max(shape) for shape in sizes) <= 5
 
 
 def solve_logged(caplog, lp, start=None):

@@ -34,7 +34,7 @@ from robustplan.solver import (
     true_expected,
     worst_case_value,
 )
-from robustplan.utility import market_bidding
+from robustplan.utility import Utility, market_bidding
 from support import (
     MOMENT_WINDOWS,
     dual_feasibility_margin,
@@ -191,6 +191,44 @@ class TestIntegerParameters:
     @pytest.mark.parametrize(("field", "call"), _integer_parameters())
     def test_numpy_integers_accepted(self, field, call):
         call(np.int64(3))
+
+
+def _real_parameters():
+    """(field, call) pairs: each call passes its argument as a real parameter that ``field`` names."""
+    fs = to_generic(wide_pair())
+    truth = DiscreteDistribution(atoms=((0.5, 1.0),))
+    calls = {
+        "violation_tolerance": ("violation_tolerance", lambda v: ExchangeConfig(violation_tolerance=v)),
+        "step": ("step", lambda v: ClampedStepOracle(fs, truth, v)),
+        "margin": ("margin", lambda v: ClampedStepOracle(fs, truth, 0.1, margin=v)),
+        "Domain": ("domain", lambda v: Domain(0.0, v)),
+        "AffineFunction": (
+            "constraints[0]",
+            lambda v: ForecastSet(Domain(0.0, 1.0), (Forecast(AffineFunction(v, 1.0), 3.0),)),
+        ),
+        "bound": ("constraints[0]", lambda v: ForecastSet(Domain(0.0, 1.0), (Forecast(AffineFunction(0.0, 1.0), v),))),
+        "breakpoints": ("breakpoints[0]", lambda v: PredictionIntervals((0.0, v), (1.0,), (1.0,))),
+        "atom location": ("atoms[0]", lambda v: DiscreteDistribution(atoms=((v, 1.0),))),
+        "atom probability": ("atoms[0]", lambda v: DiscreteDistribution(atoms=((0.5, v),))),
+        "pieces": ("pieces[0]", lambda v: Utility(((v, 0.0, 0.0),), (0.0, 1.0))),
+        "decision_bounds": ("decision_bounds", lambda v: Utility(((0.0, 1.0, 0.0),), (0.0, v))),
+    }
+    return [pytest.param(field, call, id=name) for name, (field, call) in calls.items()]
+
+
+class TestRealParameters:
+    # A bool is an int to Python, so True would pass as 1 without its own check.
+    @pytest.mark.parametrize("value", [True, np.True_])
+    @pytest.mark.parametrize(("field", "call"), _real_parameters())
+    def test_bools_rejected(self, field, call, value):
+        with pytest.raises(ValidationError) as excinfo:
+            call(value)
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("value", [1, 1.0, np.int64(1), np.float64(1.0)])
+    @pytest.mark.parametrize(("field", "call"), _real_parameters())
+    def test_numbers_accepted(self, field, call, value):
+        call(value)
 
 
 class TestSolveGeneric:
