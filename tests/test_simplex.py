@@ -671,7 +671,8 @@ class TestBasisInverse:
 
     def test_duplicate_unit_rows_raise(self):
         # Row 0 is a >= row with a positive rhs: its surplus and its artificial both sit on it.
-        std = _standard_form(make_lp([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [GE, LE], [1.0, 1.0], [0.0, 0.0], [INF, INF]))
+        lp = make_lp([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [GE, LE], [1.0, 1.0], [0.0, 0.0], [INF, INF])
+        std = _standard_form(lp)
         surplus, slack, artificial = 2, 3, 4
         assert std.unit_row[[surplus, slack, artificial]].tolist() == [0, 1, 0]
         with pytest.raises(np.linalg.LinAlgError):
@@ -679,7 +680,8 @@ class TestBasisInverse:
 
     def test_singular_structural_block_raises(self):
         # Columns 0 and 1 are equal, so no basis holding both is invertible.
-        std = _standard_form(make_lp([1.0, 2.0, 0.0], [[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [0.0, 0.0, 1.0]], [LE] * 3, [1.0] * 3, [0.0] * 3, [INF] * 3))
+        matrix = [[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [0.0, 0.0, 1.0]]
+        std = _standard_form(make_lp([1.0, 2.0, 0.0], matrix, [LE] * 3, [1.0] * 3, [0.0] * 3, [INF] * 3))
         with pytest.raises(np.linalg.LinAlgError):
             simplex._basis_inverse(std, np.array([0, 1, 5]))
 
