@@ -101,6 +101,8 @@ def constraint_values(fn: ConstraintFunction, xs: np.ndarray) -> np.ndarray:
 
 def _validate_function(fn: ConstraintFunction, domain: Domain, where: str) -> None:
     if isinstance(fn, _INDICATOR_KINDS):
+        if not (finite_real(fn.lo) and finite_real(fn.hi)):
+            raise ValidationError(where, f"indicator bounds must be finite numbers, got ({fn.lo!r}, {fn.hi!r})")
         if not (domain.lower <= fn.lo < fn.hi <= domain.upper):
             raise ValidationError(
                 where,
@@ -215,14 +217,16 @@ class PredictionIntervals:
                 raise ValidationError(f"breakpoints[{i}]", "breakpoints must be finite")
             if not a < b:
                 raise ValidationError(f"breakpoints[{i + 1}]", f"breakpoints must be strictly increasing, got {b} after {a}")
+        m = len(breakpoints) - 1
+        for name in ("lower_probs", "upper_probs"):
+            probs = tuple(getattr(self, name))
+            if len(probs) != m:
+                raise ValidationError(name, f"expected {m} entries, got {len(probs)}")
+            for i, p in enumerate(probs):
+                if not finite_real(p):
+                    raise ValidationError(f"{name}[{i}]", f"must be a finite number, got {p!r}")
+            object.__setattr__(self, name, tuple(float(p) for p in probs))
         object.__setattr__(self, "breakpoints", tuple(float(x) for x in breakpoints))
-        object.__setattr__(self, "lower_probs", tuple(float(x) for x in self.lower_probs))
-        object.__setattr__(self, "upper_probs", tuple(float(x) for x in self.upper_probs))
-        m = len(self.breakpoints) - 1
-        if len(self.lower_probs) != m:
-            raise ValidationError("lower_probs", f"expected {m} entries, got {len(self.lower_probs)}")
-        if len(self.upper_probs) != m:
-            raise ValidationError("upper_probs", f"expected {m} entries, got {len(self.upper_probs)}")
         for i in range(m):
             lo, hi = self.lower_probs[i], self.upper_probs[i]
             if not 0.0 <= lo:
@@ -385,7 +389,7 @@ def feasibility_ball_radius(slack: float, bounds) -> float:
     min(1, min_i slack / (1 + |bounds_i - slack|)), which tends to 1 as the
     slack grows, so an infinite slack gives 1.
     """
-    if not slack > 0:
+    if not ((finite_real(slack) or slack == math.inf) and slack > 0):
         raise ValidationError("slack", f"must be > 0, got {slack}")
     bounds = np.asarray(bounds, dtype=float)
     if bounds.size == 0 or slack == math.inf:

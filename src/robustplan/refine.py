@@ -111,14 +111,15 @@ def refine_loop(
     best-priced forecast with multiplier above MIN_SENSITIVITY, walking down
     the ranking when it declines. Stops on max_iterations, when no refinable
     forecast remains, or when the last accepted refinement improved the
-    objective by less than improvement_tolerance. An oracle answer above the
-    current bound raises ContractViolation; an answer that empties the
-    ambiguity set is rolled back and recorded on the trace.
+    objective by less than improvement_tolerance. An oracle answer that is
+    not a finite number, or lies above the current bound, raises
+    ContractViolation; an answer that empties the ambiguity set is rolled
+    back and recorded on the trace.
     """
     check_count("max_iterations", max_iterations, 1)
-    if not improvement_tolerance >= 0:
+    if not (finite_real(improvement_tolerance) and improvement_tolerance >= 0):
         raise ValidationError(
-            "improvement_tolerance", f"must be >= 0, got {improvement_tolerance}"
+            "improvement_tolerance", f"must be finite and >= 0, got {improvement_tolerance}"
         )
 
     sol = solve_forecast_set(fs, u, cfg)
@@ -137,6 +138,8 @@ def refine_loop(
             answer = oracle.refine(j, current)
             if answer is None:
                 continue
+            if not finite_real(answer):
+                raise ContractViolation(f"oracle answered {answer!r} for forecast {j}, not a finite number")
             if answer > current + 1e-12:
                 raise ContractViolation(
                     f"oracle raised forecast {j} from {current} to {answer}"

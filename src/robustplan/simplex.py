@@ -1,20 +1,18 @@
 """Self-contained dense linear-programming solver.
 
 Implements a two-phase bounded-variable primal simplex in revised form with
-an explicit basis inverse. A pivot costs O(m²): the basic values, the duals
-and the entering direction come from the kept B⁻¹, which then takes a
-rank-1 (product-form) update (Bartels & Golub, CACM 12(5), 1969; Forrest &
-Tomlin, Math. Prog. 2, 1972). Every pivot is decided on B⁻¹, and B⁻¹ is the
-only route to those values: every ``_REFACTOR_INTERVAL`` pivots it is
-inverted anew before the step is decided, and an optimal or unbounded exit
-that an updated B⁻¹ proposes is decided again on a fresh inverse, so the
-answers carry no update drift (see ``_iterate``). Basic slack, surplus and
-artificial columns are unit columns, so a fresh inverse inverts only the
-k × k block of the k basic structural columns (``_basis_inverse``), and the
-LPs here are tall: k is small. Every solve logs one DEBUG line to the
-``robustplan`` logger: the standard-form shape, pivots per phase, dual
-pivots, bound flips, refactorizations and what became of a given start
-basis.
+an explicit basis inverse. ``_iterate`` takes each step in one pass of its
+loop, in O(m²): the basic values, the duals and the entering direction come
+from the kept B⁻¹, which then takes a rank-1 (product-form) update (Bartels
+& Golub, CACM 12(5), 1969; Forrest & Tomlin, Math. Prog. 2, 1972). B⁻¹ is
+inverted anew every ``_REFACTOR_INTERVAL`` pivots, and an optimal or
+unbounded exit found on an updated B⁻¹ is decided again on a fresh one, so
+the answers carry no update drift. A fresh inverse inverts only the k × k
+block of the k basic structural columns (``_basis_inverse``): basic slack,
+surplus and artificial columns are unit columns, and the LPs here are tall.
+Every solve logs one DEBUG line to the ``robustplan`` logger: the
+standard-form shape, pivots per phase, dual pivots, bound flips,
+refactorizations and what became of a given start basis.
 
 ``_standard_form`` builds the whole phase-1 system in one place: structural
 columns (fixed variables folded into the right-hand side, variables with
@@ -347,28 +345,6 @@ class _Tally:
         self.refactorizations = 0
 
 
-class _Move(NamedTuple):
-    """One step chosen by the pricing and the ratio test.
-
-    The entering column moves off the bound it sits at along ``direction``.
-    ``leave_pos`` is the basis position of the leaving column, which stops at
-    its upper bound when ``to_upper`` is set; it is -1 when no basic column
-    blocks, and the step is then a bound ``flip`` of the entering column, or
-    unbounded.
-    """
-
-    entering: int
-    direction: np.ndarray
-    leave_pos: int
-    to_upper: bool = False
-    flip: bool = False
-
-    @property
-    def unbounded(self) -> bool:
-        """Neither a basic column nor the entering column's own bound blocks."""
-        return self.leave_pos < 0 and not self.flip
-
-
 def _iterate(
     std: _StandardForm,
     cost: np.ndarray,
@@ -410,34 +386,31 @@ def _iterate(
     column or leave the objective still for ``_DEGENERATE_STALL_LIMIT``
     steps raises _ColdStart.
 
-    The basis inverse is kept explicitly, and every step is decided on it:
-    the basic values B⁻¹(b − N·z_N), the duals c_B B⁻¹, the entering
-    direction B⁻¹ a_e and a dual step's row of B⁻¹, all O(m²). The basic
-    values are recomputed at every step, never carried from step to step, so
-    they hold no memory of earlier, larger values. A pivot that changes the
-    basis gives B⁻¹ a rank-1 update; a bound flip (which counts as a pivot)
-    leaves it as it is. Every ``_REFACTOR_INTERVAL`` pivots, the first
-    included, B⁻¹ is computed anew (``_basis_inverse``) before the step is
-    decided; such a refactorization is counted when a pivot follows it. An
-    optimal or unbounded exit that the kept inverse proposes between
-    refactorizations is decided again on a fresh inverse, so the returned
-    values carry no update drift.
+    Each pass of the loop takes one step on the kept basis inverse, in
+    O(m²): every ``_REFACTOR_INTERVAL`` pivots, the first included, B⁻¹ is
+    computed anew (``_basis_inverse``); the basic values B⁻¹(b − N·z_N), the
+    objective and the reduced costs follow, then a dual step from a row of
+    B⁻¹, or the stall bookkeeping, the pricing and the ratio test along
+    B⁻¹ a_e. The basic values are recomputed at every step, so they hold no
+    memory of earlier, larger values. An optimal or unbounded exit found on
+    an updated inverse is decided again: the stall state goes back to the
+    top of the step and B⁻¹ is computed anew, so the returned values carry
+    no update drift. The step ends in one place: a bound flip (which counts
+    as a pivot) leaves B⁻¹ as it is, a basis change gives it a rank-1
+    update. A scheduled refactorization is counted when a pivot follows it.
 
     Pivot, dual-pivot, bound-flip and refactorization counts go to ``tally``.
     Returns the final basis, the final ``at_upper`` and the basic values.
     Raises _Unbounded, _ColdStart or NumericalFailure.
     """
-    A, b, lower, upper = std.matrix, std.rhs, std.lower, std.upper
-    m, n = A.shape
-    artificial = std.artificial
+    A, b, lower, upper, artificial = std.matrix, std.rhs, std.lower, std.upper, std.artificial
     pin_zero = artificial if pin_artificials else np.zeros_like(artificial)
     enterable = ~artificial
     basis = np.array(basis, dtype=int)
     at_upper = at_upper.copy()
-    phase = int(pin_artificials)
-    # (best objective, degenerate-stall count, Bland engaged, taking dual steps)
-    progress = (np.inf, 0, False, warm)
-    pivots = 0
+    # Best objective, degenerate-stall count, Bland engaged, taking dual steps.
+    best, stall, bland, dual = np.inf, 0, False, warm
+    pivots, inverted = 0, -1  # B⁻¹ was last computed anew at ``inverted`` pivots
 
     def nonbasic_share():
         """b − N·z_N, and c_N·z_N: the nonbasic columns at a nonzero bound, in the rows and the objective."""
@@ -448,23 +421,29 @@ def _iterate(
         return b - A[:, off] @ z_off, float(cost[off] @ z_off)
 
     rhs, off_cost = nonbasic_share()
+    try:
+        while True:
+            if sum(tally.phase_pivots) + tally.dual_pivots >= MAX_PIVOTS:
+                raise NumericalFailure(f"pivot cap of {MAX_PIVOTS} exhausted")
+            if pivots % _REFACTOR_INTERVAL == 0:
+                B_inv = _basis_inverse(std, basis)
+                inverted = pivots
+            saved = best, stall, bland, dual
+            x_basic = B_inv @ rhs
+            objective = float(cost[basis] @ x_basic) + off_cost
+            floor, ceiling = lower[basis], upper[basis]
+            reduced = cost - A.T @ (cost[basis] @ B_inv)
+            reduced[at_upper] = -reduced[at_upper]
+            candidates = (reduced < -REDUCED_COST_TOL) & enterable
+            candidates[basis] = False
 
-    def decide(B_inv):
-        """The stall bookkeeping and the step taken at the vertex with basis inverse B_inv; None is optimal."""
-        best, stall, bland, dual = progress
-        x_basic = B_inv @ rhs
-        objective = float(cost[basis] @ x_basic) + off_cost
-        floor, ceiling = lower[basis], upper[basis]
-
-        reduced = cost - A.T @ (cost[basis] @ B_inv)
-        reduced[at_upper] = -reduced[at_upper]
-        candidates = (reduced < -REDUCED_COST_TOL) & enterable
-        candidates[basis] = False
-
-        if dual:
-            excess = np.maximum(floor - x_basic, x_basic - ceiling)
-            if excess.max(initial=0.0) > FEASIBILITY_TOL:
-                leave_pos = int(np.argmax(excess))
+            if dual:
+                excess = np.maximum(floor - x_basic, x_basic - ceiling)
+                dual = excess.max(initial=0.0) > FEASIBILITY_TOL
+                if not dual:  # primal feasible: the primal steps take over
+                    best, stall, bland = np.inf, 0, False
+            if dual:
+                r = int(np.argmax(excess))
                 if candidates.any():
                     raise _ColdStart  # neither primal nor dual feasible
                 # The objective rises at every dual step that is not degenerate.
@@ -476,8 +455,8 @@ def _iterate(
                         raise _ColdStart
                 # alpha[j] > 0 where moving column j off its bound moves the
                 # leaving column back toward the bound it violates.
-                below = x_basic[leave_pos] < floor[leave_pos]
-                alpha = B_inv[leave_pos] @ A
+                below = x_basic[r] < floor[r]
+                alpha = B_inv[r] @ A
                 alpha[at_upper] = -alpha[at_upper]
                 if below:
                     alpha = -alpha
@@ -488,92 +467,77 @@ def _iterate(
                     raise _ColdStart  # the start's primal problem looks infeasible
                 ratios = np.maximum(reduced[idx], 0.0) / alpha[idx]
                 entering = int(idx[np.argmax(ratios <= ratios.min() + _TIE_BAND)])
-                move = _Move(entering, B_inv @ A[:, entering], leave_pos, to_upper=not below)
-                return (best, stall, False, True), move
-            best, stall, bland = np.inf, 0, False  # primal feasible: the primal steps take over
+                direction = B_inv @ A[:, entering]
+                to_upper, flip = not below, False
+            else:
+                if objective < best - _TIE_BAND:
+                    best, stall, bland = objective, 0, False
+                else:
+                    stall += 1
+                    bland = bland or stall >= _DEGENERATE_STALL_LIMIT
 
-        if objective < best - _TIE_BAND:
-            best, stall, bland = objective, 0, False
-        else:
-            stall += 1
-            bland = bland or stall >= _DEGENERATE_STALL_LIMIT
-        state = (best, stall, bland, False)
+                idx = candidates.nonzero()[0]
+                if idx.size:
+                    prices = reduced[idx]
+                    entering = int(idx[0] if bland else idx[np.argmax(prices <= prices.min() + _TIE_BAND)])
+                    direction = B_inv @ A[:, entering]
+                    # x_B falls along ``toward`` as the entering column moves off its bound.
+                    toward = -direction if at_upper[entering] else direction
+                    # Ratio test: basic columns falling to their lower bound or rising to
+                    # their upper one (an infinite one never blocks), and zero-ratio exits
+                    # for pinned (artificial) basics the moment the direction moves them.
+                    room = np.maximum(np.where(toward > 0.0, x_basic - floor, ceiling - x_basic), 0.0)
+                    speed = np.abs(toward)
+                    moves = speed > _PIVOT_TOL
+                    ratios = np.divide(room, speed, out=np.full_like(room, np.inf), where=moves)
+                    if pin_artificials:
+                        ratios[pin_zero[basis] & moves] = 0.0
+                    theta = ratios.min(initial=np.inf)
+                    # The entering column's own bound blocks it at its box width.
+                    width = upper[entering] - lower[entering]
+                # No candidate is optimal, and nothing blocking is unbounded:
+                # either exit is taken only as decided on a fresh inverse.
+                if idx.size == 0 or theta == width == np.inf:
+                    if inverted != pivots:
+                        best, stall, bland, dual = saved
+                        B_inv = _basis_inverse(std, basis)
+                        inverted = pivots
+                        continue
+                    if idx.size:
+                        raise _Unbounded
+                    return basis, at_upper, x_basic
+                flip = width <= theta
+                if not flip:
+                    tied = np.where(ratios <= theta + _TIE_BAND)[0]
+                    if tied.size > 1:
+                        # Prefer evicting pinned leftovers, then lowest variable index (Bland).
+                        tied = tied[np.lexsort((basis[tied], ~pin_zero[basis[tied]]))]
+                    r = int(tied[0])
+                    # A pinned artificial can leave while rising, but only a boxed column stops at its upper bound.
+                    to_upper = toward[r] < 0.0 and ceiling[r] < np.inf
 
-        idx = candidates.nonzero()[0]
-        if idx.size == 0:
-            return state, None
-
-        prices = reduced[idx]
-        entering = int(idx[0] if bland else idx[np.argmax(prices <= prices.min() + _TIE_BAND)])
-        direction = B_inv @ A[:, entering]
-        # x_B falls along ``toward`` as the entering column moves off its bound.
-        toward = -direction if at_upper[entering] else direction
-
-        # Ratio test: basic columns falling to their lower bound or rising to
-        # their upper one (an infinite one never blocks), and zero-ratio exits
-        # for pinned (artificial) basics the moment the direction moves them.
-        room = np.maximum(np.where(toward > 0.0, x_basic - floor, ceiling - x_basic), 0.0)
-        speed = np.abs(toward)
-        moves = speed > _PIVOT_TOL
-        ratios = np.divide(room, speed, out=np.full(m, np.inf), where=moves)
-        if pin_artificials:
-            ratios[pin_zero[basis] & moves] = 0.0
-        theta = ratios.min(initial=np.inf)
-        # The entering column's own bound blocks it at its box width.
-        width = upper[entering] - lower[entering]
-        if theta == width == np.inf:
-            return state, _Move(entering, direction, -1)
-        if width <= theta:
-            return state, _Move(entering, direction, -1, flip=True)
-
-        tied = np.where(ratios <= theta + _TIE_BAND)[0]
-        if tied.size > 1:
-            # Prefer evicting pinned leftovers, then lowest variable index (Bland).
-            tied = tied[np.lexsort((basis[tied], ~pin_zero[basis[tied]]))]
-        leave_pos = int(tied[0])
-        # A pinned artificial can leave while rising, but only a boxed column stops at its upper bound.
-        stops_at_upper = toward[leave_pos] < 0.0 and ceiling[leave_pos] < np.inf
-        return state, _Move(entering, direction, leave_pos, stops_at_upper)
-
-    try:
-        while True:
-            if sum(tally.phase_pivots) + tally.dual_pivots >= MAX_PIVOTS:
-                raise NumericalFailure(f"pivot cap of {MAX_PIVOTS} exhausted")
-            refactor = pivots % _REFACTOR_INTERVAL == 0
-            if not refactor:
-                step_progress, move = decide(B_inv)
-            if refactor or move is None or move.unbounded:
-                B_inv = _basis_inverse(std, basis)
-                step_progress, move = decide(B_inv)
-            progress = step_progress
-            if move is None:
-                return basis, at_upper, B_inv @ rhs
-            if move.unbounded:
-                raise _Unbounded
-
-            if refactor:
+            if pivots % _REFACTOR_INTERVAL == 0:
                 tally.refactorizations += 1
             pivots += 1
-            if progress[3]:
+            if dual:
                 tally.dual_pivots += 1
             else:
-                tally.phase_pivots[phase] += 1
-            entering, d, r = move.entering, move.direction, move.leave_pos
-            if move.flip:
+                tally.phase_pivots[int(pin_artificials)] += 1
+            if flip:
                 at_upper[entering] = not at_upper[entering]
-                rhs, off_cost = nonbasic_share()
                 tally.bound_flips += 1
-                continue
-            pivot_row = B_inv[r] / d[r]
-            B_inv -= np.outer(d, pivot_row)
-            B_inv[r] = pivot_row
-            leaving = basis[r]
-            basis[r] = entering
-            at_upper[leaving], at_upper[entering] = move.to_upper, False
+            else:
+                pivot_row = B_inv[r] / direction[r]
+                B_inv -= np.outer(direction, pivot_row)
+                B_inv[r] = pivot_row
+                leaving = basis[r]
+                basis[r] = entering
+                at_upper[leaving], at_upper[entering] = to_upper, False
+            # A flipped column is boxed, so ``leaving`` is read only after a basis change.
             if upper[entering] < np.inf or upper[leaving] < np.inf:
                 rhs, off_cost = nonbasic_share()
     except np.linalg.LinAlgError as exc:
-        if progress[3]:
+        if dual:
             raise _ColdStart from exc
         raise NumericalFailure(f"singular basis matrix: {exc}") from exc
 

@@ -9,7 +9,6 @@ when the realized quantity x falls below the bid — is the built-in instance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,8 @@ class Utility:
     def check_decision(self, b: float) -> float:
         """The decision b as a float, after checking it lies in decision_bounds."""
         lo, hi = self.decision_bounds
+        if not finite_real(b):
+            raise ValidationError("b", f"decision must be a finite number, got {b!r}")
         if not lo <= b <= hi:
             raise ValidationError("b", f"decision {b} outside bounds [{lo}, {hi}]")
         return float(b)
@@ -88,9 +89,9 @@ def market_bidding(
     is bought back at the penalty rate, which must exceed the price for the
     problem to be meaningful. Equals min(price*b, penalty*x + (price-penalty)*b).
     """
-    if not 0 < price < math.inf:
+    if not (finite_real(price) and price > 0):
         raise ValidationError("price", f"must be finite and > 0, got {price}")
-    if not price < penalty < math.inf:
+    if not (finite_real(penalty) and penalty > price):
         raise ValidationError("penalty", f"must be finite and exceed price {price}, got {penalty}")
     return Utility(
         pieces=((0.0, 0.0, price), (0.0, penalty, price - penalty)),

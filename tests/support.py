@@ -1,5 +1,8 @@
 """Shared helpers for building test instances, and a reference pivot loop."""
 
+import logging
+import re
+
 import numpy as np
 
 from robustplan import simplex, solver
@@ -251,3 +254,20 @@ def assert_same_result(result, expected):
     if expected.solution is not None:
         assert result.solution.tobytes() == expected.solution.tobytes()
     assert np.float64(result.objective_value).tobytes() == np.float64(expected.objective_value).tobytes()
+
+
+#: Pivots per phase, dual pivots and the start's outcome, from ``solve_lp``'s DEBUG line.
+_PIVOT_FIELDS = re.compile(r"pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), (\d+) dual pivots, .* start (\w+)")
+
+
+def assert_same_pivoting(caplog, problem, start=None):
+    """``solve_lp`` and ``solve_with_reference`` take the same pivots per phase and dual pivots, to the same bytes."""
+    results, counts = [], []
+    for solve in (simplex.solve_lp, solve_with_reference):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="robustplan"):
+            results.append(solve(problem, start=start))
+        [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve_lp:")]
+        counts.append(_PIVOT_FIELDS.search(line).groups())
+    assert_same_result(*results)
+    assert counts[0] == counts[1]

@@ -113,6 +113,16 @@ class TestOracleContract:
         with pytest.raises(ContractViolation):
             refine_loop(binding_pair(), MARKET, RaisingOracle())
 
+    @pytest.mark.parametrize("answer", [float("nan"), float("-inf"), "0.1", True])
+    def test_answer_that_is_not_a_finite_number_is_a_contract_violation(self, answer):
+        # The oracle broke its contract; the forecast set is not at fault.
+        class BadOracle:
+            def refine(self, forecast_index, current_bound):
+                return answer
+
+        with pytest.raises(ContractViolation, match="not a finite number"):
+            refine_loop(binding_pair(), MARKET, BadOracle())
+
     def test_emptying_refinement_rolls_back(self):
         class EmptyingOracle:
             """Returns a bound that leaves no room for a distribution."""

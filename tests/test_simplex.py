@@ -31,6 +31,7 @@ from robustplan.solver import _cell_rows, _dual_lp, solve_forecast_set
 from robustplan.utility import market_bidding
 from support import (
     MOMENT_WINDOWS,
+    assert_same_pivoting,
     assert_same_result,
     moment_window_doc,
     random_interval_instance,
@@ -611,10 +612,10 @@ class TestKeptInverse:
         sc = parse_scenario(moment_window_doc(*MOMENT_WINDOWS[name]))
         solves = logged_solves(caplog, monkeypatch, sc.forecast_set, sc.utility, sc.exchange)
         assert solves
-        for lp, start, _ in solves:
-            assert_same_result(solve_lp(lp, start=start), solve_with_reference(lp, start=start))
         if len(solves) > 1:
             assert all(fields[-1] == "dual" for _, _, fields in solves[1:])
+        for lp, start, _ in solves:
+            assert_same_pivoting(caplog, lp, start)
 
 
 def random_basis(rng: np.random.Generator, std, k: int) -> np.ndarray:
@@ -841,6 +842,29 @@ class TestWarmStart:
         assert warm.basis.at_upper.tolist() == [True, True, False]
         assert_same_result(warm, solve_with_reference(moved, start=start))
         assert_same_result(warm, solve_lp(moved))
+
+    def test_singular_basis_at_the_exit_recheck_solves_cold(self, caplog, monkeypatch):
+        # From [0, 3, 4] one dual step reaches the optimum, which the next
+        # step finds on the updated inverse. The fresh inverse that exit is
+        # decided again on, the second of the solve, fails as a singular
+        # basis would, and the start was still taking dual steps there.
+        inverted = []
+
+        def second_call_fails(std, basis):
+            inverted.append(basis.copy())
+            if len(inverted) == 2:
+                raise np.linalg.LinAlgError("singular")
+            return basis_inverse(std, basis)
+
+        basis_inverse = simplex._basis_inverse
+        monkeypatch.setattr(simplex, "_basis_inverse", second_call_fails)
+        start = Basis(np.array([0, 3, 4]), np.zeros(6, dtype=bool))
+        warm, (*_, outcome) = solve_logged(caplog, TRIANGLE, start)
+        assert outcome == "rejected"
+        assert len(inverted) > 2  # the cold solve's own inversions
+        assert not np.array_equal(inverted[0], inverted[1])  # one dual pivot came between
+        monkeypatch.undo()
+        assert_same_result(warm, solve_lp(TRIANGLE))
 
     def test_feasible_start_pivots_to_the_optimum(self, caplog):
         # x = 1 on row 2 with both slacks basic: a feasible, non-optimal vertex.

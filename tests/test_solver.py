@@ -19,6 +19,7 @@ from robustplan.forecast import (
     NegatedIndicatorInterval,
     PowerFunction,
     PredictionIntervals,
+    feasibility_ball_radius,
     strict_feasibility_slack,
     to_generic,
 )
@@ -212,6 +213,20 @@ def _real_parameters():
         "atom probability": ("atoms[0]", lambda v: DiscreteDistribution(atoms=((0.5, v),))),
         "pieces": ("pieces[0]", lambda v: Utility(((v, 0.0, 0.0),), (0.0, 1.0))),
         "decision_bounds": ("decision_bounds", lambda v: Utility(((0.0, 1.0, 0.0),), (0.0, v))),
+        "lower_probs": ("lower_probs[0]", lambda v: PredictionIntervals((0.0, 0.5, 1.0), (v, 0.0), (1.0, 1.0))),
+        "upper_probs": ("upper_probs[0]", lambda v: PredictionIntervals((0.0, 0.5, 1.0), (0.0, 0.0), (v, 1.0))),
+        "IndicatorInterval": (
+            "constraints[0]",
+            lambda v: ForecastSet(Domain(0.0, 1.0), (Forecast(IndicatorInterval(0.0, v), 0.5),)),
+        ),
+        "decision": ("b", lambda v: worst_case_value(fs, MARKET, v)),
+        "improvement_tolerance": (
+            "improvement_tolerance",
+            lambda v: refine_loop(fs, MARKET, ClampedStepOracle(fs, truth, 0.1), improvement_tolerance=v),
+        ),
+        "slack": ("slack", lambda v: feasibility_ball_radius(v, [0.1])),
+        "price": ("price", lambda v: market_bidding(v, 2.0)),
+        "penalty": ("penalty", lambda v: market_bidding(0.5, v)),
     }
     return [pytest.param(field, call, id=name) for name, (field, call) in calls.items()]
 
@@ -221,6 +236,14 @@ class TestRealParameters:
     @pytest.mark.parametrize("value", [True, np.True_])
     @pytest.mark.parametrize(("field", "call"), _real_parameters())
     def test_bools_rejected(self, field, call, value):
+        with pytest.raises(ValidationError) as excinfo:
+            call(value)
+        assert excinfo.value.field == field
+
+    # A numeric string would pass as its number wherever float() came before the check.
+    @pytest.mark.parametrize("value", ["0.5", None])
+    @pytest.mark.parametrize(("field", "call"), _real_parameters())
+    def test_non_numbers_rejected(self, field, call, value):
         with pytest.raises(ValidationError) as excinfo:
             call(value)
         assert excinfo.value.field == field
