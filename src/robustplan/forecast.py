@@ -109,6 +109,8 @@ def _validate_function(fn: ConstraintFunction, domain: Domain, where: str) -> No
                 f"indicator bounds ({fn.lo}, {fn.hi}) must satisfy "
                 f"{domain.lower} <= lo < hi <= {domain.upper}",
             )
+        if not isinstance(fn.closed_right, bool):
+            raise ValidationError(f"{where}.closed_right", f"must be a bool, got {fn.closed_right!r}")
     elif isinstance(fn, (PowerFunction, NegatedPowerFunction)):
         check_count(f"{where}.exponent", fn.exponent, 1)
     elif isinstance(fn, AffineFunction):

@@ -9,7 +9,8 @@ inverted anew every ``_REFACTOR_INTERVAL`` pivots, and an optimal or
 unbounded exit found on an updated B⁻¹ is decided again on a fresh one, so
 the answers carry no update drift. A fresh inverse inverts only the k × k
 block of the k basic structural columns (``_basis_inverse``): basic slack,
-surplus and artificial columns are unit columns, and the LPs here are tall.
+surplus and artificial columns are unit columns, and on a tall LP most basic
+columns are. The duals c_B·B⁻¹ of the final basis come with the answer.
 Every solve logs one DEBUG line to the ``robustplan`` logger: the
 standard-form shape, pivots per phase, dual pivots, bound flips,
 refactorizations and what became of a given start basis.
@@ -29,10 +30,11 @@ the point against the original rows. An artificial still basic after phase 1
 it at zero and evicts it as soon as a pivot would move it. A solve may
 instead be given the basis of an earlier result as its start (a warm start),
 and phase 1 is then skipped. Phase 2 starts there at once when it is a
-feasible vertex of this problem's standard form. When it is not, but it is
-still dual feasible (an optimal basis after the right-hand side moved or
-rows were added), the pivot loop first takes dual simplex steps back to a
-feasible vertex.
+feasible vertex of this problem's standard form, as an optimal basis stays
+when columns are added (``Basis.with_inserted_columns``). When it is not,
+but it is still dual feasible (an optimal basis after the right-hand side
+moved or rows were added), the pivot loop first takes dual simplex steps
+back to a feasible vertex.
 
 Pricing is Dantzig's rule (most negative reduced cost) with Bland's
 anti-cycling rule engaged automatically after a run of degenerate pivots and
@@ -154,25 +156,27 @@ class Basis(NamedTuple):
     columns: np.ndarray
     at_upper: np.ndarray
 
-    def with_slack_rows(self, count: int) -> Basis:
-        """This basis carried to the LP grown by ``count`` rows after its last, each new row's slack basic.
+    def with_inserted_columns(self, position: int, count: int) -> Basis:
+        """This basis carried to the standard form grown by ``count`` columns inserted before column ``position``.
 
-        It holds when every row of the standard form has a slack or surplus
-        column and none an artificial (as in the exchange loop's LPs, whose
-        rows all start satisfied and are negated): the new rows' slacks are
-        then the standard form's last columns.
+        The new columns are nonbasic at their lower bound, and every column
+        from ``position`` on moves ``count`` places right. The basis matrix
+        and its basic values stay as they were, so a primal feasible basis
+        stays primal feasible (as in the exchange loop, whose rounds add
+        structural columns after the last ones).
         """
-        n = self.at_upper.size
-        return Basis(
-            np.concatenate([self.columns, np.arange(n, n + count)]),
-            np.concatenate([self.at_upper, np.zeros(count, dtype=bool)]),
-        )
+        columns = np.where(self.columns >= position, self.columns + count, self.columns)
+        return Basis(columns, np.insert(self.at_upper, position, np.zeros(count, dtype=bool)))
 
 
 @dataclass(frozen=True)
 class LpResult:
-    """Outcome of a solve: status plus, when optimal, the point, its objective and its basis.
+    """Outcome of a solve: status plus, when optimal, the point, its objective, its row duals and its basis.
 
+    ``duals`` holds one price per row, in the problem's own rows and sense:
+    the rate at which the optimal objective moves with that row's
+    right-hand side at the final basis. So a "<=" row of a minimization has
+    a dual <= 0, a ">=" row one >= 0, and a maximization flips both signs.
     ``basis`` is the final vertex, which a later ``solve_lp`` of a problem
     with the same columns and rows can take as its ``start``.
     """
@@ -180,6 +184,7 @@ class LpResult:
     status: str
     solution: np.ndarray | None = None
     objective_value: float | None = None
+    duals: np.ndarray | None = None
     basis: Basis | None = None
 
 
@@ -194,7 +199,8 @@ class _StandardForm(NamedTuple):
     artificial column is a unit column (±1 on one row): ``unit_row`` holds
     that row for each of them and -1 for a structural column. The original
     point is ``base`` plus ``sign[k] * z[k]`` added into variable ``var[k]``
-    for every structural column k.
+    for every structural column k. ``row_sign`` is -1 on each row that was
+    negated and +1 on the others.
     """
 
     matrix: np.ndarray
@@ -208,6 +214,7 @@ class _StandardForm(NamedTuple):
     base: np.ndarray
     var: np.ndarray
     sign: np.ndarray
+    row_sign: np.ndarray
 
     def original_point(self, z: np.ndarray) -> np.ndarray:
         """The original variables at the standard-form point z."""
@@ -299,6 +306,7 @@ def _standard_form(problem: LinearProgram) -> _StandardForm:
         base=np.where(fixed, lower, base_point),
         var=var,
         sign=sign,
+        row_sign=np.where(flip, -1.0, 1.0),
     )
 
 
@@ -400,7 +408,8 @@ def _iterate(
     update. A scheduled refactorization is counted when a pivot follows it.
 
     Pivot, dual-pivot, bound-flip and refactorization counts go to ``tally``.
-    Returns the final basis, the final ``at_upper`` and the basic values.
+    Returns the final basis, the final ``at_upper``, the basic values and
+    the duals c_B·B⁻¹, all from the fresh inverse the exit was decided on.
     Raises _Unbounded, _ColdStart or NumericalFailure.
     """
     A, b, lower, upper, artificial = std.matrix, std.rhs, std.lower, std.upper, std.artificial
@@ -432,7 +441,8 @@ def _iterate(
             x_basic = B_inv @ rhs
             objective = float(cost[basis] @ x_basic) + off_cost
             floor, ceiling = lower[basis], upper[basis]
-            reduced = cost - A.T @ (cost[basis] @ B_inv)
+            duals = cost[basis] @ B_inv
+            reduced = cost - A.T @ duals
             reduced[at_upper] = -reduced[at_upper]
             candidates = (reduced < -REDUCED_COST_TOL) & enterable
             candidates[basis] = False
@@ -505,7 +515,7 @@ def _iterate(
                         continue
                     if idx.size:
                         raise _Unbounded
-                    return basis, at_upper, x_basic
+                    return basis, at_upper, x_basic, duals
                 flip = width <= theta
                 if not flip:
                     tied = np.where(ratios <= theta + _TIE_BAND)[0]
@@ -617,7 +627,7 @@ def solve_lp(problem: LinearProgram, start: Basis | None = None) -> LpResult:
     try:
         if warm is not None:
             try:
-                basis, at_upper, x_basic = _iterate(std, std.cost, *warm, True, tally, warm=True)
+                basis, at_upper, x_basic, duals = _iterate(std, std.cost, *warm, True, tally, warm=True)
             except _ColdStart:
                 warm = None
         if warm is None:
@@ -625,7 +635,7 @@ def solve_lp(problem: LinearProgram, start: Basis | None = None) -> LpResult:
             # Phase 1: minimize the artificial mass.
             if artificial.any():
                 try:
-                    basis, at_upper, x_basic = _iterate(std, artificial.astype(float), basis, at_upper, False, tally)
+                    basis, at_upper, x_basic, _ = _iterate(std, artificial.astype(float), basis, at_upper, False, tally)
                 except _Unbounded as exc:  # phase-1 objective is bounded below by zero
                     raise NumericalFailure("phase-1 subproblem reported unbounded") from exc
                 infeasibility = float(x_basic[artificial[basis]].sum())
@@ -633,7 +643,7 @@ def solve_lp(problem: LinearProgram, start: Basis | None = None) -> LpResult:
                     return LpResult(status=INFEASIBLE)
 
             # Phase 2: the real objective.
-            basis, at_upper, x_basic = _iterate(std, std.cost, basis, at_upper, True, tally)
+            basis, at_upper, x_basic, duals = _iterate(std, std.cost, basis, at_upper, True, tally)
     except _Unbounded:
         return LpResult(status=UNBOUNDED)
     finally:
@@ -652,6 +662,12 @@ def solve_lp(problem: LinearProgram, start: Basis | None = None) -> LpResult:
     solution = np.clip(std.original_point(z), problem.lower, problem.upper)
     _check_feasible(problem, solution)
     objective_value = float(problem.objective @ solution)
+    # c_B·B⁻¹ prices the standard form's rows: undo their negation and the maximization's.
+    duals = duals * (-std.row_sign if problem.sense == "maximize" else std.row_sign)
     return LpResult(
-        status=OPTIMAL, solution=solution, objective_value=objective_value, basis=Basis(basis, at_upper)
+        status=OPTIMAL,
+        solution=solution,
+        objective_value=objective_value,
+        duals=duals,
+        basis=Basis(basis, at_upper),
     )

@@ -19,21 +19,19 @@ endpoints, so the continuum of constraints collapses to an exact finite LP.
 Otherwise an exchange loop grows a finite working set of points until the
 most violated point found by a dense grid search is within tolerance.
 
-The dual LP always admits feasible points (eta is free), and its value is
-finite exactly when the ambiguity set is nonempty; an unbounded solve
-therefore reports AmbiguitySetEmpty.
+The exact path's LP always admits feasible points (eta is free), and its
+value is finite exactly when the ambiguity set is nonempty; an unbounded
+solve therefore reports AmbiguitySetEmpty. It carries the offset negated,
+as nu = -eta; eta is free, so the negation only swaps its two split columns.
 
-The LP carries the offset negated, as nu = -eta. The simplex starts every
-column at its lower bound, so in the exchange loop's boxed LP it starts at
-eta = +OFFSET_BOX, where every row holds: each row starts on its own slack
-and the solve needs no phase 1. Carried as eta, the start would be
-eta = -OFFSET_BOX, which violates every row, and phase 1 would spend about
-one pivot per row just to reach a feasible point. The boxed columns keep
-their own coordinates in the simplex, so the start only sets the slacks near
-OFFSET_BOX; the first pivot brings nu into the basis and drops them to O(1),
-and later basic values stay at the scale of the utility and the forecasts.
-On the exact path eta is free and the negation only swaps its two split
-columns.
+The exchange loop solves the LP dual of the (b, lambda, eta) program over
+its working set, with lambda and eta boxed: a program over the adversary's
+point masses, with n + 2 rows and one column per (working point, utility
+piece). Its row duals are the plan. A new point adds columns, which leaves
+the previous round's optimal basis primal feasible, so every round after
+the first reoptimizes with a few primal steps (Dantzig & Wolfe, Oper. Res.
+8(1), 1960; Hettich & Kortanek, SIAM Review 35(3), 1993: the exchange
+method is column generation on this side).
 """
 
 from __future__ import annotations
@@ -51,13 +49,14 @@ from .errors import (
     finite_real,
 )
 from .forecast import DiscreteDistribution, ForecastSet, outcome_grid
-from .simplex import GE, OPTIMAL, UNBOUNDED, LinearProgram, LpResult, _log_debug, solve_lp
+from .simplex import EQ, GE, LE, OPTIMAL, UNBOUNDED, Basis, LinearProgram, LpResult, _log_debug, solve_lp
 from .utility import Utility
 
 #: Box applied to the dual variables inside the exchange loop. The finite
 #: working-set relaxation of an empty ambiguity set is unbounded, so the box
 #: keeps every intermediate LP solvable; a multiplier pressed against it after
-#: the violation search converges is the emptiness signal.
+#: the violation search converges is the emptiness signal. On the
+#: distribution side the boxes are the costs of the elastic columns.
 MULTIPLIER_BOX = 1e6
 OFFSET_BOX = 1e6
 _BOX_MARGIN = 1e-3
@@ -139,12 +138,7 @@ def _cell_rows(fs: ForecastSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dual_lp(
-    fs: ForecastSet,
-    u: Utility,
-    G: np.ndarray,
-    xs: np.ndarray,
-    decision: tuple[float, float],
-    boxed: bool,
+    fs: ForecastSet, u: Utility, G: np.ndarray, xs: np.ndarray, decision: tuple[float, float]
 ) -> LinearProgram:
     """The dual LP restricted to the outcome points xs.
 
@@ -154,10 +148,7 @@ def _dual_lp(
     utility piece via the hypograph trick: J(x, b) >= -(...) iff every affine
     piece is. Rows are point-major, piece-minor.
 
-    The last column is nu = -eta (column of -1, cost +1), so that when
-    ``boxed`` the simplex's start at nu's lower bound, eta = +OFFSET_BOX,
-    satisfies every row and no row needs an artificial. The box is symmetric,
-    so it bounds eta as before.
+    The last column is nu = -eta (column of -1, cost +1), free.
     """
     n = G.shape[0]
     a, c, d = np.array(u.pieces).T
@@ -171,9 +162,9 @@ def _dual_lp(
     objective[1:-1] = -fs.bounds
     objective[-1] = 1.0
     lower = np.zeros(n + 2)
-    upper = np.full(n + 2, MULTIPLIER_BOX if boxed else np.inf)
+    upper = np.full(n + 2, np.inf)
     lower[0], upper[0] = decision
-    lower[-1], upper[-1] = (-OFFSET_BOX, OFFSET_BOX) if boxed else (-np.inf, np.inf)
+    lower[-1] = -np.inf
 
     return LinearProgram(
         objective=objective,
@@ -202,7 +193,7 @@ def _planning_solution(result: LpResult) -> PlanningSolution:
 def _solve(fs: ForecastSet, u: Utility, decision: tuple[float, float], cfg: ExchangeConfig) -> PlanningSolution:
     """The exact reduction for indicator-only sets, the exchange loop otherwise."""
     if fs.all_indicators():
-        return _planning_solution(solve_lp(_dual_lp(fs, u, *_cell_rows(fs), decision, boxed=False)))
+        return _planning_solution(solve_lp(_dual_lp(fs, u, *_cell_rows(fs), decision)))
     return _exchange(fs, u, cfg, decision)
 
 
@@ -233,43 +224,140 @@ def solve_forecast_set(fs: ForecastSet, u: Utility, cfg: ExchangeConfig | None =
 
 
 def _violation_search(
-    fs: ForecastSet, u: Utility, sol: PlanningSolution, cfg: ExchangeConfig
-) -> tuple[float, float]:
-    """Most violated point of the pointwise dual constraint at the iterate."""
-    xs = outcome_grid(fs, cfg.search_grid_points, u.outcome_kinks(sol.b_star, fs.domain.lower, fs.domain.upper))
-    residual = u.values_at(xs, sol.b_star) + sol.eta_star + sol.lambda_star @ fs.values(xs)
-    worst = int(np.argmin(residual))
-    return float(xs[worst]), float(residual[worst])
+    fs: ForecastSet, u: Utility, sol: PlanningSolution, grid: np.ndarray, grid_values: np.ndarray
+) -> tuple[float, np.ndarray, float]:
+    """Most violated point of the pointwise dual constraint at the iterate, with its g-vector and residual.
+
+    The points searched are ``grid``, whose g-vectors ``grid_values`` holds,
+    and the utility's kinks at b*. A tied minimum goes to the lowest point.
+    The two blocks of g-vectors are priced apart, so the grid's is never
+    copied.
+    """
+    kinks = np.array(u.outcome_kinks(sol.b_star, fs.domain.lower, fs.domain.upper))
+    kink_values = fs.values(kinks)
+    xs = np.concatenate([grid, kinks])
+    priced = np.concatenate([sol.lambda_star @ grid_values, sol.lambda_star @ kink_values])
+    residual = u.values_at(xs, sol.b_star) + sol.eta_star + priced
+    tied = np.flatnonzero(residual == residual.min())
+    worst = int(tied[np.argmin(xs[tied])])
+    g = grid_values[:, worst] if worst < grid.size else kink_values[:, worst - grid.size]
+    return float(xs[worst]), g, float(residual[worst])
+
+
+def _distribution_lp(
+    fs: ForecastSet, u: Utility, G: np.ndarray, xs: np.ndarray, decision: tuple[float, float]
+) -> LinearProgram:
+    """The LP dual of the (b, lambda, eta) program over the outcome points xs, with lambda and eta boxed.
+
+    Its variables, all >= 0, are n + 4 fixed columns (v_1..v_n, w+, w-, s+,
+    s-) and then a mass mu_jk for each point xs[j] and utility piece k,
+    point-major, piece-minor; ``G`` holds the g-vector at each point as a
+    column:
+
+        minimize  sum mu_jk (a_k + c_k x_j) + hi s+ - lo s-
+                  + MULTIPLIER_BOX sum v + OFFSET_BOX (w+ + w-)
+        s.t.      sum mu_jk g(x_j) - v <= eps   (one row per forecast)
+                  sum mu - w+ + w- = 1          (total mass)
+                  sum mu_jk d_k - s+ + s- = 0   (balance)
+
+    The elastic columns v and w+- stand for the boxes lambda <=
+    MULTIPLIER_BOX and |eta| <= OFFSET_BOX, and s+- for b in [lo, hi]
+    (``decision``). The row duals are -lambda, -eta and -b.
+    """
+    n = G.shape[0]
+    lo, hi = decision
+    a, c, d = np.array(u.pieces).T
+    fixed = n + 4
+    matrix = np.zeros((n + 2, fixed + xs.size * a.size))
+    matrix[:n, :n] = -np.eye(n)
+    matrix[n:, n:fixed] = [[-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0]]
+    matrix[:n, fixed:] = np.repeat(G, a.size, axis=1)
+    matrix[n, fixed:] = 1.0
+    matrix[n + 1, fixed:] = np.tile(d, xs.size)
+    objective = np.concatenate(
+        [np.full(n, MULTIPLIER_BOX), [OFFSET_BOX, OFFSET_BOX, hi, -lo], (a + c * xs[:, None]).ravel()]
+    )
+    return LinearProgram(
+        objective=objective,
+        matrix=matrix,
+        senses=(LE,) * n + (EQ, EQ),
+        rhs=np.concatenate([fs.bounds, [1.0, 0.0]]),
+        lower=np.zeros(objective.size),
+        upper=np.full(objective.size, np.inf),
+        sense="minimize",
+    )
+
+
+def _elastic_start(bounds: np.ndarray, columns: int) -> Basis:
+    """A primal feasible basis of ``_distribution_lp`` with ``columns`` variables, so its first solve skips phase 1.
+
+    That LP's standard form is its variables, one column each, then a slack
+    or surplus column per forecast row, then an artificial column per
+    forecast row with a negative bound (a row the standard form negates)
+    and per equation. Each forecast row is basic on its slack, at eps >= 0,
+    or on its elastic column, at v = -eps > 0; the mass row on w- = 1 and
+    the balance row on s- = 0. An elastic column is thus basic only where
+    no masses meet a bound yet, and it leaves at the first tie, being of
+    lower index than every mass. A cold phase 1 can instead leave one basic
+    at zero, which prices its forecast at MULTIPLIER_BOX.
+    """
+    n = bounds.size
+    negative = bounds < 0
+    basis = np.concatenate([np.where(negative, np.arange(n), columns + np.arange(n)), [n + 1, n + 3]])
+    return Basis(basis, np.zeros(columns + n + np.count_nonzero(negative) + 2, dtype=bool))
+
+
+def _exchange_solution(result: LpResult, bounds: np.ndarray, decision: tuple[float, float]) -> PlanningSolution:
+    """The plan a solved ``_distribution_lp`` gives: its row duals, each clipped to its box."""
+    if result.status != OPTIMAL:
+        # The elastic columns make every round feasible, and reasonable
+        # utilities keep it bounded; reaching this is a numerical breakdown.
+        raise NumericalFailure(f"dual subproblem unexpectedly {result.status}")
+    n = bounds.size
+    # Adding 0.0 turns the -0.0 that negating a zero gives into 0.0.
+    lambda_star = np.clip(-result.duals[:n], 0.0, MULTIPLIER_BOX) + 0.0
+    eta_star = float(np.clip(-result.duals[n], -OFFSET_BOX, OFFSET_BOX)) + 0.0
+    return PlanningSolution(
+        b_star=np.clip(-result.duals[n + 1], *decision),
+        lambda_star=lambda_star,
+        eta_star=eta_star,
+        objective=-bounds @ lambda_star - eta_star,
+    )
 
 
 def _exchange(
     fs: ForecastSet, u: Utility, cfg: ExchangeConfig, decision: tuple[float, float]
 ) -> PlanningSolution:
-    """Cutting-plane loop for the semi-infinite dual constraint.
+    """Cutting-plane loop for the semi-infinite dual constraint, run as column generation.
 
-    Solves the dual LP over a growing working set of outcome points, adding
-    the most violated point each round until the dense-grid violation search
-    comes back within tolerance. The first working set is the outcome grid
-    with the utility's kinks at both decision bounds and their midpoint.
+    Solves ``_distribution_lp`` over a growing working set of outcome
+    points, adding the most violated point each round until the dense-grid
+    violation search comes back within tolerance. The first working set is
+    the outcome grid with the utility's kinks at both decision bounds and
+    their midpoint. The search grid's g-vectors are evaluated once.
 
-    Every round after the first starts from the previous round's optimal
-    basis, with the new point's rows in it on their own slacks. That basis
-    stays dual feasible (the new rows' duals are zero) while the new rows
-    are violated, so the simplex reoptimizes it with dual steps, about one
-    per round, instead of solving the grown LP from scratch.
+    A new point's columns go after the last ones, so every round after the
+    first starts from the previous round's optimal basis with the new
+    columns nonbasic at zero. That basis stays primal feasible, and the
+    simplex reoptimizes it with primal steps, about one per round, instead
+    of solving the grown LP from scratch.
     """
     lo, hi = decision
     kinks = [x for b in (lo, 0.5 * (lo + hi), hi) for x in u.outcome_kinks(b, fs.domain.lower, fs.domain.upper)]
     working = outcome_grid(fs, cfg.initial_grid_points, kinks)
-    pieces = len(u.pieces)
+    G = fs.values(working)
+    grid = outcome_grid(fs, cfg.search_grid_points)
+    grid_values = fs.values(grid)
+    bounds, pieces = fs.bounds, len(u.pieces)
 
     sol: PlanningSolution | None = None
     violation = np.inf
     start = None
     for round_number in range(1, cfg.max_rounds + 1):
-        result = solve_lp(_dual_lp(fs, u, fs.values(working), working, decision, boxed=True), start=start)
-        sol = _planning_solution(result)
-        x_worst, residual = _violation_search(fs, u, sol, cfg)
+        lp = _distribution_lp(fs, u, G, working, decision)
+        result = solve_lp(lp, start=_elastic_start(bounds, lp.objective.size) if start is None else start)
+        sol = _exchange_solution(result, bounds, decision)
+        x_worst, g_worst, residual = _violation_search(fs, u, sol, grid, grid_values)
         violation = max(0.0, -residual)
         _log_debug("exchange round %d: %d working points, violation %.3e", round_number, working.size, violation)
         if violation <= cfg.violation_tolerance:
@@ -278,12 +366,13 @@ def _exchange(
                     "dual variables diverged: no distribution satisfies every forecast bound"
                 )
             return replace(sol, max_violation=violation)
-        # Rows are point-major, so the new point's rows come after the last ones.
         if x_worst in working:
             start = result.basis
         else:
-            start = result.basis.with_slack_rows(pieces)
+            # Every variable is one standard-form column, so the structural block ends after the last one.
+            start = result.basis.with_inserted_columns(lp.objective.size, pieces)
             working = np.append(working, x_worst)
+            G = np.column_stack([G, g_worst])
 
     raise ConvergenceFailure(
         f"exchange loop still violated by {violation:.3e} after {cfg.max_rounds} rounds",
@@ -314,7 +403,7 @@ def sweep(
     G, xs = _cell_rows(fs)
     pairs, start = [], None
     for b in grid:
-        result = solve_lp(_dual_lp(fs, u, G, xs, (b, b), boxed=False), start=start)
+        result = solve_lp(_dual_lp(fs, u, G, xs, (b, b)), start=start)
         pairs.append((b, _planning_solution(result).objective))
         start = result.basis
     return pairs

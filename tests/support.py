@@ -191,7 +191,7 @@ def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally, warm=F
         candidates &= reduced < -simplex.REDUCED_COST_TOL
         idx = np.where(candidates)[0]
         if idx.size == 0:
-            return basis, at_upper, x_basic
+            return basis, at_upper, x_basic, duals
 
         if bland:
             entering = int(idx[0])
@@ -236,6 +236,29 @@ def record_solves(monkeypatch, *modules):
     for module in modules or (solver,):
         monkeypatch.setattr(module, "solve_lp", recording_solve_lp)
     return calls
+
+
+#: ``solve_lp``'s DEBUG line, every field.
+LOG_LINE = re.compile(
+    r"solve_lp: standard form (\d+) x (\d+), pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), (\d+) dual pivots, "
+    r"(\d+) bound flips, (\d+) refactorizations, start (none|used|dual|rejected)"
+)
+
+
+def log_fields(message):
+    """The DEBUG line's counts as ints, then what became of the start."""
+    *counts, start = LOG_LINE.fullmatch(message).groups()
+    return (*map(int, counts), start)
+
+
+def logged_solves(caplog, monkeypatch, *problem):
+    """The LPs ``solve_forecast_set(*problem)`` solves, each with its start and the fields of its DEBUG line."""
+    calls = record_solves(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="robustplan"):
+        solver.solve_forecast_set(*problem)
+    lines = [r for r in caplog.records if r.name == "robustplan" and r.getMessage().startswith("solve_lp:")]
+    assert len(lines) == len(calls)
+    return [(lp, start, log_fields(r.getMessage())) for (lp, start), r in zip(calls, lines)]
 
 
 def solve_with_reference(problem, start=None):

@@ -95,6 +95,16 @@ class TestEvaluation:
         assert "constraints[0]" in str(err.value)
 
 
+    @pytest.mark.parametrize("kind", [IndicatorInterval, NegatedIndicatorInterval])
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_closed_right_must_be_a_bool(self, kind, flag):
+        with pytest.raises(ValidationError) as info:
+            ForecastSet(
+                Domain(0.0, 1.0), (Forecast(kind(0.0, 0.5), 0.5), Forecast(kind(0.0, 0.5, closed_right=flag), 0.5))
+            )
+        assert info.value.field == "constraints[1].closed_right"
+
+
 class TestDiscreteDistribution:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValidationError):

@@ -3,7 +3,6 @@
 import collections
 import logging
 import math
-import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,9 +32,10 @@ from support import (
     MOMENT_WINDOWS,
     assert_same_pivoting,
     assert_same_result,
+    log_fields,
+    logged_solves,
     moment_window_doc,
     random_interval_instance,
-    record_solves,
     solve_with_reference,
 )
 
@@ -300,6 +300,7 @@ class TestStandardForm:
         assert std.cost.tolist() == [-2.0, 3.0, -4.0, -5.0, 5.0] + [0.0] * 10
         assert std.var.tolist() == [1, 2, 3, 4, 4]
         assert std.sign.tolist() == [1.0, -1.0, 1.0, 1.0, -1.0]
+        assert std.row_sign.tolist() == [1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0]
 
     def test_undo(self):
         std = _standard_form(self.LP)
@@ -540,26 +541,111 @@ class TestAgainstHighs:
         assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
 
-LOG_LINE = re.compile(
-    r"solve_lp: standard form (\d+) x (\d+), pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), (\d+) dual pivots, "
-    r"(\d+) bound flips, (\d+) refactorizations, start (none|used|dual|rejected)"
-)
+def dual_objective(lp: LinearProgram, res) -> float:
+    """The bounded-variable dual objective at ``res.duals``: y·rhs plus each column's best d_j·x_j over its bounds.
+
+    d = c − Aᵀy. A maximization's column takes its upper bound where d_j > 0
+    and its lower bound where d_j < 0, a minimization's the other way round;
+    where d_j is within 1e-9 of zero the column's own value is used. The sum
+    is infinite when y is not dual feasible.
+    """
+    reduced = lp.objective - lp.matrix.T @ res.duals
+    toward = reduced if lp.sense == "maximize" else -reduced
+    best = np.where(toward > 0, lp.upper, lp.lower)
+    at = np.where(np.abs(reduced) <= 1e-9, res.solution, best)
+    return float(res.duals @ lp.rhs + reduced @ at)
 
 
-def log_fields(message):
-    """The DEBUG line's counts as ints, then what became of the start."""
-    *counts, start = LOG_LINE.fullmatch(message).groups()
-    return (*map(int, counts), start)
+class TestDuals:
+    """``LpResult.duals`` are an optimal dual solution, in the original rows' signs and the problem's sense."""
 
+    def test_strong_duality_and_complementary_slackness(self):
+        rng = np.random.default_rng(20261019)
+        senses = collections.Counter()
+        for _ in range(400):
+            lp = random_mixed_lp(rng)
+            res = solve_lp(lp)
+            if res.status != OPTIMAL:
+                assert res.duals is None
+                continue
+            y = res.duals
+            assert y.shape == (lp.matrix.shape[0],)
+            # A maximization prices a "<=" row >= 0 and a ">=" row <= 0; a minimization the other way round.
+            sign = np.array([{LE: 1.0, GE: -1.0, EQ: 0.0}[s] for s in lp.senses])
+            if lp.sense == "minimize":
+                sign = -sign
+            assert np.all(sign * y >= -1e-9), lp
+            gap = lp.matrix @ res.solution - lp.rhs
+            assert np.all(np.abs(y * gap) <= 1e-9), lp
+            assert dual_objective(lp, res) == pytest.approx(res.objective_value, rel=1e-9, abs=1e-9), lp
+            senses.update((lp.sense, s) for s in lp.senses)
+        assert len(senses) == 6  # each row sense under each problem sense
 
-def logged_solves(caplog, monkeypatch, *problem):
-    """The LPs ``solve_forecast_set(*problem)`` solves, each with its start and the fields of its DEBUG line."""
-    calls = record_solves(monkeypatch)
-    with caplog.at_level(logging.DEBUG, logger="robustplan"):
-        solve_forecast_set(*problem)
-    lines = [r for r in caplog.records if r.name == "robustplan" and r.getMessage().startswith("solve_lp:")]
-    assert len(lines) == len(calls)
-    return [(lp, start, log_fields(r.getMessage())) for (lp, start), r in zip(calls, lines)]
+    def test_duals_follow_the_row_sign_and_the_problem_sense(self):
+        rng = np.random.default_rng(7)
+        compared = 0
+        for _ in range(100):
+            lp = random_mixed_lp(rng)
+            res = solve_lp(lp)
+            if res.status != OPTIMAL or not lp.senses:
+                continue
+            flipped = replace(
+                lp, objective=-lp.objective, sense="minimize" if lp.sense == "maximize" else "maximize"
+            )
+            assert np.array_equal(solve_lp(flipped).duals, -res.duals)
+            # Row 0 written the other way round: -a x >= -b for a x <= b.
+            negated = replace(
+                lp,
+                matrix=np.vstack([-lp.matrix[:1], lp.matrix[1:]]),
+                senses=({LE: GE, GE: LE, EQ: EQ}[lp.senses[0]], *lp.senses[1:]),
+                rhs=np.concatenate([-lp.rhs[:1], lp.rhs[1:]]),
+            )
+            # Unless the row is zero at the start, the standard form negates
+            # exactly one of the two, so both solve one system.
+            if _standard_form(negated).row_sign[0] == _standard_form(lp).row_sign[0]:
+                continue
+            other = solve_lp(negated).duals
+            assert other[0] == -res.duals[0] and np.array_equal(other[1:], res.duals[1:])
+            compared += 1
+        assert compared > 30
+
+    def test_match_highs_marginals_on_nondegenerate_lps(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(20261020)
+        compared = 0
+        for _ in range(600):
+            lp = random_mixed_lp(rng)
+            res = solve_lp(lp)
+            if res.status != OPTIMAL:
+                continue
+            # A nondegenerate vertex has exactly n active constraints and bounds, and a unique dual.
+            x = res.solution
+            tight_rows = np.abs(lp.matrix @ x - lp.rhs) <= 1e-9
+            at_bound = (np.abs(x - lp.lower) <= 1e-9) | (np.abs(x - lp.upper) <= 1e-9)
+            if np.count_nonzero(tight_rows) + np.count_nonzero(at_bound) != x.size:
+                continue
+            senses = np.array(lp.senses)
+            scale = 1.0 if lp.sense == "minimize" else -1.0
+            ref = optimize.linprog(
+                scale * lp.objective,
+                A_ub=np.vstack([lp.matrix[senses == LE], -lp.matrix[senses == GE]]),
+                b_ub=np.concatenate([lp.rhs[senses == LE], -lp.rhs[senses == GE]]),
+                A_eq=lp.matrix[senses == EQ],
+                b_eq=lp.rhs[senses == EQ],
+                bounds=[(lo if lo > -INF else None, hi if hi < INF else None) for lo, hi in zip(lp.lower, lp.upper)],
+                method="highs",
+            )
+            assert ref.status == 0, lp
+            # HiGHS's marginals are d(min objective)/d(rhs) of its own rows; a ">=" row entered it negated.
+            expected = np.empty(senses.size)
+            upper = ref.ineqlin.marginals
+            n_le = np.count_nonzero(senses == LE)
+            expected[senses == LE] = upper[:n_le]
+            expected[senses == GE] = -upper[n_le:]
+            expected[senses == EQ] = ref.eqlin.marginals
+            assert res.duals == pytest.approx(scale * expected, rel=1e-9, abs=1e-9), lp
+            compared += 1
+        assert compared > 50
 
 
 class TestKeptInverse:
@@ -595,25 +681,24 @@ class TestKeptInverse:
         for round_number, (lp, given, fields) in solves:
             rows, cols, phase1, phase2, dual, flips, refactorizations, start = fields
             assert (rows, cols) == _standard_form(lp).matrix.shape
-            # Round 1 starts at its slacks, every later round from the round before.
-            assert (given is None, start) == ((True, "none") if round_number == 1 else (False, "dual"))
-            assert phase1 == 0  # exchange LPs start feasible
-            assert (dual > 0) == (round_number > 1)
-            assert flips <= phase2
-            # The inverse is refactored every 50 pivots of a solve, dual steps included.
-            assert refactorizations == math.ceil((dual + phase2) / 50)
+            # Round 1 starts at its slacks and elastic columns, every later
+            # round from the round before: each a feasible vertex.
+            assert (given is not None, start) == (True, "used")
+            assert (phase1, dual) == (0, 0)
+            assert flips == 0  # no column is boxed
+            # The inverse is refactored every 50 pivots of a solve.
+            assert refactorizations == math.ceil(phase2 / 50)
 
     @pytest.mark.parametrize("name", list(MOMENT_WINDOWS))
     def test_moment_window_lps_match_reference(self, caplog, monkeypatch, name):
-        # Round 1 starts with its slacks near OFFSET_BOX = 1e6, and its first
-        # pivot brings the basic values down to O(1), so the values the kept
-        # inverse decides on span both scales. Every later round starts from
-        # the round before and takes dual steps.
+        # Round 1 starts on its elastic columns, whose costs are MULTIPLIER_BOX
+        # and OFFSET_BOX = 1e6, and its pivots bring the duals down to O(1),
+        # so the values the kept inverse decides on span both scales. Every
+        # later round starts from the round before and takes primal steps.
         sc = parse_scenario(moment_window_doc(*MOMENT_WINDOWS[name]))
         solves = logged_solves(caplog, monkeypatch, sc.forecast_set, sc.utility, sc.exchange)
         assert solves
-        if len(solves) > 1:
-            assert all(fields[-1] == "dual" for _, _, fields in solves[1:])
+        assert all(fields[-1] == "used" for _, _, fields in solves)
         for lp, start, _ in solves:
             assert_same_pivoting(caplog, lp, start)
 
@@ -748,7 +833,7 @@ TRIANGLE = make_lp(
 def market_m6_dual_lp(b):
     """The exact fixed-decision dual LP of the bundled market_m6 scenario at decision b."""
     sc = load_scenario("market_m6")
-    return _dual_lp(sc.forecast_set, sc.utility, *_cell_rows(sc.forecast_set), (b, b), boxed=False)
+    return _dual_lp(sc.forecast_set, sc.utility, *_cell_rows(sc.forecast_set), (b, b))
 
 
 def grown_start(lp: LinearProgram, grown: LinearProgram, basis: Basis) -> Basis:
@@ -897,6 +982,40 @@ class TestWarmStart:
             if cold.status == OPTIMAL:
                 assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-9), moved
         assert used > 50
+
+    def test_lps_grown_by_columns_reoptimize_by_primal_steps(self, caplog):
+        # The old optimum with new columns >= 0 after the last ones, as the
+        # exchange loop's rounds add each new point's masses: the carried
+        # basis is still a feasible vertex, and primal steps finish the solve.
+        rng = np.random.default_rng(20261021)
+        outcomes = collections.Counter()
+        for _ in range(300):
+            lp = random_mixed_lp(rng)
+            first = solve_lp(lp)
+            if first.status != OPTIMAL:
+                continue
+            k = int(rng.integers(1, 4))
+            m = lp.matrix.shape[0]
+            grown = replace(
+                lp,
+                objective=np.concatenate([lp.objective, rng.integers(-3, 4, size=k).astype(float)]),
+                matrix=np.hstack([lp.matrix, rng.integers(-3, 4, size=(m, k)).astype(float)]),
+                lower=np.concatenate([lp.lower, np.zeros(k)]),
+                upper=np.concatenate([lp.upper, np.full(k, INF)]),
+            )
+            start = first.basis.with_inserted_columns(_standard_form(lp).var.size, k)
+            assert _standard_form(grown).matrix[:, start.columns].tolist() == _standard_form(lp).matrix[
+                :, first.basis.columns
+            ].tolist()
+            warm, (*_, phase1, phase2, dual, _, _, outcome) = solve_logged(caplog, grown, start)
+            cold = solve_lp(grown)
+            outcomes[outcome] += 1
+            assert (outcome, phase1, dual) == ("used", 0, 0), grown
+            assert warm.status == cold.status, grown
+            if cold.status == OPTIMAL:
+                assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-9), grown
+            outcomes[cold.status] += 1
+        assert outcomes["used"] > 100 and outcomes[OPTIMAL] and outcomes[UNBOUNDED], outcomes
 
     def test_grown_lps_reoptimize_by_dual_steps(self, caplog):
         # The old optimum with a moved right-hand side and new rows cut off

@@ -20,6 +20,7 @@ from robustplan.forecast import (
     PowerFunction,
     PredictionIntervals,
     feasibility_ball_radius,
+    outcome_grid,
     strict_feasibility_slack,
     to_generic,
 )
@@ -28,8 +29,12 @@ from robustplan.bruteforce import GridSpec, brute_force_plan, brute_force_worst_
 from robustplan.refine import ClampedStepOracle, refine_loop
 from robustplan.scenario import load_scenario, parse_scenario
 from robustplan.solver import (
+    MULTIPLIER_BOX,
+    OFFSET_BOX,
     ExchangeConfig,
+    _distribution_lp,
     _exchange,
+    _exchange_solution,
     solve_forecast_set,
     sweep,
     true_expected,
@@ -39,6 +44,7 @@ from robustplan.utility import Utility, market_bidding
 from support import (
     MOMENT_WINDOWS,
     dual_feasibility_margin,
+    logged_solves,
     moment_window_doc,
     random_interval_instance,
     random_market,
@@ -379,15 +385,30 @@ class TestDualLpRows:
         assert np.array_equal(lp.rhs, rhs)
 
 
+def exchange_scenarios():
+    """The exchange_mixed golden scenario and the ``MOMENT_WINDOWS`` sets."""
+    scenarios = [load_scenario(Path(__file__).parent / "golden" / "exchange_mixed.json")]
+    return scenarios + [parse_scenario(moment_window_doc(*args)) for args in MOMENT_WINDOWS.values()]
+
+
+def logged_exchange(caplog, monkeypatch, sc):
+    """Each round's (lp, start) in an exchange solve, with its DEBUG line's phase-1, phase-2 and dual pivots and start."""
+    caplog.clear()
+    solves = logged_solves(caplog, monkeypatch, sc.forecast_set, sc.utility, sc.exchange)
+    return [(lp, start, (p1, p2, dual, outcome)) for lp, start, (_, _, p1, p2, dual, *_, outcome) in solves]
+
+
 class TestExchangeStart:
     """Every exchange-loop LP starts at a feasible vertex, so it needs no phase 1."""
 
-    def test_exchange_lps_have_no_artificials(self, monkeypatch):
-        sc = load_scenario(Path(__file__).parent / "golden" / "exchange_mixed.json")
-        calls = record_solves(monkeypatch)
-        solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
-        assert calls
-        assert not any(simplex._standard_form(lp).artificial.any() for lp, _ in calls)
+    def test_exchange_lps_start_at_a_feasible_vertex(self, caplog, monkeypatch):
+        for sc in exchange_scenarios():
+            solves = logged_exchange(caplog, monkeypatch, sc)
+            assert solves
+            for lp, start, (phase1, _, dual, outcome) in solves:
+                # Round 1 too: it starts on its slacks and elastic columns.
+                assert start is not None and (phase1, dual, outcome) == (0, 0, "used")
+                assert not simplex._standard_form(lp).artificial[start.columns].any()
 
     # Both raised NumericalFailure ("row 1 (>=) off by -1.420e-09" and "row 74
     # (>=) off by -1.005e-09" with one BLAS thread) while every exchange LP
@@ -410,30 +431,27 @@ class TestExchangeStart:
 
 
 class TestExchangeRounds:
-    """Every exchange round after the first reoptimizes the round before with a few dual steps."""
+    """Every exchange round after the first reoptimizes the round before with a few primal steps."""
 
     def test_warm_rounds_match_cold_solves(self, caplog, monkeypatch):
-        scenarios = [load_scenario(Path(__file__).parent / "golden" / "exchange_mixed.json")]
-        scenarios += [parse_scenario(moment_window_doc(*args)) for args in MOMENT_WINDOWS.values()]
         later_pivots = []
-        for sc in scenarios:
-            caplog.clear()
-            calls = record_solves(monkeypatch)
-            with caplog.at_level(logging.DEBUG, logger="robustplan"):
-                solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
-            lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve_lp:")]
-            pivots = [
-                sum(map(int, re.search(r"pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), (\d+) dual", line).groups()))
-                for line in lines
-            ]
-            assert len(pivots) == len(calls)
-            assert calls[0][1] is None and all(start is not None for _, start in calls[1:])
-            # Every later round takes its start: none is rejected and solved cold.
-            assert all(line.rsplit(" ", 1)[1] in ("used", "dual") for line in lines[1:])
-            for lp, start in calls:
+        for sc in exchange_scenarios():
+            solves = logged_exchange(caplog, monkeypatch, sc)
+            pieces = len(sc.utility.pieces)
+            for (lp, start, _), (_, next_start, _) in zip(solves, solves[1:]):
+                # The next round starts from this round's optimal basis, with
+                # the new point's columns inserted after the last ones.
+                carried = simplex.solve_lp(lp, start=start).basis.with_inserted_columns(lp.objective.size, pieces)
+                assert np.array_equal(next_start.columns, carried.columns)
+                assert np.array_equal(next_start.at_upper, carried.at_upper)
+            # Every later round takes its start as a feasible vertex: no dual
+            # step, no phase 1, none rejected and solved cold.
+            for _, start, (phase1, phase2, dual, outcome) in solves[1:]:
+                assert (phase1, dual, outcome) == (0, 0, "used")
+                later_pivots.append(phase2)
+            for lp, start, _ in solves:
                 warm, cold = simplex.solve_lp(lp, start=start), simplex.solve_lp(lp)
                 assert abs(warm.objective_value - cold.objective_value) <= 1e-9
-            later_pivots += pivots[1:]
         assert len(later_pivots) > 5  # x30 alone runs 9 rounds
         assert sum(later_pivots) / len(later_pivots) <= 3
 
@@ -450,16 +468,60 @@ class TestExchangeLog:
             if r.name == "robustplan" and r.getMessage().startswith("exchange round")
         ]
         assert len(rounds) > 1
-        # Round k solves one LP, whose rows are its working points times the utility pieces.
+        # Round k solves one LP, whose columns are its working points times
+        # the utility pieces plus n + 4 fixed ones, on n + 2 rows.
         assert [int(k) for k, _, _ in rounds] == list(range(1, len(calls) + 1))
         sizes = [int(size) for _, size, _ in rounds]
-        assert [size * len(sc.utility.pieces) for size in sizes] == [lp.matrix.shape[0] for lp, _ in calls]
+        n = len(sc.forecast_set.forecasts)
+        assert [size * len(sc.utility.pieces) + n + 4 for size in sizes] == [lp.matrix.shape[1] for lp, _ in calls]
+        assert all(lp.matrix.shape[0] == n + 2 for lp, _ in calls)
         assert sizes == list(range(sizes[0], sizes[0] + len(sizes)))  # one point added per round
         violations = [float(v) for _, _, v in rounds]
         tolerance = ExchangeConfig().violation_tolerance
         assert all(v > tolerance for v in violations[:-1])
         assert violations[-1] == pytest.approx(sol.max_violation, abs=5e-4 * tolerance)
         assert violations[-1] <= tolerance
+
+
+def boxed_program(fs: ForecastSet, u, G, xs, decision) -> simplex.LinearProgram:
+    """The (b, lambda, nu = -eta) program over the points xs with lambda and eta boxed, one row per (point, piece)."""
+    n = G.shape[0]
+    a, c, d = np.array(u.pieces).T
+    rows = [[dk, *G[:, j], -1.0] for j in range(xs.size) for dk in d]
+    rhs = [-(ak + ck * x) for x in xs for ak, ck in zip(a, c)]
+    return simplex.LinearProgram(
+        objective=np.concatenate([[0.0], -fs.bounds, [1.0]]),
+        matrix=np.array(rows),
+        senses=(simplex.GE,) * len(rows),
+        rhs=np.array(rhs),
+        lower=np.concatenate([[decision[0]], np.zeros(n), [-OFFSET_BOX]]),
+        upper=np.concatenate([[decision[1]], np.full(n, MULTIPLIER_BOX), [OFFSET_BOX]]),
+        sense="maximize",
+    )
+
+
+class TestDistributionLp:
+    """The exchange loop's LP is the LP dual of the boxed (b, lambda, eta) program; its row duals solve that program."""
+
+    @pytest.mark.parametrize("decision", [(0.0, 1.0), (0.4, 0.4)])
+    @pytest.mark.parametrize("name", list(MOMENT_WINDOWS))
+    def test_row_duals_solve_the_boxed_program(self, name, decision):
+        sc = parse_scenario(moment_window_doc(*MOMENT_WINDOWS[name]))
+        fs, u = sc.forecast_set, sc.utility
+        xs = outcome_grid(fs, 16)
+        G = fs.values(xs)
+        lp = _distribution_lp(fs, u, G, xs, decision)
+        assert lp.matrix.shape == (len(fs.forecasts) + 2, len(fs.forecasts) + 4 + xs.size * len(u.pieces))
+        sol = _exchange_solution(simplex.solve_lp(lp), fs.bounds, decision)
+        # The plan is feasible in the boxed program: it meets every row and bound.
+        assert decision[0] <= sol.b_star <= decision[1]
+        assert np.all((sol.lambda_star >= 0.0) & (sol.lambda_star <= MULTIPLIER_BOX))
+        assert (u.values_at(xs, sol.b_star) + sol.eta_star + sol.lambda_star @ G).min() >= -1e-9
+        # And its objective is the program's optimum, found on the program's own side.
+        reference = simplex.solve_lp(boxed_program(fs, u, G, xs, decision))
+        assert sol.objective == pytest.approx(reference.objective_value, abs=1e-9)
+        if decision[0] == decision[1]:
+            assert sol.b_star == decision[0]
 
 
 class TestEmptyIndicatorSet:

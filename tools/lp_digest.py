@@ -1,4 +1,4 @@
-"""Replay the benchmark banks and print one SHA-256 over every LP they solve.
+"""Replay the benchmark banks and print a SHA-256 over every LP they solve, per bank and in total.
 
 Run it from the root of a checkout:
 
@@ -9,9 +9,10 @@ order. Each ``solve_lp`` call adds to the digest its status and the bytes of
 its solution, objective and basis (or the error it raised), and each line
 the ``robustplan`` logger writes at DEBUG level adds its text, so the pivot
 counts per phase, dual pivots, bound flips and refactorizations of every
-solve are in it too. The script prints the number of calls and the digest. A
-change meant to leave every pivot where it was must print the same two
-values before and after, at the same BLAS thread count.
+solve are in it too. The script prints one line per bank, with its number
+of calls and its own digest, then the same for all three banks together. A
+change meant to leave every pivot of a bank where it was must print the same
+line for that bank before and after, at the same BLAS thread count.
 """
 
 from __future__ import annotations
@@ -34,8 +35,20 @@ from robustplan import RobustPlanError, bruteforce, forecast, simplex, solver  #
 CALLERS = (bruteforce, forecast, solver)
 
 
+class _Digests:
+    """The running total digest and the current bank's, with a call count for each."""
+
+    def __init__(self):
+        self.total, self.bank = hashlib.sha256(), hashlib.sha256()
+        self.total_calls = self.bank_calls = 0
+
+    def update(self, data: bytes) -> None:
+        self.total.update(data)
+        self.bank.update(data)
+
+
 class _DigestHandler(logging.Handler):
-    """Feeds every record's message to the digest, in the order they are logged."""
+    """Feeds every record's message to the digests, in the order they are logged."""
 
     def __init__(self, digest):
         super().__init__(logging.DEBUG)
@@ -45,14 +58,14 @@ class _DigestHandler(logging.Handler):
         self.digest.update(record.getMessage().encode() + b"\n")
 
 
-def replay() -> tuple[int, str]:
-    """Run every bank op once; return the number of ``solve_lp`` calls and the digest."""
-    digest = hashlib.sha256()
-    calls = 0
+def replay() -> list[tuple[str, int, str]]:
+    """Run every bank op once; return (bank, ``solve_lp`` calls, digest) per bank and then for all of them."""
+    digest = _Digests()
+    lines = []
 
     def recording_solve_lp(problem, start=None):
-        nonlocal calls
-        calls += 1
+        digest.total_calls += 1
+        digest.bank_calls += 1
         try:
             result = simplex.solve_lp(problem, start=start)
         except RobustPlanError as exc:
@@ -75,21 +88,23 @@ def replay() -> tuple[int, str]:
     try:
         with tempfile.TemporaryDirectory() as work:
             for workload in workloads.WORKLOADS:
+                digest.bank, digest.bank_calls = hashlib.sha256(), 0
                 for arg in workloads.write_bank(workload, Path(work)):
                     try:
                         workloads.run_op(workload, workloads.prepare(workload, arg))
                     except (RobustPlanError, workloads.SessionFailed) as exc:
                         digest.update(f"op raised {type(exc).__name__}\n".encode())
+                lines.append((workload, digest.bank_calls, digest.bank.hexdigest()))
     finally:
         for module in CALLERS:
             module.solve_lp = simplex.solve_lp
         logger.removeHandler(handler)
-    return calls, digest.hexdigest()
+    return lines + [("total", digest.total_calls, digest.total.hexdigest())]
 
 
 def main() -> int:
-    calls, hexdigest = replay()
-    print(f"{calls} solve_lp calls, sha256 {hexdigest}")
+    for bank, calls, hexdigest in replay():
+        print(f"{bank}: {calls} solve_lp calls, sha256 {hexdigest}")
     return 0
 
 
