@@ -32,6 +32,13 @@ the previous round's optimal basis primal feasible, so every round after
 the first reoptimizes with a few primal steps (Dantzig & Wolfe, Oper. Res.
 8(1), 1960; Hettich & Kortanek, SIAM Review 35(3), 1993: the exchange
 method is column generation on this side).
+
+A sweep of the decision grid over prediction intervals needs no LP. With
+cells partitioning the domain and l_i <= P(cell i) <= u_i, the worst case
+at a fixed b is a continuous knapsack: every cell starts at l_i and the
+remaining mass goes to the cells with the smallest m_i(b), the minimum of
+J(., b) over the cell's closure, each up to u_i. Its values equal those
+``worst_case_value`` finds within 1e-12, not bit for bit.
 """
 
 from __future__ import annotations
@@ -48,8 +55,26 @@ from .errors import (
     check_count,
     finite_real,
 )
-from .forecast import DiscreteDistribution, ForecastSet, outcome_grid
-from .simplex import EQ, GE, LE, OPTIMAL, UNBOUNDED, Basis, LinearProgram, LpResult, _log_debug, solve_lp
+from .forecast import (
+    DiscreteDistribution,
+    ForecastSet,
+    IndicatorInterval,
+    NegatedIndicatorInterval,
+    outcome_grid,
+)
+from .simplex import (
+    EQ,
+    FEASIBILITY_TOL,
+    GE,
+    LE,
+    OPTIMAL,
+    UNBOUNDED,
+    Basis,
+    LinearProgram,
+    LpResult,
+    _log_debug,
+    solve_lp,
+)
 from .utility import Utility
 
 #: Box applied to the dual variables inside the exchange loop. The finite
@@ -381,23 +406,83 @@ def _exchange(
     )
 
 
+def _partition(fs: ForecastSet) -> np.ndarray | None:
+    """The breakpoints of the cells when ``fs`` is a prediction-interval partition, else None.
+
+    That is: ``interval_count`` is some m >= 1, constraint i is an
+    IndicatorInterval and constraint m + i a NegatedIndicatorInterval on
+    the same (lo, hi, closed_right), the cells run contiguously from one
+    domain end to the other, and only the last is closed on the right.
+    """
+    m = fs.interval_count
+    if not m:
+        return None
+    ends = [fs.domain.lower]
+    for i, (up, low) in enumerate(zip(fs.forecasts[:m], fs.forecasts[m:])):
+        up, low = up.function, low.function
+        if not (isinstance(up, IndicatorInterval) and isinstance(low, NegatedIndicatorInterval)):
+            return None
+        if (up.lo, up.hi, up.closed_right) != (low.lo, low.hi, low.closed_right):
+            return None
+        if up.lo != ends[-1] or up.closed_right != (i == m - 1):
+            return None
+        ends.append(up.hi)
+    return np.array(ends) if ends[-1] == fs.domain.upper else None
+
+
+def _interval_values(breakpoints: np.ndarray, bounds: np.ndarray, u: Utility, decisions: np.ndarray) -> np.ndarray:
+    """Worst-case expected utility W(b) at every decision, for the cells between ``breakpoints``.
+
+    ``bounds`` are the partition's forecast bounds: the m upper probabilities
+    u, then the m lower ones negated. Row j of the matrix m holds each
+    cell's minimum of J(., decisions[j]), its smaller value at the cell's
+    two ends (J is concave). W = m.l plus the remaining mass 1 - sum(l)
+    filled into the capacities u - l in increasing order of the row, ties by
+    cell order. A cell's mass cannot go below zero, so a negative l counts
+    as zero. Raises AmbiguitySetEmpty when no masses fit the bounds beyond
+    FEASIBILITY_TOL.
+    """
+    m = breakpoints.size - 1
+    upper, lower = bounds[:m], np.maximum(-bounds[m:], 0.0)
+    slack = FEASIBILITY_TOL
+    if lower.sum() > 1.0 + slack or upper.sum() < 1.0 - slack or np.any(upper < lower - slack):
+        raise AmbiguitySetEmpty("no distribution satisfies every forecast bound")
+    a, c, d = (coef[:, None, None] for coef in np.array(u.pieces).T)
+    at_ends = np.min(a + c * breakpoints + d * decisions[:, None], axis=0)
+    cell_min = np.minimum(at_ends[:, :-1], at_ends[:, 1:])
+    order = np.argsort(cell_min, axis=1, kind="stable")
+    room = np.maximum(upper - lower, 0.0)[order]
+    before = np.zeros_like(room)
+    np.cumsum(room[:, :-1], axis=1, out=before[:, 1:])
+    fill = np.clip(1.0 - lower.sum() - before, 0.0, room)
+    return cell_min @ lower + np.sum(np.take_along_axis(cell_min, order, axis=1) * fill, axis=1)
+
+
 def sweep(
     fs: ForecastSet, u: Utility, grid_size: int, *, cfg: ExchangeConfig | None = None
 ) -> list[tuple[float, float]]:
     """Worst-case expected utility across a uniform grid of decisions.
 
     Returns grid_size (b, value) pairs covering both decision bounds, each
-    value the one ``worst_case_value`` finds at that b. On indicator-only
-    sets b enters the exact LP only through its right-hand side, so the cell
-    rows are built once and each point's solve starts from the previous
-    point's optimal basis, which stays optimal across a run of points. Past
-    the end of such a run it is still dual feasible, and dual steps
-    reoptimize it; where a row's sign flips in the standard form, the point
-    is solved cold. Generic sets run the exchange loop at every point.
+    value the one ``worst_case_value`` finds at that b. Prediction intervals
+    (``_partition``) take the continuous knapsack at every point at once;
+    their values agree with ``worst_case_value``'s within 1e-12, not bit for
+    bit. On other indicator-only sets b enters the exact LP only through its
+    right-hand side, so the cell rows are built once and each point's solve
+    starts from the previous point's optimal basis, which stays optimal
+    across a run of points. Past the end of such a run it is still dual
+    feasible, and dual steps reoptimize it; where a row's sign flips in the
+    standard form, the point is solved cold. Generic sets run the exchange
+    loop at every point.
     """
     check_count("grid_size", grid_size, 2)
     lo, hi = u.decision_bounds
-    grid = [float(b) for b in np.linspace(lo, hi, grid_size)]
+    decisions = np.linspace(lo, hi, grid_size)
+    grid = decisions.tolist()
+    breakpoints = _partition(fs)
+    if breakpoints is not None:
+        _log_debug("sweep: closed form, %d decisions, %d cells", grid_size, breakpoints.size - 1)
+        return list(zip(grid, _interval_values(breakpoints, fs.bounds, u, decisions).tolist()))
     if not fs.all_indicators():
         return [(b, worst_case_value(fs, u, b, cfg=cfg)[0]) for b in grid]
     G, xs = _cell_rows(fs)

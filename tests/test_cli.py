@@ -83,9 +83,11 @@ def test_golden_lps_match_reference_pivoting(capsys, caplog, monkeypatch):
             source = GOLDEN / f"{scenario}.json" if scenario == "exchange_mixed" else scenario
             run_cli(capsys, [command, str(source), *GOLDEN_COMMANDS[command]])
     starts = [r.getMessage().rsplit(" ", 1)[1] for r in caplog.records if r.getMessage().startswith("solve_lp:")]
-    assert len(starts) == len(calls) > 250  # the 13 commands solve 299 LPs
-    assert sum(start is not None for _, start in calls) > 200  # every sweep point after the first
-    assert starts.count("dual") > 0  # sweep points past a breakpoint of the worst-case curve
+    # Both scenarios are prediction intervals, so their sweeps (and check's
+    # dual side) solve no LP; dual starts are covered by
+    # test_solver.TestSweep's LP walk.
+    assert len(starts) == len(calls) == 55
+    assert sum(start is not None for _, start in calls) == 2  # the exchange_mixed solves' elastic starts
     for lp, start in calls:
         assert_same_pivoting(caplog, lp, start)
 

@@ -567,7 +567,10 @@ class TestSweep:
     def test_warm_started_values_match_cold_solves(self, caplog, seed):
         rng = np.random.default_rng(seed)
         pi, _ = random_interval_instance(rng)
-        fs, u = to_generic(pi), random_market(rng)
+        # Without interval_count the same constraints are not known as a
+        # partition, so the sweep walks the LP from point to point.
+        generic = to_generic(pi)
+        fs, u = ForecastSet(generic.domain, generic.forecasts), random_market(rng)
         with caplog.at_level(logging.DEBUG, logger="robustplan"):
             pairs = sweep(fs, u, 41)
         starts = [r.getMessage().rsplit(" ", 1)[1] for r in caplog.records if r.getMessage().startswith("solve_lp:")]
@@ -587,6 +590,142 @@ class TestSweep:
             else:
                 assert np.float64(value).tobytes() == np.float64(cold).tobytes()
         assert "dual" in starts
+
+
+def lp_walk(fs: ForecastSet) -> ForecastSet:
+    """The same constraints without interval_count, which ``sweep`` does not take for a partition."""
+    return ForecastSet(fs.domain, fs.forecasts)
+
+
+def interval_bounds(upper, lower) -> np.ndarray:
+    """A bound vector for three cells: the upper probabilities, then the lower ones negated."""
+    return np.concatenate([upper, -np.asarray(lower)])
+
+
+THREE_CELLS = to_generic(
+    PredictionIntervals(breakpoints=(0.0, 0.3, 0.6, 1.0), lower_probs=(0.0, 0.0, 0.0), upper_probs=(1.0, 1.0, 1.0))
+)
+
+
+def variant_instance(seed: int):
+    """A random interval instance and market; every third pins one cell (l = u), every third sets l to the truth (sum l = 1)."""
+    rng = np.random.default_rng(seed)
+    pi, truth = random_interval_instance(rng)
+    lower, upper = np.array(pi.lower_probs), np.array(pi.upper_probs)
+    mass = truth.probabilities
+    if seed % 3 == 1:
+        i = int(rng.integers(pi.interval_count))
+        lower[i] = upper[i] = mass[i]
+    elif seed % 3 == 2:
+        lower = mass
+        upper = np.maximum(upper, mass)
+    pi = PredictionIntervals(pi.breakpoints, tuple(lower), tuple(upper))
+    return to_generic(pi), random_market(rng)
+
+
+class TestClosedFormSweep:
+    """Prediction intervals sweep by the continuous knapsack; it agrees with the LP and with the brute-force primal."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_worst_case_value(self, seed):
+        fs, u = variant_instance(seed)
+        # At b = 0 every cell lies right of the bid, so under market_bidding
+        # all cell minima tie at price * b.
+        for b, value in sweep(fs, u, 21):
+            assert abs(value - worst_case_value(fs, u, b)[0]) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_worst_case_value_off_market(self, seed):
+        # A market utility rises in x, so each cell's minimum is at its left
+        # end; random pieces also put it at the right end.
+        fs, _ = variant_instance(seed)
+        rng = np.random.default_rng(seed)
+        u = Utility(pieces=tuple(map(tuple, rng.uniform(-2.0, 2.0, size=(3, 3)))), decision_bounds=(0.0, 1.0))
+        for b, value in sweep(fs, u, 21):
+            assert abs(value - worst_case_value(fs, u, b)[0]) <= 1e-12
+
+    def test_negative_lower_bound_counts_as_zero(self):
+        # P(cell) >= -0.2 binds nothing: the rightmost cell may still get no mass.
+        fs = THREE_CELLS.with_bounds(interval_bounds((0.6, 0.7, 0.9), (0.1, 0.1, -0.2)))
+        for (b, value), (_, reference) in zip(sweep(fs, MARKET, 11), sweep(lp_walk(fs), MARKET, 11)):
+            assert abs(value - reference) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force(self, seed):
+        fs, u = variant_instance(seed)
+        for b, value in sweep(fs, u, 5):
+            assert abs(value - brute_force_worst_case(fs, u, b)[0]) <= 1e-9
+
+    @pytest.mark.parametrize(
+        ("upper", "lower", "empty"),
+        [
+            ((0.6, 0.7, 0.9), (0.2, 0.3, 0.5 + delta), delta > 1e-9)
+            for delta in (1e-8, -1e-8, 1e-13, -1e-13)
+        ]
+        + [
+            ((0.3, 0.3, 0.4 + delta), (0.0, 0.1, 0.1), delta < -1e-9)
+            for delta in (1e-8, -1e-8, 1e-13, -1e-13)
+        ]
+        + [((0.6, 0.25, 0.9), (0.2, 0.3, 0.1), True)],
+        ids=[f"sum_lower{d:+g}" for d in (1e-8, -1e-8, 1e-13, -1e-13)]
+        + [f"sum_upper{d:+g}" for d in (1e-8, -1e-8, 1e-13, -1e-13)]
+        + ["crossed"],
+    )
+    def test_empty_set_parity(self, upper, lower, empty):
+        fs = THREE_CELLS.with_bounds(interval_bounds(upper, lower))
+        outcomes = []
+        for forecasts in (fs, lp_walk(fs)):
+            try:
+                outcomes.append(sweep(forecasts, MARKET, 11))
+            except AmbiguitySetEmpty:
+                outcomes.append(None)
+        closed_form, walk = outcomes
+        assert (closed_form is None, walk is None) == (empty, empty)
+        if not empty:
+            assert max(abs(v - w) for (_, v), (_, w) in zip(closed_form, walk)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [(0.3, 0.6, False), (0.0, 0.3, False), (0.6, 1.0, True)],
+            [(0.0, 0.5, False), (0.3, 0.8, False), (0.8, 1.0, True)],
+            [(0.0, 0.3, False), (0.4, 0.6, False), (0.6, 1.0, True)],
+            [(0.0, 0.3, False), (0.3, 0.6, True), (0.6, 1.0, True)],
+            [(0.0, 0.3, False), (0.3, 0.6, False), (0.6, 1.0, False)],
+        ],
+        ids=["shuffled", "overlapping", "gap", "closed_middle", "open_last"],
+    )
+    def test_non_partitions_walk_the_lp(self, caplog, monkeypatch, cells):
+        fs = ForecastSet(
+            domain=Domain(0.0, 1.0),
+            forecasts=tuple(Forecast(IndicatorInterval(*cell), 0.6) for cell in cells)
+            + tuple(Forecast(NegatedIndicatorInterval(*cell), -0.1) for cell in cells),
+            interval_count=len(cells),
+        )
+        calls = record_solves(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="robustplan"):
+            pairs = sweep(fs, MARKET, 11)
+        assert len(calls) == 11
+        assert not any(r.getMessage().startswith("sweep:") for r in caplog.records)
+        for b, value in pairs:
+            assert abs(value - worst_case_value(fs, MARKET, b)[0]) <= 1e-12
+
+    def test_mismatched_lower_bound_cell_walks_the_lp(self, monkeypatch):
+        forecasts = list(THREE_CELLS.forecasts)
+        forecasts[3] = Forecast(NegatedIndicatorInterval(0.0, 0.2), 0.0)
+        fs = ForecastSet(THREE_CELLS.domain, tuple(forecasts), interval_count=3)
+        calls = record_solves(monkeypatch)
+        sweep(fs, MARKET, 5)
+        assert len(calls) == 5
+
+    def test_debug_line(self, caplog, monkeypatch):
+        calls = record_solves(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="robustplan"):
+            sweep(to_generic(binding_pair()), MARKET, 41)
+        assert [r.getMessage() for r in caplog.records if r.name == "robustplan"] == [
+            "sweep: closed form, 41 decisions, 2 cells"
+        ]
+        assert calls == []
 
 
 class TestTrueExpected:
