@@ -444,8 +444,8 @@ def _interval_values(breakpoints: np.ndarray, bounds: np.ndarray, u: Utility, de
     """
     m = breakpoints.size - 1
     upper, lower = bounds[:m], np.maximum(-bounds[m:], 0.0)
-    slack = FEASIBILITY_TOL
-    if lower.sum() > 1.0 + slack or upper.sum() < 1.0 - slack or np.any(upper < lower - slack):
+    tol = FEASIBILITY_TOL
+    if lower.sum() > 1.0 + tol or upper.sum() < 1.0 - tol or np.any(upper < lower - tol):
         raise AmbiguitySetEmpty("no distribution satisfies every forecast bound")
     a, c, d = (coef[:, None, None] for coef in np.array(u.pieces).T)
     at_ends = np.min(a + c * breakpoints + d * decisions[:, None], axis=0)

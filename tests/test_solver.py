@@ -544,6 +544,11 @@ class TestEmptyIndicatorSet:
             worst_case_value(self.empty_set(), MARKET, 0.5)
 
 
+def lp_walk(fs: ForecastSet) -> ForecastSet:
+    """The same constraints without interval_count, which ``sweep`` does not take for a partition."""
+    return ForecastSet(fs.domain, fs.forecasts)
+
+
 class TestSweep:
     def test_vacuous_values(self):
         result = sweep(to_generic(vacuous()), MARKET, 3)
@@ -567,10 +572,8 @@ class TestSweep:
     def test_warm_started_values_match_cold_solves(self, caplog, seed):
         rng = np.random.default_rng(seed)
         pi, _ = random_interval_instance(rng)
-        # Without interval_count the same constraints are not known as a
-        # partition, so the sweep walks the LP from point to point.
-        generic = to_generic(pi)
-        fs, u = ForecastSet(generic.domain, generic.forecasts), random_market(rng)
+        # Without interval_count the sweep walks the LP from point to point.
+        fs, u = lp_walk(to_generic(pi)), random_market(rng)
         with caplog.at_level(logging.DEBUG, logger="robustplan"):
             pairs = sweep(fs, u, 41)
         starts = [r.getMessage().rsplit(" ", 1)[1] for r in caplog.records if r.getMessage().startswith("solve_lp:")]
@@ -592,13 +595,8 @@ class TestSweep:
         assert "dual" in starts
 
 
-def lp_walk(fs: ForecastSet) -> ForecastSet:
-    """The same constraints without interval_count, which ``sweep`` does not take for a partition."""
-    return ForecastSet(fs.domain, fs.forecasts)
-
-
 def interval_bounds(upper, lower) -> np.ndarray:
-    """A bound vector for three cells: the upper probabilities, then the lower ones negated."""
+    """A prediction-interval bound vector: the upper probabilities, then the lower ones negated."""
     return np.concatenate([upper, -np.asarray(lower)])
 
 
