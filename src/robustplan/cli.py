@@ -131,7 +131,7 @@ def _cmd_refine(scenario: Scenario, args: argparse.Namespace) -> str:
 def _cmd_check(scenario: Scenario, args: argparse.Namespace) -> str:
     fs, u = scenario.forecast_set, scenario.utility
     # The dual side is a sweep over the same grid: the closed form on
-    # prediction intervals, a warm-started LP walk on other indicator sets.
+    # prediction intervals, one worst_case_value solve per point on other sets.
     # Each brute-force primal is solved cold.
     gap = max(
         abs(brute_force_worst_case(fs, u, b, scenario.check_grid)[0] - dual)

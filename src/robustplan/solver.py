@@ -15,23 +15,22 @@ LP builder serves both the optimal plan and the value of a given plan.
 The pointwise constraint is handled two ways. When every g_i is an interval
 indicator, the domain splits into finitely many cells on which all g_i are
 constant and J (concave, piecewise affine) attains its minimum at cell
-endpoints, so the continuum of constraints collapses to an exact finite LP.
-Otherwise an exchange loop grows a finite working set of points until the
-most violated point found by a dense grid search is within tolerance.
+endpoints, so the continuum of constraints collapses to an exact finite set
+of points. Otherwise an exchange loop grows a finite working set of points
+until the most violated point found by a dense grid search is within
+tolerance.
 
-The exact path's LP always admits feasible points (eta is free), and its
-value is finite exactly when the ambiguity set is nonempty; an unbounded
-solve therefore reports AmbiguitySetEmpty. It carries the offset negated,
-as nu = -eta; eta is free, so the negation only swaps its two split columns.
-
-The exchange loop solves the LP dual of the (b, lambda, eta) program over
-its working set, with lambda and eta boxed: a program over the adversary's
-point masses, with n + 2 rows and one column per (working point, utility
-piece). Its row duals are the plan. A new point adds columns, which leaves
-the previous round's optimal basis primal feasible, so every round after
+Both paths solve one LP over their points: the LP dual of the (b, lambda,
+eta) program, a program over the adversary's point masses with n + 2 rows
+and one column per (point, utility piece). Its row duals are the plan. On
+the exact path the points are exact, so the LP is feasible exactly when the
+ambiguity set is nonempty, and a phase 1 that ends infeasible reports
+AmbiguitySetEmpty. The exchange loop's working set is not, so its LP adds
+elastic columns that box lambda and eta, and a new point adds columns, which
+leaves the previous round's optimal basis primal feasible: every round after
 the first reoptimizes with a few primal steps (Dantzig & Wolfe, Oper. Res.
-8(1), 1960; Hettich & Kortanek, SIAM Review 35(3), 1993: the exchange
-method is column generation on this side).
+8(1), 1960; Hettich & Kortanek, SIAM Review 35(3), 1993: the exchange method
+is column generation on this side).
 
 A sweep of the decision grid over prediction intervals needs no LP. With
 cells partitioning the domain and l_i <= P(cell i) <= u_i, the worst case
@@ -65,13 +64,13 @@ from .forecast import (
 from .simplex import (
     EQ,
     FEASIBILITY_TOL,
-    GE,
+    INFEASIBLE,
     LE,
     OPTIMAL,
-    UNBOUNDED,
     Basis,
     LinearProgram,
     LpResult,
+    _TIE_BAND,
     _log_debug,
     solve_lp,
 )
@@ -162,64 +161,44 @@ def _cell_rows(fs: ForecastSet) -> tuple[np.ndarray, np.ndarray]:
     return G[:, keep], np.repeat(cuts, 3)[keep]
 
 
-def _dual_lp(
-    fs: ForecastSet, u: Utility, G: np.ndarray, xs: np.ndarray, decision: tuple[float, float]
-) -> LinearProgram:
-    """The dual LP restricted to the outcome points xs.
-
-    Variables are (b, lambda_1..lambda_n, eta) with b in the closed interval
-    ``decision``; a fixed decision is the pair (b, b). ``G`` holds the
-    g-vector at each point as a column. Each point contributes one row per
-    utility piece via the hypograph trick: J(x, b) >= -(...) iff every affine
-    piece is. Rows are point-major, piece-minor.
-
-    The last column is nu = -eta (column of -1, cost +1), free.
-    """
-    n = G.shape[0]
-    a, c, d = np.array(u.pieces).T
-    matrix = np.empty((xs.size * a.size, n + 2))
-    matrix[:, 0] = np.tile(d, xs.size)
-    matrix[:, 1:-1] = np.repeat(G.T, a.size, axis=0)
-    matrix[:, -1] = -1.0
-    rhs = -(a + c * xs[:, None]).ravel()
-
-    objective = np.zeros(n + 2)
-    objective[1:-1] = -fs.bounds
-    objective[-1] = 1.0
-    lower = np.zeros(n + 2)
-    upper = np.full(n + 2, np.inf)
-    lower[0], upper[0] = decision
-    lower[-1] = -np.inf
-
-    return LinearProgram(
-        objective=objective,
-        matrix=matrix,
-        senses=(GE,) * rhs.size,
-        rhs=rhs,
-        lower=lower,
-        upper=upper,
-        sense="maximize",
-    )
-
-
-def _planning_solution(result: LpResult) -> PlanningSolution:
-    """The plan a solved ``_dual_lp`` gives; raises when it has none."""
-    if result.status == UNBOUNDED:
-        raise AmbiguitySetEmpty("no distribution satisfies every forecast bound")
-    if result.status != OPTIMAL:
-        # eta is free (or generously boxed), which makes every row satisfiable
-        # for reasonable utilities; reaching this indicates a numerical breakdown.
-        raise NumericalFailure(f"dual subproblem unexpectedly {result.status}")
-    x = result.solution
-    # Adding 0.0 turns the -0.0 that negating a zero gives into 0.0.
-    return PlanningSolution(b_star=x[0], lambda_star=x[1:-1], eta_star=-x[-1] + 0.0, objective=result.objective_value)
-
-
 def _solve(fs: ForecastSet, u: Utility, decision: tuple[float, float], cfg: ExchangeConfig) -> PlanningSolution:
     """The exact reduction for indicator-only sets, the exchange loop otherwise."""
-    if fs.all_indicators():
-        return _planning_solution(solve_lp(_dual_lp(fs, u, *_cell_rows(fs), decision)))
-    return _exchange(fs, u, cfg, decision)
+    if not fs.all_indicators():
+        return _exchange(fs, u, cfg, decision)
+    G, xs = _cell_rows(fs)
+    result = solve_lp(_distribution_lp(fs, u, G, xs, decision, elastic=False))
+    if result.status == INFEASIBLE:
+        raise AmbiguitySetEmpty("no distribution satisfies every forecast bound")
+    return _lift_zero_bound_rows(_exchange_solution(result, fs.bounds, decision), fs.bounds, u, G, xs)
+
+
+def _lift_zero_bound_rows(
+    sol: PlanningSolution, bounds: np.ndarray, u: Utility, G: np.ndarray, xs: np.ndarray
+) -> PlanningSolution:
+    """``sol`` with the multiplier of each forecast whose bound is 0 raised to the top of its range.
+
+    Such a row's multiplier does not enter the objective, so every value
+    that keeps J(x, b*) + lambda.g(x) + eta >= 0 at the points xs is
+    optimal. Each is raised, in row order, to the largest of them: on the
+    dual face that is the one-sided rate at which the worst case falls as
+    the bound tightens (Danskin), which is what ``refine`` ranks forecasts
+    by. A row that no point limits keeps its value, and one whose top is
+    within _TIE_BAND of zero gets 0. A prediction interval's lower probability
+    of 0 thus gets (m_i - t)+, with m_i the minimum of J(., b*) over cell i
+    and t = -eta the value of the marginal mass; a negative lower
+    probability is a positive bound and keeps lambda = 0.
+    """
+    lam = sol.lambda_star.copy()
+    offset = u.values_at(xs, sol.b_star) + sol.eta_star
+    for i in np.flatnonzero(bounds == 0.0):
+        limits = G[i] < 0.0
+        if limits.any():
+            # Found without row i's own term, so that rows tied in exact arithmetic tie in floating point.
+            lam[i] = 0.0
+            top = np.min((offset[limits] + lam @ G[:, limits]) / -G[i, limits])
+            # A top within _TIE_BAND of zero is the rounding of a tie J(x, b*) = -eta.
+            lam[i] = top if top > _TIE_BAND else 0.0
+    return replace(sol, lambda_star=lam)
 
 
 def worst_case_value(
@@ -270,11 +249,11 @@ def _violation_search(
 
 
 def _distribution_lp(
-    fs: ForecastSet, u: Utility, G: np.ndarray, xs: np.ndarray, decision: tuple[float, float]
+    fs: ForecastSet, u: Utility, G: np.ndarray, xs: np.ndarray, decision: tuple[float, float], elastic: bool = True
 ) -> LinearProgram:
-    """The LP dual of the (b, lambda, eta) program over the outcome points xs, with lambda and eta boxed.
+    """The LP dual of the (b, lambda, eta) program over the outcome points xs.
 
-    Its variables, all >= 0, are n + 4 fixed columns (v_1..v_n, w+, w-, s+,
+    Its variables, all >= 0, are the fixed columns (v_1..v_n, w+, w-, s+,
     s-) and then a mass mu_jk for each point xs[j] and utility piece k,
     point-major, piece-minor; ``G`` holds the g-vector at each point as a
     column:
@@ -287,21 +266,23 @@ def _distribution_lp(
 
     The elastic columns v and w+- stand for the boxes lambda <=
     MULTIPLIER_BOX and |eta| <= OFFSET_BOX, and s+- for b in [lo, hi]
-    (``decision``). The row duals are -lambda, -eta and -b.
+    (``decision``). Without ``elastic`` they are left out, and the fixed
+    columns are s+ and s-. The row duals are -lambda, -eta and -b.
     """
     n = G.shape[0]
     lo, hi = decision
     a, c, d = np.array(u.pieces).T
-    fixed = n + 4
+    fixed = n + 4 if elastic else 2
     matrix = np.zeros((n + 2, fixed + xs.size * a.size))
-    matrix[:n, :n] = -np.eye(n)
-    matrix[n:, n:fixed] = [[-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0]]
+    if elastic:
+        matrix[:n, :n] = -np.eye(n)
+        matrix[n, n : n + 2] = [-1.0, 1.0]
+    matrix[n + 1, fixed - 2 : fixed] = [-1.0, 1.0]
     matrix[:n, fixed:] = np.repeat(G, a.size, axis=1)
     matrix[n, fixed:] = 1.0
     matrix[n + 1, fixed:] = np.tile(d, xs.size)
-    objective = np.concatenate(
-        [np.full(n, MULTIPLIER_BOX), [OFFSET_BOX, OFFSET_BOX, hi, -lo], (a + c * xs[:, None]).ravel()]
-    )
+    boxes = [np.full(n, MULTIPLIER_BOX), [OFFSET_BOX, OFFSET_BOX]] if elastic else []
+    objective = np.concatenate([*boxes, [hi, -lo], (a + c * xs[:, None]).ravel()])
     return LinearProgram(
         objective=objective,
         matrix=matrix,
@@ -333,17 +314,18 @@ def _elastic_start(bounds: np.ndarray, columns: int) -> Basis:
 
 
 def _exchange_solution(result: LpResult, bounds: np.ndarray, decision: tuple[float, float]) -> PlanningSolution:
-    """The plan a solved ``_distribution_lp`` gives: its row duals, each clipped to its box."""
+    """The plan a solved ``_distribution_lp`` gives: its row duals, with lambda clipped to >= 0 and b to ``decision``."""
     if result.status != OPTIMAL:
-        # The elastic columns make every round feasible, and reasonable
-        # utilities keep it bounded; reaching this is a numerical breakdown.
+        # The points keep every mass bounded for reasonable utilities, and the
+        # elastic columns make every exchange round feasible; reaching this is
+        # a numerical breakdown.
         raise NumericalFailure(f"dual subproblem unexpectedly {result.status}")
     n = bounds.size
     # Adding 0.0 turns the -0.0 that negating a zero gives into 0.0.
-    lambda_star = np.clip(-result.duals[:n], 0.0, MULTIPLIER_BOX) + 0.0
-    eta_star = float(np.clip(-result.duals[n], -OFFSET_BOX, OFFSET_BOX)) + 0.0
+    lambda_star = np.maximum(-result.duals[:n], 0.0) + 0.0
+    eta_star = float(-result.duals[n]) + 0.0
     return PlanningSolution(
-        b_star=np.clip(-result.duals[n + 1], *decision),
+        b_star=np.clip(-result.duals[n + 1], *decision) + 0.0,
         lambda_star=lambda_star,
         eta_star=eta_star,
         objective=-bounds @ lambda_star - eta_star,
@@ -467,13 +449,7 @@ def sweep(
     value the one ``worst_case_value`` finds at that b. Prediction intervals
     (``_partition``) take the continuous knapsack at every point at once;
     their values agree with ``worst_case_value``'s within 1e-12, not bit for
-    bit. On other indicator-only sets b enters the exact LP only through its
-    right-hand side, so the cell rows are built once and each point's solve
-    starts from the previous point's optimal basis, which stays optimal
-    across a run of points. Past the end of such a run it is still dual
-    feasible, and dual steps reoptimize it; where a row's sign flips in the
-    standard form, the point is solved cold. Generic sets run the exchange
-    loop at every point.
+    bit. Every other set calls ``worst_case_value`` at each point.
     """
     check_count("grid_size", grid_size, 2)
     lo, hi = u.decision_bounds
@@ -483,15 +459,7 @@ def sweep(
     if breakpoints is not None:
         _log_debug("sweep: closed form, %d decisions, %d cells", grid_size, breakpoints.size - 1)
         return list(zip(grid, _interval_values(breakpoints, fs.bounds, u, decisions).tolist()))
-    if not fs.all_indicators():
-        return [(b, worst_case_value(fs, u, b, cfg=cfg)[0]) for b in grid]
-    G, xs = _cell_rows(fs)
-    pairs, start = [], None
-    for b in grid:
-        result = solve_lp(_dual_lp(fs, u, G, xs, (b, b)), start=start)
-        pairs.append((b, _planning_solution(result).objective))
-        start = result.basis
-    return pairs
+    return [(b, worst_case_value(fs, u, b, cfg=cfg)[0]) for b in grid]
 
 
 def true_expected(truth: DiscreteDistribution, u: Utility, b: float) -> float:

@@ -95,6 +95,29 @@ MOMENT_WINDOWS = {
 }
 
 
+def tall_program(fs, u, G, xs, decision, boxes=(np.inf, np.inf)) -> simplex.LinearProgram:
+    """The (b, lambda, nu = -eta) program over the points xs, one >= row per (point, piece), point-major.
+
+    ``G`` holds the g-vector at each point as a column and b lies in
+    ``decision``. ``boxes`` caps each lambda and |eta|; by default neither
+    is capped, and the program is the LP dual of the exact path's.
+    """
+    n = G.shape[0]
+    a, c, d = np.array(u.pieces).T
+    rows = [[dk, *G[:, j], -1.0] for j in range(xs.size) for dk in d]
+    rhs = [-(ak + ck * x) for x in xs for ak, ck in zip(a, c)]
+    multiplier_box, offset_box = boxes
+    return simplex.LinearProgram(
+        objective=np.concatenate([[0.0], -fs.bounds, [1.0]]),
+        matrix=np.array(rows).reshape(len(rows), n + 2),
+        senses=(simplex.GE,) * len(rows),
+        rhs=np.array(rhs),
+        lower=np.concatenate([[decision[0]], np.zeros(n), [-offset_box]]),
+        upper=np.concatenate([[decision[1]], np.full(n, multiplier_box), [offset_box]]),
+        sense="maximize",
+    )
+
+
 def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally, warm=False):
     """``simplex._iterate`` as a from-scratch bounded-variable simplex: a freshly inverted basis per step.
 

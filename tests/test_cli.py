@@ -84,8 +84,7 @@ def test_golden_lps_match_reference_pivoting(capsys, caplog, monkeypatch):
             run_cli(capsys, [command, str(source), *GOLDEN_COMMANDS[command]])
     starts = [r.getMessage().rsplit(" ", 1)[1] for r in caplog.records if r.getMessage().startswith("solve_lp:")]
     # Both scenarios are prediction intervals, so their sweeps (and check's
-    # dual side) solve no LP; dual starts are covered by
-    # test_solver.TestSweep's LP walk.
+    # dual side) solve no LP.
     assert len(starts) == len(calls) == 55
     assert sum(start is not None for _, start in calls) == 2  # the exchange_mixed solves' elastic starts
     for lp, start in calls:

@@ -26,7 +26,7 @@ from robustplan.simplex import (
     _standard_form,
     solve_lp,
 )
-from robustplan.solver import _cell_rows, _dual_lp, solve_forecast_set
+from robustplan.solver import _cell_rows, _distribution_lp, solve_forecast_set
 from robustplan.utility import market_bidding
 from support import (
     MOMENT_WINDOWS,
@@ -37,6 +37,7 @@ from support import (
     moment_window_doc,
     random_interval_instance,
     solve_with_reference,
+    tall_program,
 )
 
 INF = np.inf
@@ -653,9 +654,14 @@ class TestKeptInverse:
 
     def test_interval_lp_matches_reference(self, caplog, monkeypatch):
         pi, _ = random_interval_instance(np.random.default_rng(50), m=50)
-        [(lp, _, fields)] = logged_solves(caplog, monkeypatch, to_generic(pi), market_bidding(1.0, 1.6))
-        _, _, phase1, phase2, dual, flips, refactorizations, start = fields
-        # More than 100 pivots (103 + 32 when written), so the inverse is rebuilt mid-phase.
+        fs, u = to_generic(pi), market_bidding(1.0, 1.6)
+        [(exact, _, _)] = logged_solves(caplog, monkeypatch, fs, u)
+        assert_same_result(solve_lp(exact), solve_with_reference(exact))
+        # The exact path's LP takes a few pivots; its LP dual, the tall (b,
+        # lambda, nu) program over the same points, takes more than 100, so
+        # the inverse is rebuilt mid-phase.
+        lp = tall_program(fs, u, *_cell_rows(fs), u.decision_bounds)
+        _, (_, _, phase1, phase2, dual, flips, refactorizations, start) = solve_logged(caplog, lp)
         assert phase1 + phase2 > 100
         assert flips == 0  # b, the only boxed column, never reaches its upper bound here
         assert (dual, start) == (0, "none")
@@ -830,10 +836,10 @@ TRIANGLE = make_lp(
 )
 
 
-def market_m6_dual_lp(b):
-    """The exact fixed-decision dual LP of the bundled market_m6 scenario at decision b."""
+def market_m6_exact_lp(b):
+    """The exact fixed-decision LP of the bundled market_m6 scenario at decision b."""
     sc = load_scenario("market_m6")
-    return _dual_lp(sc.forecast_set, sc.utility, *_cell_rows(sc.forecast_set), (b, b))
+    return _distribution_lp(sc.forecast_set, sc.utility, *_cell_rows(sc.forecast_set), (b, b), elastic=False)
 
 
 def grown_start(lp: LinearProgram, grown: LinearProgram, basis: Basis) -> Basis:
@@ -868,7 +874,7 @@ class TestWarmStart:
             TRIANGLE,
             # Its optimum has y nonbasic at its upper bound.
             make_lp([1.0, 1.0], [[2.0, 1.0]], [LE], [2.5], [0.0, 0.0], [1.0, 2.0]),
-            market_m6_dual_lp(0.3),
+            market_m6_exact_lp(0.3),
         ],
         ids=["triangle", "boxed", "market_m6"],
     )

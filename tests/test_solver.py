@@ -50,6 +50,7 @@ from support import (
     random_market,
     record_solves,
     scaled,
+    tall_program,
 )
 
 MARKET = market_bidding(1.0, 1.6)
@@ -292,12 +293,13 @@ class TestSolveGeneric:
             solve_forecast_set(fs, MARKET)
 
 
-def loop_dual_rows(fs: ForecastSet, u):
-    """Reference rows of the exact dual LP, built one (g, x) pair and one piece at a time.
+def loop_mass_block(fs: ForecastSet, u):
+    """Reference mass columns of the exact LP and their costs, built one (g, x) pair and one piece at a time.
 
     At each cut in order, the pairs are the g of the cell left of it (taken at
     the cell's midpoint), of the cut itself and of the cell right of it, with
-    repeated pairs dropped in first-seen order.
+    repeated pairs dropped in first-seen order. Each pair and piece gives the
+    column (g, 1, d) at the cost a + c x.
     """
     lo, hi = fs.domain.lower, fs.domain.upper
     cuts = sorted({lo, hi, *(e for e in fs.indicator_endpoints() if lo < e < hi)})
@@ -307,12 +309,12 @@ def loop_dual_rows(fs: ForecastSet, u):
         for point in mids[max(i - 1, 0) : i] + [x] + mids[i : i + 1]:
             g = fs.values([point])[:, 0]
             pairs.setdefault((tuple(g), x), (g, x))
-    matrix, rhs = [], []
+    columns, costs = [], []
     for g, x in pairs.values():
         for a, c, d in u.pieces:
-            matrix.append([d, *g, -1.0])
-            rhs.append(-(a + c * x))
-    return np.array(matrix), np.array(rhs)
+            columns.append([*g, 1.0, d])
+            costs.append(a + c * x)
+    return np.array(columns).T, np.array(costs)
 
 
 class TestClosedRightIndicator:
@@ -334,7 +336,7 @@ class TestClosedRightIndicator:
 
 
 class TestDualLpRows:
-    """The vectorized dual-LP builder reproduces the loop construction exactly."""
+    """The exact path's LP is ``_distribution_lp`` without elastic columns; its mass block matches the loop construction."""
 
     def captured_lp(self, monkeypatch, fs, u, b=None):
         calls = record_solves(monkeypatch)
@@ -343,6 +345,19 @@ class TestDualLpRows:
         else:
             worst_case_value(fs, u, b)
         return calls[0][0]
+
+    @staticmethod
+    def assert_matches_loop_reference(lp, fs, u, decision):
+        n = len(fs.forecasts)
+        block, costs = loop_mass_block(fs, u)
+        assert lp.matrix.shape == (n + 2, 2 + costs.size)
+        # s+ and s- price b in ``decision`` through the balance row.
+        assert lp.matrix[:, :2].tolist() == [[0.0, 0.0]] * (n + 1) + [[-1.0, 1.0]]
+        assert lp.objective[:2].tolist() == [decision[1], -decision[0]]
+        assert np.array_equal(lp.matrix[:, 2:], block)
+        assert np.array_equal(lp.objective[2:], costs)
+        assert lp.senses == (simplex.LE,) * n + (simplex.EQ, simplex.EQ)
+        assert np.array_equal(lp.rhs, np.concatenate([fs.bounds, [1.0, 0.0]]))
 
     @pytest.mark.parametrize(
         "fs",
@@ -366,11 +381,7 @@ class TestDualLpRows:
     @pytest.mark.parametrize("b", [None, 0.3])
     def test_matches_loop_reference(self, monkeypatch, fs, b):
         lp = self.captured_lp(monkeypatch, fs, MARKET, b)
-        matrix, rhs = loop_dual_rows(fs, MARKET)
-        assert np.array_equal(lp.matrix, matrix)
-        assert np.array_equal(lp.rhs, rhs)
-        expected_bounds = MARKET.decision_bounds if b is None else (b, b)
-        assert (lp.lower[0], lp.upper[0]) == expected_bounds
+        self.assert_matches_loop_reference(lp, fs, MARKET, MARKET.decision_bounds if b is None else (b, b))
 
     @given(seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=20, deadline=None)
@@ -380,9 +391,7 @@ class TestDualLpRows:
         u = random_market(rng)
         with pytest.MonkeyPatch.context() as monkeypatch:
             lp = self.captured_lp(monkeypatch, to_generic(pi), u)
-        matrix, rhs = loop_dual_rows(to_generic(pi), u)
-        assert np.array_equal(lp.matrix, matrix)
-        assert np.array_equal(lp.rhs, rhs)
+        self.assert_matches_loop_reference(lp, to_generic(pi), u, u.decision_bounds)
 
 
 def exchange_scenarios():
@@ -483,23 +492,6 @@ class TestExchangeLog:
         assert violations[-1] <= tolerance
 
 
-def boxed_program(fs: ForecastSet, u, G, xs, decision) -> simplex.LinearProgram:
-    """The (b, lambda, nu = -eta) program over the points xs with lambda and eta boxed, one row per (point, piece)."""
-    n = G.shape[0]
-    a, c, d = np.array(u.pieces).T
-    rows = [[dk, *G[:, j], -1.0] for j in range(xs.size) for dk in d]
-    rhs = [-(ak + ck * x) for x in xs for ak, ck in zip(a, c)]
-    return simplex.LinearProgram(
-        objective=np.concatenate([[0.0], -fs.bounds, [1.0]]),
-        matrix=np.array(rows),
-        senses=(simplex.GE,) * len(rows),
-        rhs=np.array(rhs),
-        lower=np.concatenate([[decision[0]], np.zeros(n), [-OFFSET_BOX]]),
-        upper=np.concatenate([[decision[1]], np.full(n, MULTIPLIER_BOX), [OFFSET_BOX]]),
-        sense="maximize",
-    )
-
-
 class TestDistributionLp:
     """The exchange loop's LP is the LP dual of the boxed (b, lambda, eta) program; its row duals solve that program."""
 
@@ -518,10 +510,63 @@ class TestDistributionLp:
         assert np.all((sol.lambda_star >= 0.0) & (sol.lambda_star <= MULTIPLIER_BOX))
         assert (u.values_at(xs, sol.b_star) + sol.eta_star + sol.lambda_star @ G).min() >= -1e-9
         # And its objective is the program's optimum, found on the program's own side.
-        reference = simplex.solve_lp(boxed_program(fs, u, G, xs, decision))
+        reference = simplex.solve_lp(tall_program(fs, u, G, xs, decision, (MULTIPLIER_BOX, OFFSET_BOX)))
         assert sol.objective == pytest.approx(reference.objective_value, abs=1e-9)
         if decision[0] == decision[1]:
             assert sol.b_star == decision[0]
+
+
+class TestZeroBoundMultipliers:
+    """A forecast bound of 0 is priced at the top of its range on the dual face."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_partition_multipliers_follow_the_knapsack(self, seed):
+        # Cell i's multipliers are (t - m_i)+ on its upper bound and (m_i - t)+
+        # on its lower one, with t = -eta: on a lower probability clipped to
+        # 0 too, where the row's bound is 0 and its multiplier has a range.
+        rng = np.random.default_rng(seed)
+        pi, _ = random_interval_instance(rng)
+        lower = np.array(pi.lower_probs)
+        zero = rng.random(lower.size) < 0.5
+        zero[rng.integers(lower.size)] = True
+        lower[zero] = 0.0
+        pi = PredictionIntervals(pi.breakpoints, tuple(lower), pi.upper_probs)
+        fs, u, m = to_generic(pi), random_market(rng), pi.interval_count
+        sol = solve_forecast_set(fs, u)
+        solves = [(sol.b_star, sol.lambda_star, sol.eta_star)]
+        solves += [(b, *worst_case_value(fs, u, b)[1:]) for b in rng.uniform(*u.decision_bounds, size=3)]
+        a, c, d = (coef[:, None] for coef in np.array(u.pieces).T)
+        for b, lam, eta in solves:
+            # Each cell's minimum of J(., b), as ``_interval_values`` finds it.
+            at_ends = np.min(a + c * np.array(pi.breakpoints) + d * b, axis=0)
+            cell_min = np.minimum(at_ends[:-1], at_ends[1:])
+            assert np.abs(lam[:m] - np.maximum(-eta - cell_min, 0.0)).max() <= 1e-12
+            assert np.abs(lam[m:] - np.maximum(cell_min + eta, 0.0)).max() <= 1e-12
+
+
+class TestEmptinessAtTheTolerance:
+    """The exact path and the closed-form sweep call a set empty at the simplex's own feasibility tolerance."""
+
+    # At delta = 1e-9 itself the sum falls within rounding of the tolerance:
+    # the LP's phase 1 then calls the set empty and the closed form does not.
+    @pytest.mark.parametrize(("delta", "empty"), [(1e-10, False), (5e-10, False), (2e-9, True), (1e-8, True)])
+    def test_upper_probabilities_short_of_one(self, delta, empty):
+        # market_m6 with each cell's room above its lower probability scaled
+        # so that the upper probabilities sum to 1 - delta (scaling them
+        # alone would put cell 3's below its lower probability).
+        sc = load_scenario("market_m6")
+        fs, u = sc.forecast_set, sc.utility
+        m = fs.interval_count
+        upper, lower = fs.bounds[:m], -fs.bounds[m:]
+        upper = lower + (upper - lower) * ((1.0 - delta - lower.sum()) / (upper - lower).sum())
+        assert abs(upper.sum() - (1.0 - delta)) <= 1e-15
+        fs = fs.with_bounds(interval_bounds(upper, lower))
+        for call in (lambda: solve_forecast_set(fs, u), lambda: worst_case_value(fs, u, 0.5), lambda: sweep(fs, u, 11)):
+            if empty:
+                with pytest.raises(AmbiguitySetEmpty):
+                    call()
+            else:
+                call()
 
 
 class TestEmptyIndicatorSet:
@@ -544,7 +589,7 @@ class TestEmptyIndicatorSet:
             worst_case_value(self.empty_set(), MARKET, 0.5)
 
 
-def lp_walk(fs: ForecastSet) -> ForecastSet:
+def without_interval_count(fs: ForecastSet) -> ForecastSet:
     """The same constraints without interval_count, which ``sweep`` does not take for a partition."""
     return ForecastSet(fs.domain, fs.forecasts)
 
@@ -567,32 +612,6 @@ class TestSweep:
     def test_grid_size_validated(self):
         with pytest.raises(ValidationError):
             sweep(to_generic(vacuous()), MARKET, 1)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_warm_started_values_match_cold_solves(self, caplog, seed):
-        rng = np.random.default_rng(seed)
-        pi, _ = random_interval_instance(rng)
-        # Without interval_count the sweep walks the LP from point to point.
-        fs, u = lp_walk(to_generic(pi)), random_market(rng)
-        with caplog.at_level(logging.DEBUG, logger="robustplan"):
-            pairs = sweep(fs, u, 41)
-        starts = [r.getMessage().rsplit(" ", 1)[1] for r in caplog.records if r.getMessage().startswith("solve_lp:")]
-        assert len(starts) == 41
-        assert starts[0] == "none"
-        assert starts.count("used") > 20
-        # Dual steps reach the cold solve's optimal basis with its columns in
-        # other positions, so a point on such a basis (the one reached by dual
-        # steps, and every point that starts from it in turn) may differ from
-        # the cold value in the last bits. Every other value is the cold one.
-        dual_basis = False
-        for (b, value), start in zip(pairs, starts):
-            dual_basis = start == "dual" or (dual_basis and start == "used")
-            cold = worst_case_value(fs, u, b)[0]
-            if dual_basis:
-                assert abs(value - cold) <= 1e-12
-            else:
-                assert np.float64(value).tobytes() == np.float64(cold).tobytes()
-        assert "dual" in starts
 
 
 def interval_bounds(upper, lower) -> np.ndarray:
@@ -645,7 +664,7 @@ class TestClosedFormSweep:
     def test_negative_lower_bound_counts_as_zero(self):
         # P(cell) >= -0.2 binds nothing: the rightmost cell may still get no mass.
         fs = THREE_CELLS.with_bounds(interval_bounds((0.6, 0.7, 0.9), (0.1, 0.1, -0.2)))
-        for (b, value), (_, reference) in zip(sweep(fs, MARKET, 11), sweep(lp_walk(fs), MARKET, 11)):
+        for (b, value), (_, reference) in zip(sweep(fs, MARKET, 11), sweep(without_interval_count(fs), MARKET, 11)):
             assert abs(value - reference) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
@@ -672,7 +691,7 @@ class TestClosedFormSweep:
     def test_empty_set_parity(self, upper, lower, empty):
         fs = THREE_CELLS.with_bounds(interval_bounds(upper, lower))
         outcomes = []
-        for forecasts in (fs, lp_walk(fs)):
+        for forecasts in (fs, without_interval_count(fs)):
             try:
                 outcomes.append(sweep(forecasts, MARKET, 11))
             except AmbiguitySetEmpty:
