@@ -308,9 +308,7 @@ def _elastic_start(bounds: np.ndarray, columns: int) -> Basis:
     at zero, which prices its forecast at MULTIPLIER_BOX.
     """
     n = bounds.size
-    negative = bounds < 0
-    basis = np.concatenate([np.where(negative, np.arange(n), columns + np.arange(n)), [n + 1, n + 3]])
-    return Basis(basis, np.zeros(columns + n + np.count_nonzero(negative) + 2, dtype=bool))
+    return Basis(np.concatenate([np.where(bounds < 0, np.arange(n), columns + np.arange(n)), [n + 1, n + 3]]))
 
 
 def _exchange_solution(result: LpResult, bounds: np.ndarray, decision: tuple[float, float]) -> PlanningSolution:

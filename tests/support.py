@@ -100,108 +100,64 @@ def tall_program(fs, u, G, xs, decision, boxes=(np.inf, np.inf)) -> simplex.Line
 
     ``G`` holds the g-vector at each point as a column and b lies in
     ``decision``. ``boxes`` caps each lambda and |eta|; by default neither
-    is capped, and the program is the LP dual of the exact path's.
+    is capped, and the program is the LP dual of the exact path's. The cap
+    on |eta| is two more rows on the free nu: as bounds it would shift nu
+    by -OFFSET_BOX in the standard form, and the rows would lose the
+    precision of the difference.
     """
     n = G.shape[0]
     a, c, d = np.array(u.pieces).T
     rows = [[dk, *G[:, j], -1.0] for j in range(xs.size) for dk in d]
     rhs = [-(ak + ck * x) for x in xs for ak, ck in zip(a, c)]
     multiplier_box, offset_box = boxes
+    if offset_box < np.inf:
+        rows += [[0.0] * (n + 1) + [1.0], [0.0] * (n + 1) + [-1.0]]
+        rhs += [-offset_box, -offset_box]
     return simplex.LinearProgram(
         objective=np.concatenate([[0.0], -fs.bounds, [1.0]]),
         matrix=np.array(rows).reshape(len(rows), n + 2),
         senses=(simplex.GE,) * len(rows),
         rhs=np.array(rhs),
-        lower=np.concatenate([[decision[0]], np.zeros(n), [-offset_box]]),
-        upper=np.concatenate([[decision[1]], np.full(n, multiplier_box), [offset_box]]),
+        lower=np.concatenate([[decision[0]], np.zeros(n), [-np.inf]]),
+        upper=np.concatenate([[decision[1]], np.full(n, multiplier_box), [np.inf]]),
         sense="maximize",
     )
 
 
-def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally, warm=False):
-    """``simplex._iterate`` as a from-scratch bounded-variable simplex: a freshly inverted basis per step.
+def reference_iterate(std, cost, basis, pin_artificials, tally, start=False):
+    """``simplex._iterate`` as a from-scratch simplex: a freshly inverted basis per step.
 
-    The pivot loop without a kept inverse, with the same pricing, bound
-    flips, dual steps from a ``warm`` start, tie-breaking and tolerances; a
-    drop-in for ``simplex._iterate`` (it only counts steps in ``tally``). Every
-    step inverts the basis matrix anew (with ``simplex._basis_inverse``, as
-    ``_iterate``'s refactor steps do) and takes x_B, the duals, and the
-    entering direction or a dual step's leaving row of B⁻¹ from that inverse.
+    The pivot loop without a kept inverse, with the same pricing, start
+    checks, tie-breaking and tolerances; a drop-in for ``simplex._iterate``
+    (it only counts pivots in ``tally``). Every step inverts the basis
+    matrix anew (with ``simplex._basis_inverse``, as ``_iterate``'s refactor
+    steps do) and takes x_B, the duals and the entering direction from that
+    inverse.
     """
-    A, b, lower, upper, artificial = std.matrix, std.rhs, std.lower, std.upper, std.artificial
+    A, b, artificial = std.matrix, std.rhs, std.artificial
     m, n = A.shape
     pin_zero = artificial if pin_artificials else np.zeros_like(artificial)
     basis = np.array(basis, dtype=int)
-    at_upper = at_upper.copy()
     bland = False
     stall = 0
     best_objective = np.inf
-    dual = warm
-    best_dual = -np.inf
 
     while True:
-        if sum(tally.phase_pivots) + tally.dual_pivots >= simplex.MAX_PIVOTS:
+        if sum(tally.phase_pivots) >= simplex.MAX_PIVOTS:
             raise NumericalFailure(f"pivot cap of {simplex.MAX_PIVOTS} exhausted")
-        nonbasic = np.ones(n, dtype=bool)
-        nonbasic[basis] = False
-        # Nonbasic columns away from zero: boxed ones at a nonzero bound.
-        z_nonbasic = np.where(at_upper, upper, lower)
-        off = np.flatnonzero(nonbasic & (z_nonbasic != 0.0))
-        rhs = b - A[:, off] @ z_nonbasic[off] if off.size else b
         try:
             B_inv = simplex._basis_inverse(std, basis)
         except np.linalg.LinAlgError as exc:
-            if dual:
+            if start:
                 raise simplex._ColdStart from exc
             raise NumericalFailure(f"singular basis matrix: {exc}") from exc
-        x_basic = B_inv @ rhs
+        x_basic = B_inv @ b
+        if start and (x_basic < -simplex.FEASIBILITY_TOL).any():
+            raise simplex._ColdStart
+        start = False
         duals = cost[basis] @ B_inv
 
         objective = float(cost[basis] @ x_basic)
-        if np.isfinite(upper).any():
-            objective += float(cost[off] @ z_nonbasic[off])
-        reduced = cost - A.T @ duals
-        reduced[at_upper] = -reduced[at_upper]
-        candidates = ~artificial
-        candidates[basis] = False
-
-        if dual:
-            lower_basic, upper_basic = lower[basis], upper[basis]
-            outside = np.flatnonzero(
-                (x_basic < lower_basic - simplex.FEASIBILITY_TOL) | (x_basic > upper_basic + simplex.FEASIBILITY_TOL)
-            )
-            if outside.size:
-                if (candidates & (reduced < -simplex.REDUCED_COST_TOL)).any():
-                    raise simplex._ColdStart
-                if objective > best_dual + 1e-12:
-                    best_dual = objective
-                    stall = 0
-                else:
-                    stall += 1
-                    if stall >= simplex._DEGENERATE_STALL_LIMIT:
-                        raise simplex._ColdStart
-                excess = np.maximum(lower_basic - x_basic, x_basic - upper_basic)
-                leave_pos = int(outside[np.argmax(excess[outside])])
-                below = x_basic[leave_pos] < lower_basic[leave_pos]
-                # How the leaving column moves back toward its bound as each
-                # nonbasic column moves off its own bound.
-                toward = B_inv[leave_pos] @ A
-                toward[at_upper] = -toward[at_upper]
-                if below:
-                    toward = -toward
-                eligible = np.flatnonzero(candidates & (toward > simplex._PIVOT_TOL))
-                if eligible.size == 0:
-                    raise simplex._ColdStart
-                ratios = np.maximum(reduced[eligible], 0.0) / toward[eligible]
-                entering = int(eligible[ratios <= ratios.min() + 1e-12][0])
-                tally.dual_pivots += 1
-                at_upper[basis[leave_pos]] = not below
-                at_upper[entering] = False
-                basis[leave_pos] = entering
-                continue
-            dual = False
-            stall = 0
-
         if objective < best_objective - 1e-12:
             best_objective = objective
             stall = 0
@@ -211,40 +167,31 @@ def reference_iterate(std, cost, basis, at_upper, pin_artificials, tally, warm=F
             if stall >= simplex._DEGENERATE_STALL_LIMIT:
                 bland = True
 
-        candidates &= reduced < -simplex.REDUCED_COST_TOL
+        reduced = cost - A.T @ duals
+        candidates = ~artificial & (reduced < -simplex.REDUCED_COST_TOL)
+        candidates[basis] = False
         idx = np.where(candidates)[0]
         if idx.size == 0:
-            return basis, at_upper, x_basic, duals
+            return basis, x_basic, duals
 
         if bland:
             entering = int(idx[0])
         else:
             entering = int(idx[reduced[idx] <= reduced[idx].min() + 1e-12][0])
         direction = B_inv @ A[:, entering]
-        # Moving the entering column off its bound moves x_B by -theta * toward.
-        toward = -direction if at_upper[entering] else direction
 
-        lower_basic, upper_basic = lower[basis], upper[basis]
-        falls = toward > simplex._PIVOT_TOL
-        rises = (toward < -simplex._PIVOT_TOL) & np.isfinite(upper_basic)
+        falls = direction > simplex._PIVOT_TOL
         pinned_rows = pin_zero[basis] & (np.abs(direction) > simplex._PIVOT_TOL)
         ratios = np.full(m, np.inf)
-        ratios[falls] = np.maximum(x_basic - lower_basic, 0.0)[falls] / toward[falls]
-        ratios[rises] = np.maximum(upper_basic - x_basic, 0.0)[rises] / -toward[rises]
+        ratios[falls] = np.maximum(x_basic, 0.0)[falls] / direction[falls]
         ratios[pinned_rows] = 0.0
         theta = ratios.min(initial=np.inf)
-        width = upper[entering] - lower[entering]
-        if not np.isfinite(min(theta, width)):
+        if theta == np.inf:
             raise simplex._Unbounded
 
         tally.phase_pivots[int(pin_artificials)] += 1
-        if width <= theta:
-            at_upper[entering] = not at_upper[entering]
-            continue
         tied = np.where(ratios <= theta + 1e-12)[0]
         leave_pos = min(tied, key=lambda r: (not pin_zero[basis[r]], basis[r]))
-        at_upper[basis[leave_pos]] = rises[leave_pos]
-        at_upper[entering] = False
         basis[leave_pos] = entering
 
 
@@ -263,8 +210,8 @@ def record_solves(monkeypatch, *modules):
 
 #: ``solve_lp``'s DEBUG line, every field.
 LOG_LINE = re.compile(
-    r"solve_lp: standard form (\d+) x (\d+), pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), (\d+) dual pivots, "
-    r"(\d+) bound flips, (\d+) refactorizations, start (none|used|dual|rejected)"
+    r"solve_lp: standard form (\d+) x (\d+), pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), "
+    r"(\d+) refactorizations, start (none|used|rejected)"
 )
 
 
@@ -302,12 +249,12 @@ def assert_same_result(result, expected):
     assert np.float64(result.objective_value).tobytes() == np.float64(expected.objective_value).tobytes()
 
 
-#: Pivots per phase, dual pivots and the start's outcome, from ``solve_lp``'s DEBUG line.
-_PIVOT_FIELDS = re.compile(r"pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), (\d+) dual pivots, .* start (\w+)")
+#: Pivots per phase and the start's outcome, from ``solve_lp``'s DEBUG line.
+_PIVOT_FIELDS = re.compile(r"pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), .* start (\w+)")
 
 
 def assert_same_pivoting(caplog, problem, start=None):
-    """``solve_lp`` and ``solve_with_reference`` take the same pivots per phase and dual pivots, to the same bytes."""
+    """``solve_lp`` and ``solve_with_reference`` take the same pivots per phase, to the same bytes."""
     results, counts = [], []
     for solve in (simplex.solve_lp, solve_with_reference):
         caplog.clear()

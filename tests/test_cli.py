@@ -53,7 +53,7 @@ GOLDEN_COMMANDS = {
 
 #: (command, scenario) pairs with a golden file. exchange_mixed (an indicator
 #: plus an affine mean bound, in tests/golden/) is the one exchange-loop
-#: scenario: boxed multipliers and a shifted offset in every LP.
+#: scenario: elastic columns in every LP.
 GOLDEN_CASES = [(command, scenario) for scenario in ("market_m6", "vacuous_m2") for command in GOLDEN_COMMANDS] + [
     ("solve", "exchange_mixed"),
     ("sensitivity", "exchange_mixed"),

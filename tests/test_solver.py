@@ -401,10 +401,10 @@ def exchange_scenarios():
 
 
 def logged_exchange(caplog, monkeypatch, sc):
-    """Each round's (lp, start) in an exchange solve, with its DEBUG line's phase-1, phase-2 and dual pivots and start."""
+    """Each round's (lp, start) in an exchange solve, with its DEBUG line's phase-1 and phase-2 pivots and start."""
     caplog.clear()
     solves = logged_solves(caplog, monkeypatch, sc.forecast_set, sc.utility, sc.exchange)
-    return [(lp, start, (p1, p2, dual, outcome)) for lp, start, (_, _, p1, p2, dual, *_, outcome) in solves]
+    return [(lp, start, (p1, p2, outcome)) for lp, start, (_, _, p1, p2, _, outcome) in solves]
 
 
 class TestExchangeStart:
@@ -414,9 +414,9 @@ class TestExchangeStart:
         for sc in exchange_scenarios():
             solves = logged_exchange(caplog, monkeypatch, sc)
             assert solves
-            for lp, start, (phase1, _, dual, outcome) in solves:
+            for lp, start, (phase1, _, outcome) in solves:
                 # Round 1 too: it starts on its slacks and elastic columns.
-                assert start is not None and (phase1, dual, outcome) == (0, 0, "used")
+                assert start is not None and (phase1, outcome) == (0, "used")
                 assert not simplex._standard_form(lp).artificial[start.columns].any()
 
     # Both raised NumericalFailure ("row 1 (>=) off by -1.420e-09" and "row 74
@@ -430,8 +430,9 @@ class TestExchangeStart:
         assert sol.objective == pytest.approx(primal, abs=1e-6)
 
     # Raised NumericalFailure ("row 35 (>=) off by -1.069e-09" with one BLAS
-    # thread) while boxed columns were shifted to x = lo + z with a width row
-    # each, which put the basic values near OFFSET_BOX = 1e6.
+    # thread) while the exchange loop solved the tall (b, lambda, nu) program
+    # with its boxed columns shifted to x = lo + z with a width row each,
+    # which put the basic values near OFFSET_BOX = 1e6.
     def test_high_power_moment_certifies(self):
         sc = parse_scenario(moment_window_doc(*MOMENT_WINDOWS["x30"]))
         sol = solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
@@ -452,11 +453,10 @@ class TestExchangeRounds:
                 # the new point's columns inserted after the last ones.
                 carried = simplex.solve_lp(lp, start=start).basis.with_inserted_columns(lp.objective.size, pieces)
                 assert np.array_equal(next_start.columns, carried.columns)
-                assert np.array_equal(next_start.at_upper, carried.at_upper)
-            # Every later round takes its start as a feasible vertex: no dual
-            # step, no phase 1, none rejected and solved cold.
-            for _, start, (phase1, phase2, dual, outcome) in solves[1:]:
-                assert (phase1, dual, outcome) == (0, 0, "used")
+            # Every later round takes its start as a feasible vertex: no
+            # phase 1, none rejected and solved cold.
+            for _, start, (phase1, phase2, outcome) in solves[1:]:
+                assert (phase1, outcome) == (0, "used")
                 later_pivots.append(phase2)
             for lp, start, _ in solves:
                 warm, cold = simplex.solve_lp(lp, start=start), simplex.solve_lp(lp)
@@ -612,6 +612,18 @@ class TestSweep:
     def test_grid_size_validated(self):
         with pytest.raises(ValidationError):
             sweep(to_generic(vacuous()), MARKET, 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_values_match_worst_case_value(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        pi, _ = random_interval_instance(rng)
+        # Without interval_count the sweep calls worst_case_value at each point.
+        fs, u = without_interval_count(to_generic(pi)), random_market(rng)
+        calls = record_solves(monkeypatch)
+        pairs = sweep(fs, u, 41)
+        assert len(calls) == 41 and all(start is None for _, start in calls)
+        for b, value in pairs:
+            assert np.float64(value).tobytes() == np.float64(worst_case_value(fs, u, b)[0]).tobytes()
 
 
 def interval_bounds(upper, lower) -> np.ndarray:

@@ -6,10 +6,10 @@ Run it from the root of a checkout:
 
 Every op of the three banks in ``bench/workloads.py`` runs once, in bank
 order. Each ``solve_lp`` call adds to the digest its status and the bytes of
-its solution, objective and basis (or the error it raised), and each line
-the ``robustplan`` logger writes at DEBUG level adds its text, so the pivot
-counts per phase, dual pivots, bound flips and refactorizations of every
-solve are in it too. The script prints one line per bank, with its number
+its solution, objective and basis columns (or the error it raised), and
+each line the ``robustplan`` logger writes at DEBUG level adds its text, so
+the pivot counts per phase and refactorizations of every solve are in it
+too. The script prints one line per bank, with its number
 of calls and its own digest, then the same for all three banks together. A
 change meant to leave every pivot of a bank where it was must print the same
 line for that bank before and after, at the same BLAS thread count.
@@ -76,7 +76,6 @@ def replay() -> list[tuple[str, int, str]]:
             digest.update(result.solution.tobytes())
             digest.update(np.float64(result.objective_value).tobytes())
             digest.update(result.basis.columns.tobytes())
-            digest.update(result.basis.at_upper.tobytes())
         return result
 
     for module in CALLERS:
