@@ -183,10 +183,10 @@ def _lift_zero_bound_rows(
     dual face that is the one-sided rate at which the worst case falls as
     the bound tightens (Danskin), which is what ``refine`` ranks forecasts
     by. A row that no point limits keeps its value, and one whose top is
-    within _TIE_BAND of zero gets 0. A prediction interval's lower probability
-    of 0 thus gets (m_i - t)+, with m_i the minimum of J(., b*) over cell i
-    and t = -eta the value of the marginal mass; a negative lower
-    probability is a positive bound and keeps lambda = 0.
+    within _TIE_BAND of zero gets 0. A prediction interval's lower
+    probability of 0 thus gets (m_i - t)+, with m_i the minimum of J(., b*)
+    over cell i and t = -eta the value of the marginal mass; a negative
+    lower probability is a positive bound and keeps lambda = 0.
     """
     lam = sol.lambda_star.copy()
     offset = u.values_at(xs, sol.b_star) + sol.eta_star

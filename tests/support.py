@@ -135,7 +135,7 @@ def reference_iterate(std, cost, basis, pin_artificials, tally, start=False):
     inverse.
     """
     A, b, artificial = std.matrix, std.rhs, std.artificial
-    m, n = A.shape
+    m = A.shape[0]
     pin_zero = artificial if pin_artificials else np.zeros_like(artificial)
     basis = np.array(basis, dtype=int)
     bland = False
