@@ -7,13 +7,10 @@ kept B⁻¹, which then takes a rank-1 (product-form) update (Bartels & Golub,
 CACM 12(5), 1969; Forrest & Tomlin, Math. Prog. 2, 1972). B⁻¹ is inverted
 anew every ``_REFACTOR_INTERVAL`` pivots, and an optimal or unbounded exit
 found on an updated B⁻¹ is decided again on a fresh one, so the answers
-carry no update drift. A fresh inverse inverts only the k × k block of the
-k basic structural columns (``_basis_inverse``): basic slack, surplus and
-artificial columns are unit columns, and on an LP with few structural
-columns in its basis most basic columns are. The duals c_B·B⁻¹ of the final
-basis come with the answer. Every solve logs one DEBUG line to the
-``robustplan`` logger: the standard-form shape, pivots per phase,
-refactorizations and what became of a given start basis.
+carry no update drift. The duals c_B·B⁻¹ of the final basis come with the
+answer. Every solve logs one DEBUG line to the ``robustplan`` logger: the
+standard-form shape, pivots per phase, refactorizations and what became of
+a given start basis.
 
 ``_standard_form`` builds the whole phase-1 system in one place: nonnegative
 structural columns (fixed variables folded into the right-hand side, bounded
@@ -184,11 +181,9 @@ class _StandardForm(NamedTuple):
     The columns are [structural | slack/surplus | artificial] and rhs >= 0.
     The rows are the problem's, then one width row per bounded variable.
     ``basis`` (one slack or artificial per row) is feasible for phase 1, and
-    ``artificial`` marks the artificial columns. A slack, surplus or
-    artificial column is a unit column (±1 on one row): ``unit_row`` holds
-    that row for each of them and -1 for a structural column. The original
-    point is ``base`` plus ``sign[k] * z[k]`` added into variable ``var[k]``
-    for every structural column k. ``row_sign`` is -1 on each row that was
+    ``artificial`` marks the artificial columns. The original point is
+    ``base`` plus ``sign[k] * z[k]`` added into variable ``var[k]`` for
+    every structural column k. ``row_sign`` is -1 on each row that was
     negated and +1 on the others.
     """
 
@@ -196,7 +191,6 @@ class _StandardForm(NamedTuple):
     rhs: np.ndarray
     cost: np.ndarray
     artificial: np.ndarray
-    unit_row: np.ndarray
     basis: np.ndarray
     base: np.ndarray
     var: np.ndarray
@@ -282,44 +276,12 @@ def _standard_form(problem: LinearProgram) -> _StandardForm:
         rhs=rhs,
         cost=np.concatenate([cost, np.zeros(n_slack + n_artificial)]),
         artificial=np.arange(n_std + n_slack + n_artificial) >= n_std + n_slack,
-        unit_row=np.concatenate([np.full(n_std, -1), slack_rows, artificial_rows]),
         basis=basis,
         base=np.where(fixed, lower, base_point),
         var=var,
         sign=sign,
         row_sign=np.where(flip, -1.0, 1.0),
     )
-
-
-def _basis_inverse(std: _StandardForm, basis: np.ndarray) -> np.ndarray:
-    """B⁻¹ for the columns ``basis`` of ``std``, inverting only the block of its structural columns.
-
-    Each basic unit column is s·e_r with s = ±1 on its own row r; call those
-    rows R. The k structural basic columns and the k rows T left over give
-    the block C = A[T, structural], and B is block triangular once its rows
-    and columns are permuted, so (Hellerman & Rarick, Math. Prog. 1, 1971)
-    B⁻¹[structural, T] = C⁻¹, B⁻¹[unit, T] = −s ⊙ (A[R, structural] C⁻¹),
-    B⁻¹[unit, R] = diag(s), and every other entry is zero. Raises
-    np.linalg.LinAlgError, as B is singular, when C is or when two basic
-    unit columns share a row.
-    """
-    rows = std.unit_row[basis]
-    unit = rows >= 0
-    unit_rows = rows[unit]
-    T = (np.bincount(unit_rows, minlength=basis.size) == 0).nonzero()[0]
-    if T.size + unit_rows.size != basis.size:
-        raise np.linalg.LinAlgError("two basic unit columns share a row")
-    block = std.matrix[:, basis[~unit]]
-    C_inv = np.linalg.inv(block[T])
-    s = std.matrix[unit_rows, basis[unit]]
-    # B⁻¹[:, T], one row per basis position.
-    columns_T = np.empty((basis.size, T.size))
-    columns_T[~unit] = C_inv
-    columns_T[unit] = -s[:, None] * (block[unit_rows] @ C_inv)
-    B_inv = np.zeros((basis.size, basis.size))
-    B_inv[:, T] = columns_T
-    B_inv[unit, unit_rows] = s
-    return B_inv
 
 
 class _Tally:
@@ -349,9 +311,10 @@ def _iterate(
 
     Each pass of the loop takes one step on the kept basis inverse, in
     O(m²): every ``_REFACTOR_INTERVAL`` pivots, the first included, B⁻¹ is
-    computed anew (``_basis_inverse``); the basic values B⁻¹b, the objective
-    and the reduced costs follow, then the stall bookkeeping, the pricing and
-    the ratio test along B⁻¹ a_e. The basic values are recomputed at every
+    inverted anew from the basic columns (a singular B raises
+    np.linalg.LinAlgError); the basic values B⁻¹b, the objective and the
+    reduced costs follow, then the stall bookkeeping, the pricing and the
+    ratio test along B⁻¹ a_e. The basic values are recomputed at every
     step, so they hold no memory of earlier, larger values. An optimal or
     unbounded exit found on an updated inverse is decided again: the stall
     state goes back to the top of the step and B⁻¹ is computed anew, so the
@@ -375,7 +338,7 @@ def _iterate(
             if sum(tally.phase_pivots) >= MAX_PIVOTS:
                 raise NumericalFailure(f"pivot cap of {MAX_PIVOTS} exhausted")
             if pivots % _REFACTOR_INTERVAL == 0:
-                B_inv = _basis_inverse(std, basis)
+                B_inv = np.linalg.inv(A[:, basis])
                 inverted = pivots
             saved = best, stall, bland
             x_basic = B_inv @ b
@@ -412,7 +375,7 @@ def _iterate(
             if idx.size == 0 or theta == np.inf:
                 if inverted != pivots:
                     best, stall, bland = saved
-                    B_inv = _basis_inverse(std, basis)
+                    B_inv = np.linalg.inv(A[:, basis])
                     inverted = pivots
                     continue
                 if idx.size:

@@ -25,12 +25,14 @@ eta) program, a program over the adversary's point masses with n + 2 rows
 and one column per (point, utility piece). Its row duals are the plan. On
 the exact path the points are exact, so the LP is feasible exactly when the
 ambiguity set is nonempty, and a phase 1 that ends infeasible reports
-AmbiguitySetEmpty. The exchange loop's working set is not, so its LP adds
-elastic columns that box lambda and eta, and a new point adds columns, which
-leaves the previous round's optimal basis primal feasible: every round after
-the first reoptimizes with a few primal steps (Dantzig & Wolfe, Oper. Res.
-8(1), 1960; Hettich & Kortanek, SIAM Review 35(3), 1993: the exchange method
-is column generation on this side).
+AmbiguitySetEmpty. That LP leaves out each row whose bound is 0 and whose g
+is <= 0 at every point, such as a lower probability of 0, because every
+distribution on the points meets it. The exchange loop's working set is
+not exact, so its LP adds elastic columns that box lambda and eta, and a
+new point adds columns, which leaves the previous round's optimal basis
+primal feasible: every round after the first reoptimizes with a few primal
+steps (Dantzig & Wolfe, Oper. Res. 8(1), 1960; Hettich & Kortanek, SIAM
+Review 35(3), 1993: the exchange method is column generation on this side).
 
 A sweep of the decision grid over prediction intervals needs no LP. With
 cells partitioning the domain and l_i <= P(cell i) <= u_i, the worst case
@@ -166,10 +168,17 @@ def _solve(fs: ForecastSet, u: Utility, decision: tuple[float, float], cfg: Exch
     if not fs.all_indicators():
         return _exchange(fs, u, cfg, decision)
     G, xs = _cell_rows(fs)
-    result = solve_lp(_distribution_lp(fs, u, G, xs, decision, elastic=False))
+    bounds = fs.bounds
+    # A bound of 0 on a g that is <= 0 at every point holds for every distribution on them.
+    kept = np.flatnonzero((bounds != 0.0) | np.any(G > 0.0, axis=1))
+    result = solve_lp(_distribution_lp(bounds[kept], u, G[kept], xs, decision, elastic=False))
     if result.status == INFEASIBLE:
         raise AmbiguitySetEmpty("no distribution satisfies every forecast bound")
-    return _lift_zero_bound_rows(_exchange_solution(result, fs.bounds, decision), fs.bounds, u, G, xs)
+    # A row left out has multiplier 0 until the lift sets it.
+    duals = np.zeros(bounds.size + 2)
+    duals[np.append(kept, [bounds.size, bounds.size + 1])] = result.duals
+    sol = _exchange_solution(replace(result, duals=duals), bounds, decision)
+    return _lift_zero_bound_rows(sol, bounds, u, G, xs)
 
 
 def _lift_zero_bound_rows(
@@ -186,7 +195,8 @@ def _lift_zero_bound_rows(
     within _TIE_BAND of zero gets 0. A prediction interval's lower
     probability of 0 thus gets (m_i - t)+, with m_i the minimum of J(., b*)
     over cell i and t = -eta the value of the marginal mass; a negative
-    lower probability is a positive bound and keeps lambda = 0.
+    lower probability is a positive bound and keeps lambda = 0. A row that
+    ``_solve`` left out of the LP comes in with lambda = 0.
     """
     lam = sol.lambda_star.copy()
     offset = u.values_at(xs, sol.b_star) + sol.eta_star
@@ -249,14 +259,14 @@ def _violation_search(
 
 
 def _distribution_lp(
-    fs: ForecastSet, u: Utility, G: np.ndarray, xs: np.ndarray, decision: tuple[float, float], elastic: bool = True
+    bounds: np.ndarray, u: Utility, G: np.ndarray, xs: np.ndarray, decision: tuple[float, float], elastic: bool = True
 ) -> LinearProgram:
     """The LP dual of the (b, lambda, eta) program over the outcome points xs.
 
     Its variables, all >= 0, are the fixed columns (v_1..v_n, w+, w-, s+,
     s-) and then a mass mu_jk for each point xs[j] and utility piece k,
     point-major, piece-minor; ``G`` holds the g-vector at each point as a
-    column:
+    column, and ``bounds`` the eps of each of its rows:
 
         minimize  sum mu_jk (a_k + c_k x_j) + hi s+ - lo s-
                   + MULTIPLIER_BOX sum v + OFFSET_BOX (w+ + w-)
@@ -287,7 +297,7 @@ def _distribution_lp(
         objective=objective,
         matrix=matrix,
         senses=(LE,) * n + (EQ, EQ),
-        rhs=np.concatenate([fs.bounds, [1.0, 0.0]]),
+        rhs=np.concatenate([bounds, [1.0, 0.0]]),
         lower=np.zeros(objective.size),
         upper=np.full(objective.size, np.inf),
         sense="minimize",
@@ -359,7 +369,7 @@ def _exchange(
     violation = np.inf
     start = None
     for round_number in range(1, cfg.max_rounds + 1):
-        lp = _distribution_lp(fs, u, G, working, decision)
+        lp = _distribution_lp(bounds, u, G, working, decision)
         result = solve_lp(lp, start=_elastic_start(bounds, lp.objective.size) if start is None else start)
         sol = _exchange_solution(result, bounds, decision)
         x_worst, g_worst, residual = _violation_search(fs, u, sol, grid, grid_values)

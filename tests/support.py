@@ -130,9 +130,8 @@ def reference_iterate(std, cost, basis, pin_artificials, tally, start=False):
     The pivot loop without a kept inverse, with the same pricing, start
     checks, tie-breaking and tolerances; a drop-in for ``simplex._iterate``
     (it only counts pivots in ``tally``). Every step inverts the basis
-    matrix anew (with ``simplex._basis_inverse``, as ``_iterate``'s refactor
-    steps do) and takes x_B, the duals and the entering direction from that
-    inverse.
+    matrix anew, as ``_iterate``'s refactor steps do, and takes x_B, the
+    duals and the entering direction from that inverse.
     """
     A, b, artificial = std.matrix, std.rhs, std.artificial
     m = A.shape[0]
@@ -146,7 +145,7 @@ def reference_iterate(std, cost, basis, pin_artificials, tally, start=False):
         if sum(tally.phase_pivots) >= simplex.MAX_PIVOTS:
             raise NumericalFailure(f"pivot cap of {simplex.MAX_PIVOTS} exhausted")
         try:
-            B_inv = simplex._basis_inverse(std, basis)
+            B_inv = np.linalg.inv(A[:, basis])
         except np.linalg.LinAlgError as exc:
             if start:
                 raise simplex._ColdStart from exc

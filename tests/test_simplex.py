@@ -26,7 +26,7 @@ from robustplan.simplex import (
     _standard_form,
     solve_lp,
 )
-from robustplan.solver import _cell_rows, _distribution_lp, solve_forecast_set
+from robustplan.solver import _cell_rows, solve_forecast_set, worst_case_value
 from robustplan.utility import market_bidding
 from support import (
     MOMENT_WINDOWS,
@@ -36,6 +36,7 @@ from support import (
     logged_solves,
     moment_window_doc,
     random_interval_instance,
+    record_solves,
     solve_with_reference,
     tall_program,
 )
@@ -291,7 +292,6 @@ class TestStandardForm:
         assert std.rhs.tolist() == [15.0, 4.0, 2.0, 2.0, 4.0, 5.0, 0.5, 5.0]
         assert std.basis.tolist() == [5, 11, 12, 13, 8, 14, 15, 10]
         assert std.artificial.tolist() == [False] * 11 + [True] * 5
-        assert std.unit_row.tolist() == [-1] * 5 + [0, 1, 3, 4, 6, 7] + [1, 2, 3, 5, 6]
         # Maximize, so the cost of each structural column is -sign * c[var].
         assert std.cost.tolist() == [-2.0, 3.0, -4.0, -5.0, 5.0] + [0.0] * 11
         assert std.var.tolist() == [1, 2, 3, 4, 4]
@@ -703,92 +703,20 @@ class TestKeptInverse:
             assert_same_pivoting(caplog, lp, start)
 
 
-def random_basis(rng: np.random.Generator, std, k: int) -> np.ndarray:
-    """k distinct structural columns, and on each of m - k other rows one of its unit columns, in shuffled positions."""
-    m = std.matrix.shape[0]
-    structural_rows = rng.choice(m, size=k, replace=False)
-    columns = list(rng.choice(np.flatnonzero(std.unit_row < 0), size=k, replace=False))
-    columns += [rng.choice(np.flatnonzero(std.unit_row == r)) for r in np.setdiff1d(np.arange(m), structural_rows)]
-    return rng.permutation(np.array(columns, dtype=int))
+@pytest.mark.parametrize("name", list(MOMENT_WINDOWS))
+def test_moment_solve_inverts_at_most_5_by_5(monkeypatch, name):
+    # Every exchange LP has n + 2 = 5 rows, one per forecast plus the mass and balance rows.
+    sizes = []
+    invert = np.linalg.inv
 
+    def spy(matrix):
+        sizes.append(matrix.shape)
+        return invert(matrix)
 
-def random_tall_lp(rng: np.random.Generator) -> LinearProgram:
-    """An LP with small integer rows of every sense and both rhs signs; half its columns in [-2, 3], the rest >= 0."""
-    m = int(rng.integers(1, 9))
-    n = int(rng.integers(m, m + 4))
-    boxed = rng.random(n) < 0.5
-    return make_lp(
-        np.ones(n),
-        rng.integers(-3, 4, size=(m, n)).astype(float),
-        rng.choice([LE, GE, EQ], size=m).tolist(),
-        rng.integers(-6, 7, size=m).astype(float),
-        np.where(boxed, -2.0, 0.0),
-        np.where(boxed, 3.0, INF),
-    )
-
-
-class TestBasisInverse:
-    """``_basis_inverse`` inverts only the structural block of a basis and agrees with a full inversion."""
-
-    @pytest.mark.parametrize("kind", ["phase-1 start", "all structural", "mixed"])
-    def test_matches_full_inversion(self, kind):
-        rng = np.random.default_rng(20261019)
-        seen_width = seen_signs = 0
-        compared = 0
-        while compared < 200:
-            lp = random_tall_lp(rng)
-            std = _standard_form(lp)
-            m, structural = std.matrix.shape[0], std.var.size
-            if kind == "all structural" and structural < m:
-                continue  # too few structural columns for the width rows
-            k = {"phase-1 start": 0, "all structural": m, "mixed": int(rng.integers(1, min(m, structural) + 1))}[kind]
-            basis = std.basis if kind == "phase-1 start" else random_basis(rng, std, k)
-            B = std.matrix[:, basis]
-            # The data are integers, so a nonsingular B has |det B| >= 1.
-            if abs(np.linalg.det(B)) < 0.5:
-                continue
-            full = np.linalg.inv(B)
-            assert np.abs(simplex._basis_inverse(std, basis) - full).max() <= 1e-12 * np.abs(full).max()
-            compared += 1
-            rows = std.unit_row[basis]
-            # A structural column in a basis of a standard form with width rows.
-            seen_width += m > lp.matrix.shape[0] and (rows < 0).any()
-            seen_signs += set(B[rows[rows >= 0], rows >= 0]) == {-1.0, 1.0}
-        if kind == "mixed":
-            assert seen_width and seen_signs
-        if kind == "phase-1 start":
-            assert seen_width == 0  # every column of the start is a unit column
-
-    def test_duplicate_unit_rows_raise(self):
-        # Row 0 is a >= row with a positive rhs: its surplus and its artificial both sit on it.
-        lp = make_lp([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [GE, LE], [1.0, 1.0], [0.0, 0.0], [INF, INF])
-        std = _standard_form(lp)
-        surplus, slack, artificial = 2, 3, 4
-        assert std.unit_row[[surplus, slack, artificial]].tolist() == [0, 1, 0]
-        with pytest.raises(np.linalg.LinAlgError):
-            simplex._basis_inverse(std, np.array([surplus, artificial]))
-
-    def test_singular_structural_block_raises(self):
-        # Columns 0 and 1 are equal, so no basis holding both is invertible.
-        matrix = [[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [0.0, 0.0, 1.0]]
-        std = _standard_form(make_lp([1.0, 2.0, 0.0], matrix, [LE] * 3, [1.0] * 3, [0.0] * 3, [INF] * 3))
-        with pytest.raises(np.linalg.LinAlgError):
-            simplex._basis_inverse(std, np.array([0, 1, 5]))
-
-    @pytest.mark.parametrize("name", list(MOMENT_WINDOWS))
-    def test_moment_solve_inverts_at_most_5_by_5(self, monkeypatch, name):
-        # The exchange LPs have 130 or more rows but only five structural columns.
-        sizes = []
-        invert = np.linalg.inv
-
-        def spy(matrix):
-            sizes.append(matrix.shape)
-            return invert(matrix)
-
-        monkeypatch.setattr(np.linalg, "inv", spy)
-        sc = parse_scenario(moment_window_doc(*MOMENT_WINDOWS[name]))
-        solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
-        assert sizes and max(max(shape) for shape in sizes) <= 5
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    sc = parse_scenario(moment_window_doc(*MOMENT_WINDOWS[name]))
+    solve_forecast_set(sc.forecast_set, sc.utility, sc.exchange)
+    assert sizes and max(max(shape) for shape in sizes) <= 5
 
 
 def solve_logged(caplog, lp, start=None):
@@ -809,9 +737,13 @@ TRIANGLE = make_lp(
 
 
 def market_m6_exact_lp(b):
-    """The exact fixed-decision LP of the bundled market_m6 scenario at decision b."""
+    """The exact fixed-decision LP that ``worst_case_value`` solves on the bundled market_m6 scenario at decision b."""
     sc = load_scenario("market_m6")
-    return _distribution_lp(sc.forecast_set, sc.utility, *_cell_rows(sc.forecast_set), (b, b), elastic=False)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = record_solves(monkeypatch)
+        worst_case_value(sc.forecast_set, sc.utility, b)
+    [(lp, _)] = calls
+    return lp
 
 
 class TestWarmStart:

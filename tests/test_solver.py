@@ -32,9 +32,11 @@ from robustplan.solver import (
     MULTIPLIER_BOX,
     OFFSET_BOX,
     ExchangeConfig,
+    _cell_rows,
     _distribution_lp,
     _exchange,
     _exchange_solution,
+    _lift_zero_bound_rows,
     solve_forecast_set,
     sweep,
     true_expected,
@@ -336,7 +338,11 @@ class TestClosedRightIndicator:
 
 
 class TestDualLpRows:
-    """The exact path's LP is ``_distribution_lp`` without elastic columns; its mass block matches the loop construction."""
+    """The exact path's LP is ``_distribution_lp`` without elastic columns; its mass block matches the loop construction.
+
+    The rows of a bound of 0 whose g is <= 0 at every point are left out:
+    every distribution on the points meets them.
+    """
 
     def captured_lp(self, monkeypatch, fs, u, b=None):
         calls = record_solves(monkeypatch)
@@ -348,8 +354,10 @@ class TestDualLpRows:
 
     @staticmethod
     def assert_matches_loop_reference(lp, fs, u, decision):
-        n = len(fs.forecasts)
         block, costs = loop_mass_block(fs, u)
+        kept = [i for i, eps in enumerate(fs.bounds) if eps != 0.0 or (block[i] > 0.0).any()]
+        block = block[kept + [-2, -1]]
+        n = len(kept)
         assert lp.matrix.shape == (n + 2, 2 + costs.size)
         # s+ and s- price b in ``decision`` through the balance row.
         assert lp.matrix[:, :2].tolist() == [[0.0, 0.0]] * (n + 1) + [[-1.0, 1.0]]
@@ -357,7 +365,7 @@ class TestDualLpRows:
         assert np.array_equal(lp.matrix[:, 2:], block)
         assert np.array_equal(lp.objective[2:], costs)
         assert lp.senses == (simplex.LE,) * n + (simplex.EQ, simplex.EQ)
-        assert np.array_equal(lp.rhs, np.concatenate([fs.bounds, [1.0, 0.0]]))
+        assert np.array_equal(lp.rhs, np.concatenate([fs.bounds[kept], [1.0, 0.0]]))
 
     @pytest.mark.parametrize(
         "fs",
@@ -376,6 +384,8 @@ class TestDualLpRows:
             # Closed on the right at an interior point: the cut's g is not
             # the g of the cell right of it.
             ForecastSet(Domain(0.0, 1.0), (Forecast(IndicatorInterval(0.0, 0.5, closed_right=True), 0.8),)),
+            # An upper probability of 0 has g >= 0, so its row stays in.
+            to_generic(PredictionIntervals((0.0, 0.5, 1.0), lower_probs=(0.0, 0.6), upper_probs=(0.0, 1.0))),
         ],
     )
     @pytest.mark.parametrize("b", [None, 0.3])
@@ -392,6 +402,33 @@ class TestDualLpRows:
         with pytest.MonkeyPatch.context() as monkeypatch:
             lp = self.captured_lp(monkeypatch, to_generic(pi), u)
         self.assert_matches_loop_reference(lp, to_generic(pi), u, u.decision_bounds)
+
+    def test_left_out_rows_change_no_answer(self):
+        # Random partitions with lower probabilities clipped to 0, solved and
+        # at a fixed decision: the plan is the one the LP over every row gives
+        # after the same lift.
+        rng = np.random.default_rng(20261020)
+        lost_rows = 0
+        for _ in range(150):
+            pi, _ = random_interval_instance(rng, int(rng.integers(2, 61)))
+            fs, u = to_generic(pi), random_market(rng)
+            G, xs = _cell_rows(fs)
+            lost_rows += np.any((fs.bounds == 0.0) & np.all(G <= 0.0, axis=1))
+            sol = solve_forecast_set(fs, u)
+            b = float(rng.uniform(*u.decision_bounds))
+            for decision, (objective, lam, eta) in [
+                (u.decision_bounds, (sol.objective, sol.lambda_star, sol.eta_star)),
+                ((b, b), worst_case_value(fs, u, b)),
+            ]:
+                lp = _distribution_lp(fs.bounds, u, G, xs, decision, elastic=False)
+                every_row = _exchange_solution(simplex.solve_lp(lp), fs.bounds, decision)
+                expected = _lift_zero_bound_rows(every_row, fs.bounds, u, G, xs)
+                if decision[0] < decision[1]:
+                    assert sol.b_star == pytest.approx(expected.b_star, abs=1e-14)
+                assert objective == pytest.approx(expected.objective, abs=1e-14)
+                assert eta == pytest.approx(expected.eta_star, abs=1e-14)
+                assert np.abs(lam - expected.lambda_star).max() <= 1e-14
+        assert lost_rows > 100
 
 
 def exchange_scenarios():
@@ -502,7 +539,7 @@ class TestDistributionLp:
         fs, u = sc.forecast_set, sc.utility
         xs = outcome_grid(fs, 16)
         G = fs.values(xs)
-        lp = _distribution_lp(fs, u, G, xs, decision)
+        lp = _distribution_lp(fs.bounds, u, G, xs, decision)
         assert lp.matrix.shape == (len(fs.forecasts) + 2, len(fs.forecasts) + 4 + xs.size * len(u.pieces))
         sol = _exchange_solution(simplex.solve_lp(lp), fs.bounds, decision)
         # The plan is feasible in the boxed program: it meets every row and bound.

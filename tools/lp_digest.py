@@ -9,16 +9,20 @@ order. Each ``solve_lp`` call adds to the digest its status and the bytes of
 its solution, objective and basis columns (or the error it raised), and
 each line the ``robustplan`` logger writes at DEBUG level adds its text, so
 the pivot counts per phase and refactorizations of every solve are in it
-too. The script prints one line per bank, with its number
-of calls and its own digest, then the same for all three banks together. A
-change meant to leave every pivot of a bank where it was must print the same
-line for that bank before and after, at the same BLAS thread count.
+too. The script prints one line per bank, with its number of calls, its
+own digest, its pivots per simplex phase summed over its solves and the row
+count of its largest LP, then the same for all three banks together. A
+change meant to leave every LP of a bank as it was must print the same line
+for that bank before and after, at the same BLAS thread count. The digest
+also moves when only an LP's shape or the last bits of an answer move; the
+pivot sums show at a glance whether the pivots moved too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -35,16 +39,43 @@ from robustplan import RobustPlanError, bruteforce, forecast, simplex, solver  #
 CALLERS = (bruteforce, forecast, solver)
 
 
-class _Digests:
-    """The running total digest and the current bank's, with a call count for each."""
+#: The pivots per phase in ``solve_lp``'s DEBUG line.
+PIVOTS = re.compile(r"pivots (\d+) \+ (\d+) \(phase 1 \+ 2\)")
+
+
+class _Tally:
+    """A digest, with the ``solve_lp`` calls, pivots per phase and most LP rows it covers."""
 
     def __init__(self):
-        self.total, self.bank = hashlib.sha256(), hashlib.sha256()
-        self.total_calls = self.bank_calls = 0
+        self.sha = hashlib.sha256()
+        self.calls, self.pivots, self.rows = 0, [0, 0], 0
+
+    def line(self, name: str) -> str:
+        return (
+            f"{name}: {self.calls} solve_lp calls, sha256 {self.sha.hexdigest()}, "
+            f"pivots {self.pivots[0]} + {self.pivots[1]} (phase 1 + 2), largest LP {self.rows} rows"
+        )
+
+
+class _Digests:
+    """The running total tally and the current bank's."""
+
+    def __init__(self):
+        self.total, self.bank = _Tally(), _Tally()
 
     def update(self, data: bytes) -> None:
-        self.total.update(data)
-        self.bank.update(data)
+        self.total.sha.update(data)
+        self.bank.sha.update(data)
+
+    def count(self, rows: int) -> None:
+        for tally in (self.total, self.bank):
+            tally.calls += 1
+            tally.rows = max(tally.rows, rows)
+
+    def add_pivots(self, phase1: int, phase2: int) -> None:
+        for tally in (self.total, self.bank):
+            tally.pivots[0] += phase1
+            tally.pivots[1] += phase2
 
 
 class _DigestHandler(logging.Handler):
@@ -55,17 +86,20 @@ class _DigestHandler(logging.Handler):
         self.digest = digest
 
     def emit(self, record):
-        self.digest.update(record.getMessage().encode() + b"\n")
+        message = record.getMessage()
+        self.digest.update(message.encode() + b"\n")
+        pivots = PIVOTS.search(message)
+        if pivots:
+            self.digest.add_pivots(*map(int, pivots.groups()))
 
 
-def replay() -> list[tuple[str, int, str]]:
-    """Run every bank op once; return (bank, ``solve_lp`` calls, digest) per bank and then for all of them."""
+def replay() -> list[str]:
+    """Run every bank op once; return the line of each bank and then the one of all of them."""
     digest = _Digests()
     lines = []
 
     def recording_solve_lp(problem, start=None):
-        digest.total_calls += 1
-        digest.bank_calls += 1
+        digest.count(problem.matrix.shape[0])
         try:
             result = simplex.solve_lp(problem, start=start)
         except RobustPlanError as exc:
@@ -91,23 +125,22 @@ def replay() -> list[tuple[str, int, str]]:
     try:
         with tempfile.TemporaryDirectory() as work:
             for workload in workloads.WORKLOADS:
-                digest.bank, digest.bank_calls = hashlib.sha256(), 0
+                digest.bank = _Tally()
                 for arg in workloads.write_bank(workload, Path(work)):
                     try:
                         workloads.run_op(workload, workloads.prepare(workload, arg))
                     except (RobustPlanError, workloads.SessionFailed) as exc:
                         digest.update(f"op raised {type(exc).__name__}\n".encode())
-                lines.append((workload, digest.bank_calls, digest.bank.hexdigest()))
+                lines.append(digest.bank.line(workload))
     finally:
         for module in CALLERS:
             module.solve_lp = simplex.solve_lp
         logger.removeHandler(handler)
-    return lines + [("total", digest.total_calls, digest.total.hexdigest())]
+    return lines + [digest.total.line("total")]
 
 
 def main() -> int:
-    for bank, calls, hexdigest in replay():
-        print(f"{bank}: {calls} solve_lp calls, sha256 {hexdigest}")
+    print("\n".join(replay()))
     return 0
 
 
