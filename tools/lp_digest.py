@@ -38,7 +38,6 @@ from robustplan import RobustPlanError, bruteforce, forecast, simplex, solver  #
 #: The modules that call ``solve_lp`` by the name they imported.
 CALLERS = (bruteforce, forecast, solver)
 
-
 #: The pivots per phase in ``solve_lp``'s DEBUG line.
 PIVOTS = re.compile(r"pivots (\d+) \+ (\d+) \(phase 1 \+ 2\)")
 
