@@ -8,7 +8,7 @@ and drives an iterative refinement loop that asks an oracle to tighten the
 most valuable forecast first.
 """
 
-from .bruteforce import GridSpec, brute_force_plan, brute_force_worst_case, duality_gap
+from .bruteforce import GridSpec, brute_force_plan, brute_force_scan, brute_force_worst_case, duality_gap
 from .errors import (
     AmbiguitySetEmpty,
     ContractViolation,
@@ -90,6 +90,7 @@ __all__ = [
     "Utility",
     "ValidationError",
     "brute_force_plan",
+    "brute_force_scan",
     "brute_force_worst_case",
     "bundled_scenario_names",
     "duality_gap",

@@ -19,7 +19,7 @@ import math
 import sys
 from pathlib import Path
 
-from .bruteforce import brute_force_worst_case
+from .bruteforce import brute_force_scan
 from .errors import (
     AmbiguitySetEmpty,
     ContractViolation,
@@ -130,13 +130,13 @@ def _cmd_refine(scenario: Scenario, args: argparse.Namespace) -> str:
 
 def _cmd_check(scenario: Scenario, args: argparse.Namespace) -> str:
     fs, u = scenario.forecast_set, scenario.utility
-    # The dual side is a sweep over the same grid: the closed form on
-    # prediction intervals, one worst_case_value solve per point on other sets.
-    # Each brute-force primal is solved cold.
-    gap = max(
-        abs(brute_force_worst_case(fs, u, b, scenario.check_grid)[0] - dual)
-        for b, dual in sweep(fs, u, _CHECK_GRID_POINTS, cfg=scenario.exchange)
-    )
+    # The dual side is a sweep over the grid: the closed form on prediction
+    # intervals, one worst_case_value solve per point on other sets. The
+    # primal side is one brute-force scan of the same decisions, whose LPs
+    # share one outcome grid and each start from the last optimal basis.
+    duals = sweep(fs, u, _CHECK_GRID_POINTS, cfg=scenario.exchange)
+    primals = brute_force_scan(fs, u, [b for b, _ in duals], scenario.check_grid)
+    gap = max(abs(primal - dual) for primal, (_, dual) in zip(primals, duals))
     slack = strict_feasibility_slack(fs, scenario.check_grid.base_points)
     radius = feasibility_ball_radius(slack, fs.bounds) if slack > 0 else None
     doc = {

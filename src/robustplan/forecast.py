@@ -339,6 +339,11 @@ def outcome_grid(fs: ForecastSet, base_points: int, kinks=()) -> np.ndarray:
     return np.unique(np.clip(points, lo, hi))
 
 
+def grid_constraints(fs: ForecastSet, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows sum(p) = 1 and E_p[g_i] <= bound_i over point masses p at xs: [1; G(xs)] and [1; bounds]."""
+    return np.vstack([np.ones(xs.size), fs.values(xs)]), np.concatenate([[1.0], fs.bounds])
+
+
 def strict_feasibility_slack(fs: ForecastSet, grid_size: int) -> float:
     """Largest uniform slack any grid-supported distribution leaves on all forecasts.
 
@@ -353,20 +358,14 @@ def strict_feasibility_slack(fs: ForecastSet, grid_size: int) -> float:
     if n == 0:
         return math.inf
 
-    grid = outcome_grid(fs, grid_size)
-    k = grid.size
+    block, rhs = grid_constraints(fs, outcome_grid(fs, grid_size))
+    k = block.shape[1]
     # Variables: k atom probabilities, then zeta (free).
-    objective = np.zeros(k + 1)
-    objective[-1] = 1.0
-    matrix = np.zeros((n + 1, k + 1))
-    matrix[0, :k] = 1.0
-    matrix[1:, :k] = fs.values(grid)
-    matrix[1:, k] = 1.0
     lp = LinearProgram(
-        objective=objective,
-        matrix=matrix,
+        objective=np.append(np.zeros(k), 1.0),
+        matrix=np.hstack([block, np.concatenate([[0.0], np.ones(n)])[:, None]]),
         senses=(EQ,) + (LE,) * n,
-        rhs=np.concatenate([[1.0], fs.bounds]),
+        rhs=rhs,
         lower=np.concatenate([np.zeros(k), [-np.inf]]),
         upper=np.full(k + 1, np.inf),
         sense="maximize",

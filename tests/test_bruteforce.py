@@ -1,10 +1,12 @@
 """Tests for the discretized primal check path and duality-gap checks."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robustplan.bruteforce import GridSpec, brute_force_plan, brute_force_worst_case, duality_gap
+from robustplan.bruteforce import GridSpec, brute_force_plan, brute_force_scan, brute_force_worst_case, duality_gap
 from robustplan.errors import AmbiguitySetEmpty, ValidationError
 from robustplan.forecast import (
     AffineFunction,
@@ -17,7 +19,7 @@ from robustplan.forecast import (
     to_generic,
 )
 from robustplan.utility import Utility, market_bidding
-from support import random_interval_instance, random_market
+from support import log_fields, random_interval_instance, random_market
 
 MARKET = market_bidding(1.0, 1.6)
 
@@ -37,6 +39,16 @@ def vacuous() -> ForecastSet:
 def binding_pair() -> ForecastSet:
     return to_generic(
         PredictionIntervals(breakpoints=(0.0, 0.5, 1.0), lower_probs=(0.0, 0.6), upper_probs=(0.4, 1.0))
+    )
+
+
+def empty() -> ForecastSet:
+    return ForecastSet(
+        domain=Domain(0.0, 1.0),
+        forecasts=(
+            Forecast(IndicatorInterval(0.0, 1.0, closed_right=True), 0.5),
+            Forecast(NegatedIndicatorInterval(0.0, 1.0, closed_right=True), -1.0),
+        ),
     )
 
 
@@ -75,15 +87,8 @@ class TestBruteForceWorstCase:
         assert value == pytest.approx(0.3 * (-0.3) + 0.7 * 0.5, abs=1e-9)
 
     def test_empty_set_detected(self):
-        fs = ForecastSet(
-            domain=Domain(0.0, 1.0),
-            forecasts=(
-                Forecast(IndicatorInterval(0.0, 1.0, closed_right=True), 0.5),
-                Forecast(NegatedIndicatorInterval(0.0, 1.0, closed_right=True), -1.0),
-            ),
-        )
         with pytest.raises(AmbiguitySetEmpty):
-            brute_force_worst_case(fs, MARKET, 0.5)
+            brute_force_worst_case(empty(), MARKET, 0.5)
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
@@ -96,6 +101,48 @@ class TestBruteForceWorstCase:
         with pytest.raises(ValidationError) as err:
             brute_force_worst_case(narrow, MARKET, 0.5)
         assert err.value.field == "constraints[1]"
+        with pytest.raises(ValidationError) as err:
+            brute_force_scan(narrow, MARKET, [0.0, 0.5])
+        assert err.value.field == "constraints[1]"
+
+
+#: The decisions the check command scans.
+DECISIONS = np.linspace(0.0, 1.0, 21).tolist()
+
+
+class TestBruteForceScan:
+    @given(seed=st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=10, deadline=None)
+    def test_matches_cold_solves_on_intervals(self, seed):
+        rng = np.random.default_rng(seed)
+        pi, _ = random_interval_instance(rng)
+        u = random_market(rng)
+        fs = to_generic(pi)
+        cold = [brute_force_worst_case(fs, u, b)[0] for b in DECISIONS]
+        assert np.abs(np.subtract(brute_force_scan(fs, u, DECISIONS), cold)).max() <= 1e-12
+
+    @pytest.mark.parametrize("fs_factory", [mean_pinned, binding_pair])
+    def test_never_above_cold_solves(self, fs_factory):
+        """The one grid holds each decision's own grid, so it can only lower the discretized minimum."""
+        fs = fs_factory()
+        scan = brute_force_scan(fs, MARKET, DECISIONS)
+        for b, value in zip(DECISIONS, scan):
+            assert value <= brute_force_worst_case(fs, MARKET, b)[0] + 1e-12
+
+    def test_each_lp_after_the_first_starts_from_the_last(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="robustplan"):
+            brute_force_scan(wide_pair(), MARKET, DECISIONS)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve_lp:")]
+        assert [log_fields(line)[-1] for line in lines] == ["none"] + ["used"] * 20
+
+    def test_empty_set_detected(self):
+        with pytest.raises(AmbiguitySetEmpty):
+            brute_force_scan(empty(), MARKET, DECISIONS)
+
+    def test_decisions_are_checked(self):
+        with pytest.raises(ValidationError) as err:
+            brute_force_scan(wide_pair(), MARKET, [0.5, 1.5])
+        assert err.value.field == "b"
 
 
 class TestBruteForcePlan:

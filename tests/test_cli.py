@@ -86,7 +86,9 @@ def test_golden_lps_match_reference_pivoting(capsys, caplog, monkeypatch):
     # Both scenarios are prediction intervals, so their sweeps (and check's
     # dual side) solve no LP.
     assert len(starts) == len(calls) == 55
-    assert sum(start is not None for _, start in calls) == 2  # the exchange_mixed solves' elastic starts
+    # The exchange_mixed solves' elastic starts, and each check's brute-force
+    # scan, whose 20 LPs after the first start from the last one's basis.
+    assert sum(start is not None for _, start in calls) == 2 + 2 * 20
     for lp, start in calls:
         assert_same_pivoting(caplog, lp, start)
 

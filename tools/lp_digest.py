@@ -10,8 +10,9 @@ its solution, objective and basis columns (or the error it raised), and
 each line the ``robustplan`` logger writes at DEBUG level adds its text, so
 the pivot counts per phase and refactorizations of every solve are in it
 too. The script prints one line per bank, with its number of calls, its
-own digest, its pivots per simplex phase summed over its solves and the row
-count of its largest LP, then the same for all three banks together. A
+own digest, its pivots per simplex phase summed over its solves, how many
+of its solves were given a start basis and used or rejected it, and the
+row count of its largest LP, then the same for all three banks together. A
 change meant to leave every LP of a bank as it was must print the same line
 for that bank before and after, at the same BLAS thread count. The digest
 also moves when only an LP's shape or the last bits of an answer move; the
@@ -25,6 +26,7 @@ import logging
 import re
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,21 +40,23 @@ from robustplan import RobustPlanError, bruteforce, forecast, simplex, solver  #
 #: The modules that call ``solve_lp`` by the name they imported.
 CALLERS = (bruteforce, forecast, solver)
 
-#: The pivots per phase in ``solve_lp``'s DEBUG line.
-PIVOTS = re.compile(r"pivots (\d+) \+ (\d+) \(phase 1 \+ 2\)")
+#: The pivots per phase and what became of the start in ``solve_lp``'s DEBUG line.
+SOLVE_LINE = re.compile(r"pivots (\d+) \+ (\d+) \(phase 1 \+ 2\), .* start (none|used|rejected)$")
 
 
 class _Tally:
-    """A digest, with the ``solve_lp`` calls, pivots per phase and most LP rows it covers."""
+    """A digest, with the ``solve_lp`` calls, pivots per phase, starts used and rejected and most LP rows it covers."""
 
     def __init__(self):
         self.sha = hashlib.sha256()
         self.calls, self.pivots, self.rows = 0, [0, 0], 0
+        self.starts = Counter()
 
     def line(self, name: str) -> str:
         return (
             f"{name}: {self.calls} solve_lp calls, sha256 {self.sha.hexdigest()}, "
-            f"pivots {self.pivots[0]} + {self.pivots[1]} (phase 1 + 2), largest LP {self.rows} rows"
+            f"pivots {self.pivots[0]} + {self.pivots[1]} (phase 1 + 2), "
+            f"starts {self.starts['used']} used + {self.starts['rejected']} rejected, largest LP {self.rows} rows"
         )
 
 
@@ -71,10 +75,11 @@ class _Digests:
             tally.calls += 1
             tally.rows = max(tally.rows, rows)
 
-    def add_pivots(self, phase1: int, phase2: int) -> None:
+    def add_solve(self, phase1: str, phase2: str, start: str) -> None:
         for tally in (self.total, self.bank):
-            tally.pivots[0] += phase1
-            tally.pivots[1] += phase2
+            tally.pivots[0] += int(phase1)
+            tally.pivots[1] += int(phase2)
+            tally.starts[start] += 1
 
 
 class _DigestHandler(logging.Handler):
@@ -87,9 +92,9 @@ class _DigestHandler(logging.Handler):
     def emit(self, record):
         message = record.getMessage()
         self.digest.update(message.encode() + b"\n")
-        pivots = PIVOTS.search(message)
-        if pivots:
-            self.digest.add_pivots(*map(int, pivots.groups()))
+        solve = SOLVE_LINE.search(message)
+        if solve:
+            self.digest.add_solve(*solve.groups())
 
 
 def replay() -> list[str]:
