@@ -68,9 +68,6 @@ def _grid_solves(fs: ForecastSet, u: Utility, decisions, grid: GridSpec | None) 
             matrix=matrix,
             senses=(EQ,) + (LE,) * len(fs.forecasts),
             rhs=rhs,
-            lower=np.zeros(xs.size),
-            upper=np.full(xs.size, np.inf),
-            sense="minimize",
         )
         result = solve_lp(lp, start=results[-1].basis if results else None)
         if result.status == INFEASIBLE:

@@ -14,6 +14,7 @@ errors, with the offending field named.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -156,6 +157,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robustplan",

@@ -348,10 +348,10 @@ def strict_feasibility_slack(fs: ForecastSet, grid_size: int) -> float:
     """Largest uniform slack any grid-supported distribution leaves on all forecasts.
 
     Solves max zeta s.t. sum(p) = 1, p >= 0, E_p[g_i] + zeta <= bound_i over
-    distributions p supported on outcome_grid(fs, grid_size). A strictly
-    positive value certifies that some distribution satisfies every forecast
-    with room to spare (at this grid resolution). Returns +inf when there are
-    no forecasts to violate.
+    distributions p supported on outcome_grid(fs, grid_size), with the free
+    zeta split as zeta+ - zeta-. A strictly positive value certifies that
+    some distribution satisfies every forecast with room to spare (at this
+    grid resolution). Returns +inf when there are no forecasts to violate.
     """
     check_count("grid_size", grid_size, 2)
     n = len(fs.forecasts)
@@ -360,15 +360,13 @@ def strict_feasibility_slack(fs: ForecastSet, grid_size: int) -> float:
 
     block, rhs = grid_constraints(fs, outcome_grid(fs, grid_size))
     k = block.shape[1]
-    # Variables: k atom probabilities, then zeta (free).
+    # Variables: k atom probabilities, then zeta+ and zeta-; minimize -zeta.
+    zeta = np.concatenate([[0.0], np.ones(n)])
     lp = LinearProgram(
-        objective=np.append(np.zeros(k), 1.0),
-        matrix=np.hstack([block, np.concatenate([[0.0], np.ones(n)])[:, None]]),
+        objective=np.concatenate([np.zeros(k), [-1.0, 1.0]]),
+        matrix=np.hstack([block, zeta[:, None], -zeta[:, None]]),
         senses=(EQ,) + (LE,) * n,
         rhs=rhs,
-        lower=np.concatenate([np.zeros(k), [-np.inf]]),
-        upper=np.full(k + 1, np.inf),
-        sense="maximize",
     )
     result = solve_lp(lp)
     if result.status == UNBOUNDED:
@@ -378,7 +376,8 @@ def strict_feasibility_slack(fs: ForecastSet, grid_size: int) -> float:
         # The subproblem is feasible for any p on the simplex with zeta small
         # enough, so this branch is unreachable for valid inputs.
         raise NumericalFailure(f"slack subproblem unexpectedly {result.status}")
-    return float(result.objective_value)
+    # 0.0 - v, not -v: a zero slack stays +0.0.
+    return 0.0 - float(result.objective_value)
 
 
 def feasibility_ball_radius(slack: float, bounds) -> float:

@@ -12,20 +12,19 @@ answer. Every solve logs one DEBUG line to the ``robustplan`` logger: the
 standard-form shape, pivots per phase, refactorizations and what became of
 a given start basis.
 
-``_standard_form`` builds the whole phase-1 system in one place: nonnegative
-structural columns (fixed variables folded into the right-hand side, bounded
-ones shifted or reflected, free ones split, finite widths as extra rows),
-rows negated where their right-hand side is negative, slack, surplus and
-artificial columns, and a starting basis. ``solve_lp`` then runs phase 1,
-runs phase 2, undoes the change of variables and verifies the point against
-the original rows. An artificial still basic after phase 1 (at zero, on a
-redundant or degenerate row) is not driven out: phase 2 keeps it at zero
-and evicts it as soon as a pivot would move it. A solve may instead be
-given the basis of an earlier result as its start (a warm start), and phase
-1 is then skipped: phase 2 starts there when it is a feasible vertex of this
-problem's standard form, as an optimal basis stays when columns are added
-(``Basis.with_inserted_columns``). Any other start is dropped, and the
-solve runs cold.
+Every LP is in canonical form: minimize c·x over x >= 0 subject to "<=",
+"=" and ">=" rows. ``_standard_form`` builds the whole phase-1 system in
+one place: the problem's columns, rows negated where their right-hand side
+is negative, slack, surplus and artificial columns, and a starting basis.
+``solve_lp`` then runs phase 1, runs phase 2, reads the point off the
+problem's columns and verifies it against the rows. An artificial still
+basic after phase 1 (at zero, on a redundant or degenerate row) is not
+driven out: phase 2 keeps it at zero and evicts it as soon as a pivot
+would move it. A solve may instead be given the basis of an earlier result
+as its start (a warm start), and phase 1 is then skipped: phase 2 starts
+there when it is a feasible vertex of this problem's standard form, as an
+optimal basis stays when columns are added (``Basis.with_inserted_columns``).
+Any other start is dropped, and the solve runs cold.
 
 Pricing is Dantzig's rule (most negative reduced cost) with Bland's
 anti-cycling rule engaged automatically after a run of degenerate pivots and
@@ -71,32 +70,38 @@ _REFACTOR_INTERVAL = 50
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """A dense LP: optimize ``objective @ x`` subject to row constraints and box bounds.
+    """A dense LP in canonical form: minimize ``objective @ x`` over x >= 0 subject to row constraints.
 
     Fields:
         objective: length-n cost vector.
         matrix: (m, n) dense constraint matrix.
         senses: per-row comparison, each one of ``"<="``, ``"="``, ``">="``.
         rhs: length-m right-hand sides.
-        lower / upper: per-variable bounds; ``-inf`` / ``+inf`` mark unbounded sides.
-        sense: ``"maximize"`` or ``"minimize"``.
     """
 
     objective: np.ndarray
     matrix: np.ndarray
     senses: tuple[str, ...]
     rhs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    sense: str = "maximize"
 
     def __post_init__(self):
         object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
         object.__setattr__(self, "senses", tuple(self.senses))
         object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
-        object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
-        object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
+
+    # Read-only views of the implied bounds, kept because the benchmark's
+    # tracing (``bench/tracing.py``, ``_lp_shape``) reads them to count boxed
+    # columns; they go once it stops.
+    @property
+    def lower(self) -> np.ndarray:
+        """Every variable's lower bound: zeros."""
+        return np.zeros(self.objective.size)
+
+    @property
+    def upper(self) -> np.ndarray:
+        """Every variable's upper bound: +inf."""
+        return np.full(self.objective.size, np.inf)
 
     def validate(self) -> None:
         """Check structural invariants, raising ValidationError on the first failure."""
@@ -113,26 +118,12 @@ class LinearProgram:
         for i, s in enumerate(self.senses):
             if s not in (LE, EQ, GE):
                 raise ValidationError(f"senses[{i}]", f"unknown sense {s!r}")
-        if self.lower.shape != (n,):
-            raise ValidationError("lower", f"expected {n} entries, got {self.lower.shape}")
-        if self.upper.shape != (n,):
-            raise ValidationError("upper", f"expected {n} entries, got {self.upper.shape}")
-        if self.sense not in ("maximize", "minimize"):
-            raise ValidationError("sense", f"must be 'maximize' or 'minimize', got {self.sense!r}")
         if not np.all(np.isfinite(self.objective)):
             raise ValidationError("objective", "coefficients must be finite")
         if not np.all(np.isfinite(self.matrix)):
             raise ValidationError("matrix", "coefficients must be finite")
         if not np.all(np.isfinite(self.rhs)):
             raise ValidationError("rhs", "entries must be finite")
-        lower, upper = self.lower, self.upper
-        invalid = np.isnan(lower) | np.isnan(upper) | (lower == np.inf) | (upper == -np.inf)
-        bad = np.flatnonzero(invalid | (lower > upper))
-        if bad.size:
-            j = bad[0]
-            if invalid[j]:
-                raise ValidationError(f"bounds[{j}]", f"invalid bound pair ({lower[j]}, {upper[j]})")
-            raise ValidationError(f"bounds[{j}]", f"lower bound {lower[j]} exceeds upper bound {upper[j]}")
 
 
 class Basis(NamedTuple):
@@ -160,10 +151,10 @@ class Basis(NamedTuple):
 class LpResult:
     """Outcome of a solve: status plus, when optimal, the point, its objective, its row duals and its basis.
 
-    ``duals`` holds one price per row, in the problem's own rows and sense:
+    ``duals`` holds one price per row, in the problem's own rows:
     the rate at which the optimal objective moves with that row's
-    right-hand side at the final basis. So a "<=" row of a minimization has
-    a dual <= 0, a ">=" row one >= 0, and a maximization flips both signs.
+    right-hand side at the final basis. So a "<=" row has a dual <= 0 and a
+    ">=" row one >= 0.
     ``basis`` is the final vertex, which a later ``solve_lp`` of a problem
     with the same columns and rows can take as its ``start``.
     """
@@ -178,13 +169,11 @@ class LpResult:
 class _StandardForm(NamedTuple):
     """Phase 1-ready system: min cost @ z subject to matrix @ z = rhs, z >= 0.
 
-    The columns are [structural | slack/surplus | artificial] and rhs >= 0.
-    The rows are the problem's, then one width row per bounded variable.
-    ``basis`` (one slack or artificial per row) is feasible for phase 1, and
-    ``artificial`` marks the artificial columns. The original point is
-    ``base`` plus ``sign[k] * z[k]`` added into variable ``var[k]`` for
-    every structural column k. ``row_sign`` is -1 on each row that was
-    negated and +1 on the others.
+    The columns are [structural | slack/surplus | artificial] and rhs >= 0;
+    the structural columns are the problem's own. ``basis`` (one slack or
+    artificial per row) is feasible for phase 1, and ``artificial`` marks
+    the artificial columns. ``row_sign`` is -1 on each row that was negated
+    and +1 on the others.
     """
 
     matrix: np.ndarray
@@ -192,16 +181,7 @@ class _StandardForm(NamedTuple):
     cost: np.ndarray
     artificial: np.ndarray
     basis: np.ndarray
-    base: np.ndarray
-    var: np.ndarray
-    sign: np.ndarray
     row_sign: np.ndarray
-
-    def original_point(self, z: np.ndarray) -> np.ndarray:
-        """The original variables at the standard-form point z."""
-        x = self.base.copy()
-        np.add.at(x, self.var, self.sign * z[: self.var.size])
-        return x
 
 
 class _Unbounded(Exception):
@@ -219,42 +199,16 @@ _SLACK_SIGN = {LE: 1.0, EQ: 0.0, GE: -1.0}
 def _standard_form(problem: LinearProgram) -> _StandardForm:
     """The LP as an equality system over z >= 0, ready for phase 1.
 
-    Each variable becomes structural columns: a variable with equal bounds is
-    a constant folded into the right-hand side (no column); a finite lower
-    bound shifts it (x = lo + z), a finite upper bound alone reflects it
-    (x = hi - z), and a free variable splits (x = z+ - z-). A shifted
-    variable with a finite upper bound gets an extra <= row on its width.
     Rows with a negative right-hand side are negated, then a <= row gets a
     slack, a >= row a surplus and an artificial, an = row an artificial. The
     starting basis is the slack of each <= row and the artificial of the rest.
     """
-    A, lower, upper = problem.matrix, problem.lower, problem.upper
-    n = A.shape[1]
-    fixed = lower == upper
-    finite_lower = np.isfinite(lower)
-    free = ~finite_lower & ~np.isfinite(upper)
-    # Columns in variable order: none for a fixed variable, two for a free one.
-    var = np.repeat(np.arange(n), np.where(fixed, 0, np.where(free, 2, 1)))
-    sign = np.where(finite_lower[var], 1.0, -1.0)
-    sign[np.flatnonzero(free[var])[::2]] = 1.0  # z+ of each free pair
-    base_point = np.where(fixed | free, 0.0, np.where(finite_lower, lower, upper))
-    # Two subtractions, not one on the merged point: that would round differently.
-    rhs = problem.rhs - A[:, fixed] @ lower[fixed]
-    rhs = rhs - A @ base_point
-
-    bounded = np.flatnonzero(finite_lower[var] & np.isfinite(upper[var]))
-    width_rows = np.zeros((bounded.size, var.size))
-    width_rows[np.arange(bounded.size), bounded] = 1.0
-    structural = np.vstack([A[:, var] * sign, width_rows])
-    rhs = np.concatenate([rhs, upper[var[bounded]] - lower[var[bounded]]])
-    slack_sign = np.array([_SLACK_SIGN[s] for s in problem.senses] + [1.0] * bounded.size)
-
-    flip = rhs < 0
-    structural[flip] = -structural[flip]
-    rhs = np.where(flip, -rhs, rhs)
+    flip = problem.rhs < 0
+    rhs = np.where(flip, -problem.rhs, problem.rhs)
+    slack_sign = np.array([_SLACK_SIGN[s] for s in problem.senses])
     slack_sign = np.where(flip, -slack_sign, slack_sign)
 
-    m, n_std = structural.shape
+    m, n_std = problem.matrix.shape
     slack_rows = np.flatnonzero(slack_sign != 0)
     artificial_rows = np.flatnonzero(slack_sign <= 0)
     n_slack, n_artificial = slack_rows.size, artificial_rows.size
@@ -267,19 +221,14 @@ def _standard_form(problem: LinearProgram) -> _StandardForm:
         n_std + np.cumsum(slack_sign != 0) - 1,
         n_std + n_slack + np.cumsum(slack_sign <= 0) - 1,
     )
-
-    cost = problem.objective[var] * sign
-    if problem.sense == "maximize":
-        cost = -cost
+    matrix = np.hstack([problem.matrix, slack, artificial])
+    matrix[flip, :n_std] *= -1.0
     return _StandardForm(
-        matrix=np.hstack([structural, slack, artificial]),
+        matrix=matrix,
         rhs=rhs,
-        cost=np.concatenate([cost, np.zeros(n_slack + n_artificial)]),
+        cost=np.concatenate([problem.objective, np.zeros(n_slack + n_artificial)]),
         artificial=np.arange(n_std + n_slack + n_artificial) >= n_std + n_slack,
         basis=basis,
-        base=np.where(fixed, lower, base_point),
-        var=var,
-        sign=sign,
         row_sign=np.where(flip, -1.0, 1.0),
     )
 
@@ -500,13 +449,11 @@ def solve_lp(problem: LinearProgram, start: Basis | None = None) -> LpResult:
     z = np.zeros(A.shape[1])
     z[basis] = np.maximum(x_basic, 0.0)
 
-    # Snap hair-width bound violations and verify feasibility before returning.
-    solution = np.clip(std.original_point(z), problem.lower, problem.upper)
+    solution = z[: problem.objective.size]
     _check_feasible(problem, solution)
     objective_value = float(problem.objective @ solution)
-    # c_B·B⁻¹ prices the standard form's rows: undo their negation and the
-    # maximization's, and drop the width rows.
-    duals = (duals * (-std.row_sign if problem.sense == "maximize" else std.row_sign))[: problem.rhs.size]
+    # c_B·B⁻¹ prices the standard form's rows: undo their negation.
+    duals = duals * std.row_sign
     return LpResult(
         status=OPTIMAL,
         solution=solution,

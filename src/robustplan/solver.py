@@ -292,15 +292,11 @@ def _distribution_lp(
     matrix[n, fixed:] = 1.0
     matrix[n + 1, fixed:] = np.tile(d, xs.size)
     boxes = [np.full(n, MULTIPLIER_BOX), [OFFSET_BOX, OFFSET_BOX]] if elastic else []
-    objective = np.concatenate([*boxes, [hi, -lo], (a + c * xs[:, None]).ravel()])
     return LinearProgram(
-        objective=objective,
+        objective=np.concatenate([*boxes, [hi, -lo], (a + c * xs[:, None]).ravel()]),
         matrix=matrix,
         senses=(LE,) * n + (EQ, EQ),
         rhs=np.concatenate([bounds, [1.0, 0.0]]),
-        lower=np.zeros(objective.size),
-        upper=np.full(objective.size, np.inf),
-        sense="minimize",
     )
 
 
@@ -384,7 +380,7 @@ def _exchange(
         if x_worst in working:
             start = result.basis
         else:
-            # Every variable is one standard-form column, so the structural block ends after the last one.
+            # The standard form's structural block is the LP's own columns, so it ends after the last one.
             start = result.basis.with_inserted_columns(lp.objective.size, pieces)
             working = np.append(working, x_worst)
             G = np.column_stack([G, g_worst])

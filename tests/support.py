@@ -100,27 +100,32 @@ def tall_program(fs, u, G, xs, decision, boxes=(np.inf, np.inf)) -> simplex.Line
 
     ``G`` holds the g-vector at each point as a column and b lies in
     ``decision``. ``boxes`` caps each lambda and |eta|; by default neither
-    is capped, and the program is the LP dual of the exact path's. The cap
-    on |eta| is two more rows on the free nu: as bounds it would shift nu
-    by -OFFSET_BOX in the standard form, and the rows would lose the
-    precision of the difference.
+    is capped, and the program is the LP dual of the exact path's.
+
+    In canonical form its columns, all >= 0, are beta = b - decision[0],
+    lambda, and nu+ and nu- with nu = nu+ - nu-, and it minimizes the
+    program's objective negated, so its optimum is minus the program's. The
+    rows hold the shift of b in their right-hand sides, and beta's width
+    and the lambda caps are <= rows after the point rows.
     """
     n = G.shape[0]
     a, c, d = np.array(u.pieces).T
-    rows = [[dk, *G[:, j], -1.0] for j in range(xs.size) for dk in d]
-    rhs = [-(ak + ck * x) for x in xs for ak, ck in zip(a, c)]
+    lo, hi = decision
+    rows = [[dk, *G[:, j], -1.0, 1.0] for j in range(xs.size) for dk in d]
+    # b = lo + beta moves d_k * lo into each point row's right-hand side.
+    rhs = [-(ak + ck * x) - dk * lo for x in xs for ak, ck, dk in zip(a, c, d)]
     multiplier_box, offset_box = boxes
     if offset_box < np.inf:
-        rows += [[0.0] * (n + 1) + [1.0], [0.0] * (n + 1) + [-1.0]]
+        rows += [[0.0] * (n + 1) + [1.0, -1.0], [0.0] * (n + 1) + [-1.0, 1.0]]
         rhs += [-offset_box, -offset_box]
+    caps = np.eye(n + 1, n + 3)
+    widths = np.concatenate([[hi - lo], np.full(n, multiplier_box)])
+    finite = np.isfinite(widths)
     return simplex.LinearProgram(
-        objective=np.concatenate([[0.0], -fs.bounds, [1.0]]),
-        matrix=np.array(rows).reshape(len(rows), n + 2),
-        senses=(simplex.GE,) * len(rows),
-        rhs=np.array(rhs),
-        lower=np.concatenate([[decision[0]], np.zeros(n), [-np.inf]]),
-        upper=np.concatenate([[decision[1]], np.full(n, multiplier_box), [np.inf]]),
-        sense="maximize",
+        objective=np.concatenate([[0.0], fs.bounds, [-1.0, 1.0]]),
+        matrix=np.vstack([np.array(rows).reshape(len(rows), n + 3), caps[finite]]),
+        senses=(simplex.GE,) * len(rows) + (simplex.LE,) * np.count_nonzero(finite),
+        rhs=np.concatenate([rhs, widths[finite]]),
     )
 
 
@@ -192,6 +197,26 @@ def reference_iterate(std, cost, basis, pin_artificials, tally, start=False):
         tied = np.where(ratios <= theta + 1e-12)[0]
         leave_pos = min(tied, key=lambda r: (not pin_zero[basis[r]], basis[r]))
         basis[leave_pos] = entering
+
+
+def highs_solve(optimize, lp: simplex.LinearProgram) -> tuple[str, float | None]:
+    """Status and objective of ``lp`` by ``scipy.optimize.linprog(method="highs")``, every variable >= 0."""
+    senses = np.array(lp.senses)
+    le, ge, eq = (senses == sense for sense in (simplex.LE, simplex.GE, simplex.EQ))
+    upper_rows = np.vstack([lp.matrix[le], -lp.matrix[ge]])
+    # HiGHS's presolve reports some unbounded LPs as infeasible, so it is off.
+    ref = optimize.linprog(
+        lp.objective,
+        A_ub=upper_rows if upper_rows.size else None,
+        b_ub=np.concatenate([lp.rhs[le], -lp.rhs[ge]]) if upper_rows.size else None,
+        A_eq=lp.matrix[eq] if eq.any() else None,
+        b_eq=lp.rhs[eq] if eq.any() else None,
+        bounds=(0, None),
+        method="highs",
+        options={"presolve": False},
+    )
+    status = {0: simplex.OPTIMAL, 2: simplex.INFEASIBLE, 3: simplex.UNBOUNDED}[ref.status]
+    return status, ref.fun if status == simplex.OPTIMAL else None
 
 
 def record_solves(monkeypatch, *modules):

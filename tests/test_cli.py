@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import robustplan
-from robustplan import bruteforce, forecast, solver
+from robustplan import bruteforce, cli, forecast, simplex, solver
 from robustplan.cli import main
-from support import assert_same_pivoting, record_solves
+from support import assert_same_pivoting, highs_solve, record_solves
 
 
 def config_with(**overrides):
@@ -75,13 +75,19 @@ def test_golden_output(capsys, command, scenario):
     assert out == (GOLDEN / f"{command}_{scenario}.out").read_text(encoding="utf-8")
 
 
+def record_golden_lps(capsys, monkeypatch):
+    """Run every golden case; return each LP the package solved, with its start, in order."""
+    calls = record_solves(monkeypatch, solver, bruteforce, forecast)
+    for command, scenario in GOLDEN_CASES:
+        source = GOLDEN / f"{scenario}.json" if scenario == "exchange_mixed" else scenario
+        run_cli(capsys, [command, str(source), *GOLDEN_COMMANDS[command]])
+    return calls
+
+
 def test_golden_lps_match_reference_pivoting(capsys, caplog, monkeypatch):
     """Every LP behind the golden files pivots as the loop inverting its basis at every pivot, from the same start."""
-    calls = record_solves(monkeypatch, solver, bruteforce, forecast)
     with caplog.at_level(logging.DEBUG, logger="robustplan"):
-        for command, scenario in GOLDEN_CASES:
-            source = GOLDEN / f"{scenario}.json" if scenario == "exchange_mixed" else scenario
-            run_cli(capsys, [command, str(source), *GOLDEN_COMMANDS[command]])
+        calls = record_golden_lps(capsys, monkeypatch)
     starts = [r.getMessage().rsplit(" ", 1)[1] for r in caplog.records if r.getMessage().startswith("solve_lp:")]
     # Both scenarios are prediction intervals, so their sweeps (and check's
     # dual side) solve no LP.
@@ -91,6 +97,18 @@ def test_golden_lps_match_reference_pivoting(capsys, caplog, monkeypatch):
     assert sum(start is not None for _, start in calls) == 2 + 2 * 20
     for lp, start in calls:
         assert_same_pivoting(caplog, lp, start)
+
+
+def test_golden_lps_match_highs(capsys, monkeypatch):
+    """Every LP behind the golden files has the optimum SciPy's HiGHS finds, within 1e-9."""
+    optimize = pytest.importorskip("scipy.optimize")
+    calls = record_golden_lps(capsys, monkeypatch)
+    assert len(calls) == 55
+    for lp, start in calls:
+        result = simplex.solve_lp(lp, start=start)
+        status, objective = highs_solve(optimize, lp)
+        assert result.status == status == simplex.OPTIMAL
+        assert result.objective_value == pytest.approx(objective, rel=0.0, abs=1e-9)
 
 
 class TestSolve:
@@ -217,6 +235,15 @@ class TestCheck:
         assert doc["duality_gap_max"] <= 1e-6
         assert doc["strict_feasibility_slack"] > 0
         assert 0 < doc["feasibility_ball_radius"] <= 1
+
+    def test_pinned_cells_print_zero_slack_and_no_radius(self, tmp_path, capsys):
+        # Each cell's probability is pinned at 0.5, so no slack is left, and
+        # the slack prints as 0.0, not -0.0.
+        forecasts = config_with()["forecasts"] | {"lower_probs": [0.5, 0.5], "upper_probs": [0.5, 0.5]}
+        code, out, _ = run_cli(capsys, ["check", write_config(tmp_path, config_with(forecasts=forecasts))])
+        assert code == 0
+        assert '"strict_feasibility_slack": 0.0,' in out
+        assert '"feasibility_ball_radius": null' in out
 
     def test_unconstrained_slack_is_unbounded_status(self, tmp_path, capsys):
         config = config_with(forecasts={"type": "generic", "constraints": []})
@@ -376,6 +403,35 @@ class TestErrors:
         assert code == 0
         assert "warning" in err
         assert json.loads(out)["b_star"] >= 0.0
+
+
+class TestArguments:
+    """The parser is built once per process, and argument errors and help repeat exactly."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--help"], 0),
+            (["sweep", "--help"], 0),
+            ([], 2),
+            (["no_such_command", "market_m6"], 2),
+            (["sweep", "market_m6", "--grid", "ten"], 2),
+            (["solve", "market_m6", "--grid", "3"], 2),
+        ],
+        ids=["help", "subcommand-help", "no-command", "unknown-command", "bad-int", "unknown-option"],
+    )
+    def test_parse_errors_and_help_repeat(self, capsys, argv, code):
+        seen = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            seen.append((exit_info.value.code, *capsys.readouterr()))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == code
+        assert seen[0][1 if code == 0 else 2].startswith("usage: robustplan")
 
 
 class TestOutputFile:

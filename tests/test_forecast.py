@@ -140,6 +140,13 @@ class TestStrictFeasibilitySlack:
         pi = PredictionIntervals(breakpoints=(0.0, 1.0), lower_probs=(1.0,), upper_probs=(1.0,))
         assert strict_feasibility_slack(to_generic(pi), 11) == pytest.approx(0.0, abs=1e-9)
 
+    def test_pinned_cells_have_positive_zero_slack(self):
+        # The slack LP's zeta is split as zeta+ - zeta-; a zero slack is +0.0, never -0.0.
+        pi = PredictionIntervals(breakpoints=(0.0, 0.5, 1.0), lower_probs=(0.5, 0.5), upper_probs=(0.5, 0.5))
+        slack = strict_feasibility_slack(to_generic(pi), 11)
+        assert slack == 0.0
+        assert math.copysign(1.0, slack) == 1.0
+
     def test_two_cell_slack_value(self):
         # P(cell 0) can sit anywhere in [0.2+z, 0.7-z] with P(cell 1) = 1-P(cell 0)
         # in [0.3+z, 0.8-z]; both windows are nonempty up to z = 0.25.

@@ -32,6 +32,7 @@ from support import (
     MOMENT_WINDOWS,
     assert_same_pivoting,
     assert_same_result,
+    highs_solve,
     log_fields,
     logged_solves,
     moment_window_doc,
@@ -44,98 +45,74 @@ from support import (
 INF = np.inf
 
 
-def make_lp(objective, matrix, senses, rhs, lower, upper, sense="maximize"):
+def make_lp(objective, matrix, senses, rhs):
+    """minimize objective @ x over x >= 0 subject to the rows."""
     return LinearProgram(
         objective=np.asarray(objective, dtype=float),
         matrix=np.asarray(matrix, dtype=float).reshape(len(senses), len(objective)),
         senses=tuple(senses),
         rhs=np.asarray(rhs, dtype=float),
-        lower=np.asarray(lower, dtype=float),
-        upper=np.asarray(upper, dtype=float),
-        sense=sense,
     )
 
 
 class TestBasicSolves:
     def test_single_variable_binding_bound(self):
-        # maximize x s.t. x <= 1, x >= 0
-        lp = make_lp([1.0], [[1.0]], [LE], [1.0], [0.0], [INF])
+        # minimize -x s.t. x <= 1, x >= 0
+        lp = make_lp([-1.0], [[1.0]], [LE], [1.0])
         res = solve_lp(lp)
         assert res.status == OPTIMAL
         assert res.solution[0] == pytest.approx(1.0, abs=1e-9)
-        assert res.objective_value == pytest.approx(1.0, abs=1e-9)
+        assert res.objective_value == pytest.approx(-1.0, abs=1e-9)
 
     def test_contradictory_rows_infeasible(self):
         # x >= 1 and x <= 0 cannot both hold.
-        lp = make_lp([1.0], [[1.0], [1.0]], [GE, LE], [1.0, 0.0], [0.0], [INF])
+        lp = make_lp([1.0], [[1.0], [1.0]], [GE, LE], [1.0, 0.0])
         assert solve_lp(lp).status == INFEASIBLE
 
     def test_two_variable_polygon_vertex(self):
-        # maximize 3a + 2b s.t. a + b <= 4, a <= 2, a,b >= 0.
-        # Vertex enumeration: (0,0)->0, (2,0)->6, (0,4)->8, (2,2)->10. Max is 10.
-        lp = make_lp(
-            [3.0, 2.0],
-            [[1.0, 1.0], [1.0, 0.0]],
-            [LE, LE],
-            [4.0, 2.0],
-            [0.0, 0.0],
-            [INF, INF],
-        )
+        # minimize -3a - 2b s.t. a + b <= 4, a <= 2, a,b >= 0.
+        # Vertex enumeration: (0,0)->0, (2,0)->-6, (0,4)->-8, (2,2)->-10. Min is -10.
+        lp = make_lp([-3.0, -2.0], [[1.0, 1.0], [1.0, 0.0]], [LE, LE], [4.0, 2.0])
         res = solve_lp(lp)
         assert res.status == OPTIMAL
         assert res.solution == pytest.approx([2.0, 2.0], abs=1e-9)
-        assert res.objective_value == pytest.approx(10.0, abs=1e-8)
+        assert res.objective_value == pytest.approx(-10.0, abs=1e-8)
 
     def test_unbounded_direction(self):
-        lp = make_lp([1.0], np.zeros((0, 1)), [], [], [0.0], [INF])
+        lp = make_lp([-1.0], np.zeros((0, 1)), [], [])
         assert solve_lp(lp).status == UNBOUNDED
 
     def test_zero_rows_optimum(self):
-        # minimize x s.t. x >= 1 as a bound, with no rows at all.
-        lp = make_lp([1.0], np.zeros((0, 1)), [], [], [1.0], [INF], sense="minimize")
+        # minimize x over x >= 0, with no rows at all.
+        lp = make_lp([1.0], np.zeros((0, 1)), [], [])
         assert _standard_form(lp).matrix.shape == (0, 1)
         res = solve_lp(lp)
         assert res.status == OPTIMAL
-        assert res.solution.tolist() == [1.0]
-        assert res.objective_value == 1.0
+        assert res.solution.tolist() == [0.0]
+        assert res.objective_value == 0.0
 
     def test_equality_and_free_variable(self):
-        # minimize 2x + y s.t. x + y = 3, y in [0, 1], x free.
+        # minimize 2x + y s.t. x + y = 3, y <= 1, x free, written with x = x+ - x-.
         # Substitute x = 3 - y: objective 6 - y, minimized at y = 1 -> x = 2, value 5.
-        lp = make_lp(
-            [2.0, 1.0],
-            [[1.0, 1.0]],
-            [EQ],
-            [3.0],
-            [-INF, 0.0],
-            [INF, 1.0],
-            sense="minimize",
-        )
+        lp = make_lp([2.0, -2.0, 1.0], [[1.0, -1.0, 1.0], [0.0, 0.0, 1.0]], [EQ, LE], [3.0, 1.0])
         res = solve_lp(lp)
         assert res.status == OPTIMAL
-        assert res.solution == pytest.approx([2.0, 1.0], abs=1e-9)
+        assert res.solution == pytest.approx([2.0, 0.0, 1.0], abs=1e-9)
         assert res.objective_value == pytest.approx(5.0, abs=1e-8)
 
     def test_upper_bounded_only_variable(self):
-        # maximize x with x <= 2 and no lower bound, pinned by a harmless row.
-        lp = make_lp([1.0], [[1.0]], [LE], [5.0], [-INF], [2.0])
+        # maximize x with x <= 2 and no lower bound, pinned by a harmless row:
+        # minimize -(x+ - x-) with the cap x+ - x- <= 2 as a row.
+        lp = make_lp([-1.0, 1.0], [[1.0, -1.0], [1.0, -1.0]], [LE, LE], [5.0, 2.0])
         res = solve_lp(lp)
         assert res.status == OPTIMAL
-        assert res.solution[0] == pytest.approx(2.0, abs=1e-9)
+        assert res.solution[0] - res.solution[1] == pytest.approx(2.0, abs=1e-9)
 
     def test_greater_equal_rows_via_artificials(self):
         # minimize x + y s.t. x + 2y >= 4, 3x + y >= 6, x,y >= 0.
         # Vertices: (0, 6)->6, (4, 0)->4, intersection x+2y=4 & 3x+y=6 at
         # (8/5, 6/5) -> 14/5 = 2.8. Min is 2.8.
-        lp = make_lp(
-            [1.0, 1.0],
-            [[1.0, 2.0], [3.0, 1.0]],
-            [GE, GE],
-            [4.0, 6.0],
-            [0.0, 0.0],
-            [INF, INF],
-            sense="minimize",
-        )
+        lp = make_lp([1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [GE, GE], [4.0, 6.0])
         res = solve_lp(lp)
         assert res.status == OPTIMAL
         assert res.objective_value == pytest.approx(2.8, abs=1e-8)
@@ -144,7 +121,7 @@ class TestBasicSolves:
     def test_degenerate_cycling_instance_terminates(self):
         # A classic cycling trap for naive most-negative-cost pricing.
         # KKT-verified optimum: x = (0.04, 0, 1, 0), objective -0.05
-        # (row-2 multiplier 1.5, upper-bound multiplier on x3 = 0.05,
+        # (row-2 multiplier 1.5, row-3 multiplier 0.05 on x3 <= 1,
         # reduced costs 15 and 10.5 on the zero variables).
         lp = make_lp(
             [-0.75, 150.0, -0.02, 6.0],
@@ -155,9 +132,6 @@ class TestBasicSolves:
             ],
             [LE, LE, LE],
             [0.0, 0.0, 1.0],
-            [0.0, 0.0, 0.0, 0.0],
-            [INF, INF, INF, INF],
-            sense="minimize",
         )
         res = solve_lp(lp)
         assert res.status == OPTIMAL
@@ -166,20 +140,13 @@ class TestBasicSolves:
     def test_pricing_tie_goes_to_the_lowest_column(self):
         # The reduced costs -3 and -3 - 4.4e-16 lie within _TIE_BAND of each
         # other, so x0 enters first, and then x1 has no gain left to enter.
-        lp = make_lp([3.0, 3.0 + 1e-15], [[1.0, 1.0]], [LE], [1.0], [0.0, 0.0], [INF, INF])
+        lp = make_lp([-3.0, -3.0 - 1e-15], [[1.0, 1.0]], [LE], [1.0])
         assert solve_lp(lp).solution.tolist() == [1.0, 0.0]
 
 
 class TestResultInvariants:
     def _polygon_lp(self):
-        return make_lp(
-            [3.0, 2.0],
-            [[1.0, 1.0], [1.0, 0.0]],
-            [LE, LE],
-            [4.0, 2.0],
-            [0.0, 0.0],
-            [INF, INF],
-        )
+        return make_lp([-3.0, -2.0], [[1.0, 1.0], [1.0, 0.0]], [LE, LE], [4.0, 2.0])
 
     def test_feasibility_within_tolerance(self):
         res = solve_lp(self._polygon_lp())
@@ -196,7 +163,7 @@ class TestResultInvariants:
             a, b = rng.uniform(0.0, 4.0, size=2)
             if a + b <= 4 and a <= 2:
                 accepted += 1
-                assert res.objective_value >= 3 * a + 2 * b - 1e-8
+                assert res.objective_value <= -3 * a - 2 * b + 1e-8
 
     def test_bit_for_bit_determinism(self):
         first = solve_lp(self._polygon_lp())
@@ -207,110 +174,91 @@ class TestResultInvariants:
 
 
 class TestFixedVariables:
-    """A variable with equal bounds is a constant folded into the right-hand side."""
+    """A variable pinned by an "=" row solves as its value substituted by hand."""
 
     def test_matches_substitution_by_hand(self):
-        # maximize 3a + 2b + c s.t. a + b + c <= 4, a - c >= -1, with b fixed at 1.5:
-        # by hand, maximize 3a + c s.t. a + c <= 2.5, a - c >= -1, plus 3.
+        # maximize 3a + 2b + c s.t. a + b + c <= 4, a - c >= -1, c <= 5, with
+        # b = 1.5: by hand, maximize 3a + c s.t. a + c <= 2.5, a - c >= -1,
+        # c <= 5, plus 3. Both written as minimizations.
         fixed = make_lp(
-            [3.0, 2.0, 1.0],
-            [[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]],
-            [LE, GE],
-            [4.0, -1.0],
-            [0.0, 1.5, 0.0],
-            [INF, 1.5, 5.0],
+            [-3.0, -2.0, -1.0],
+            [[1.0, 1.0, 1.0], [1.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+            [LE, GE, LE, EQ],
+            [4.0, -1.0, 5.0, 1.5],
         )
-        by_hand = make_lp([3.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [LE, GE], [2.5, -1.0], [0.0, 0.0], [INF, 5.0])
+        by_hand = make_lp([-3.0, -1.0], [[1.0, 1.0], [1.0, -1.0], [0.0, 1.0]], [LE, GE, LE], [2.5, -1.0, 5.0])
         res, ref = solve_lp(fixed), solve_lp(by_hand)
         assert res.status == ref.status == OPTIMAL
         assert res.solution[1] == 1.5
-        assert np.array_equal(res.solution[[0, 2]], ref.solution)
-        assert res.objective_value == pytest.approx(ref.objective_value + 3.0, abs=1e-12)
-        assert res.objective_value == pytest.approx(10.5, abs=1e-9)
-        # No column and no zero-width bound row for the fixed variable.
-        assert _standard_form(fixed).matrix.shape == _standard_form(by_hand).matrix.shape
+        assert res.solution[[0, 2]] == pytest.approx(ref.solution, abs=1e-12)
+        assert res.objective_value == pytest.approx(ref.objective_value - 3.0, abs=1e-12)
+        assert res.objective_value == pytest.approx(-10.5, abs=1e-9)
 
     def test_all_columns_fixed(self):
-        lp = make_lp([1.0, -2.0], [[1.0, 1.0], [1.0, -1.0]], [LE, GE], [3.0, -1.0], [1.0, 2.0], [1.0, 2.0])
-        std = _standard_form(lp)
-        assert std.var.size == 0  # no structural column
-        assert std.matrix.shape == (2, 3)  # the <= slack, the >= surplus and its artificial
+        lp = make_lp(
+            [1.0, -2.0], [[1.0, 1.0], [1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [LE, GE, EQ, EQ], [3.0, -1.0, 1.0, 2.0]
+        )
         res = solve_lp(lp)
         assert res.status == OPTIMAL
         assert res.solution.tolist() == [1.0, 2.0]
         assert res.objective_value == -3.0
 
     def test_all_columns_fixed_infeasible(self):
-        lp = make_lp([1.0, -2.0], [[1.0, 1.0]], [LE], [2.0], [1.0, 2.0], [1.0, 2.0])
+        lp = make_lp([1.0, -2.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [LE, EQ, EQ], [2.0, 1.0, 2.0])
         assert solve_lp(lp).status == INFEASIBLE
 
 
 class TestStandardForm:
-    """One LP with a column of each bound kind and a row of each sense, both rhs signs."""
+    """One LP with rows of each sense, each with both signs of the right-hand side."""
 
-    # x0 fixed at 2, x1 >= 1, x2 <= 3, x3 in [-1, 4], x4 free.
     LP = make_lp(
-        [1.0, 2.0, 3.0, 4.0, 5.0],
+        [1.0, 2.0, 3.0],
         [
-            [1.0, 1.0, 1.0, 1.0, 1.0],
-            [0.0, 1.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0, 1.0],
-            [1.0, 0.0, 0.0, 0.0, 1.0],
-            [0.0, 1.0, 0.0, 0.0, -1.0],
-            [0.0, 0.0, 0.0, 1.0, 1.0],
-            [0.0, 0.0, 0.0, -1.0, 0.0],
+            [1.0, 1.0, 1.0],
+            [0.0, 1.0, 1.0],
+            [1.0, 0.0, 1.0],
+            [1.0, -1.0, 0.0],
+            [0.0, 1.0, -1.0],
+            [-1.0, 0.0, -1.0],
+            [1.0, 0.0, 0.0],
         ],
         [LE, GE, EQ, LE, GE, EQ, LE],
-        # Minus the row at the base point (2, 1, 3, -1, 0): 15, 4, 2, -2, -4, -5, -0.5.
-        [20.0, 4.0, 5.0, 0.0, -3.0, -6.0, 0.5],
-        [2.0, 1.0, -INF, -1.0, -INF],
-        [2.0, INF, 3.0, 4.0, INF],
+        [4.0, 1.0, 2.0, -1.0, -3.0, -2.0, 0.5],
     )
 
     def test_system(self):
         std = _standard_form(self.LP)
-        # Structural columns z0..z4 stand for x1, -x2, x3 + 1, x4+, x4-: x3
-        # is shifted onto its lower bound, and row 7 caps z2 at x3's width.
-        # Rows 3-6 have a negative rhs and are negated, so row 3 (<=) gets a
-        # surplus, row 4 (>=) a slack, and row 6 (<=) a surplus.
+        # The structural columns are the LP's own. Rows 3-5 have a negative
+        # rhs and are negated, so row 3 (<=) gets a surplus and an
+        # artificial, row 4 (>=) a slack, and row 5 (=) an artificial.
         structural = [
-            [1, -1, 1, 1, -1],
-            [1, 0, 1, 0, 0],
-            [0, -1, 0, 1, -1],
-            [0, 0, 0, -1, 1],
-            [-1, 0, 0, 1, -1],
-            [0, 0, -1, -1, 1],
-            [0, 0, 1, 0, 0],
-            [0, 0, 1, 0, 0],
+            [1, 1, 1],
+            [0, 1, 1],
+            [1, 0, 1],
+            [-1, 1, 0],
+            [0, -1, 1],
+            [1, 0, 1],
+            [1, 0, 0],
         ]
-        # Slack/surplus columns for rows 0, 1, 3, 4, 6, 7; artificials for rows 1, 2, 3, 5, 6.
-        slack = np.zeros((8, 6))
-        slack[[0, 1, 3, 4, 6, 7], range(6)] = [1, -1, -1, 1, -1, 1]
-        artificial = np.zeros((8, 5))
-        artificial[[1, 2, 3, 5, 6], range(5)] = 1
+        # Slack/surplus columns for rows 0, 1, 3, 4, 6; artificials for rows 1, 2, 3, 5.
+        slack = np.zeros((7, 5))
+        slack[[0, 1, 3, 4, 6], range(5)] = [1, -1, -1, 1, 1]
+        artificial = np.zeros((7, 4))
+        artificial[[1, 2, 3, 5], range(4)] = 1
         assert np.array_equal(std.matrix, np.hstack([structural, slack, artificial]))
-        assert std.rhs.tolist() == [15.0, 4.0, 2.0, 2.0, 4.0, 5.0, 0.5, 5.0]
-        assert std.basis.tolist() == [5, 11, 12, 13, 8, 14, 15, 10]
-        assert std.artificial.tolist() == [False] * 11 + [True] * 5
-        # Maximize, so the cost of each structural column is -sign * c[var].
-        assert std.cost.tolist() == [-2.0, 3.0, -4.0, -5.0, 5.0] + [0.0] * 11
-        assert std.var.tolist() == [1, 2, 3, 4, 4]
-        assert std.sign.tolist() == [1.0, -1.0, 1.0, 1.0, -1.0]
-        assert std.base.tolist() == [2.0, 1.0, 3.0, -1.0, 0.0]
-        assert std.row_sign.tolist() == [1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0]
-
-    def test_undo(self):
-        std = _standard_form(self.LP)
-        z = np.concatenate([[0.5, 1.0, 2.0, 3.0, 1.0], np.full(11, 7.0)])
-        assert std.original_point(z).tolist() == [2.0, 1.5, 2.0, 1.0, 2.0]
+        assert std.rhs.tolist() == [4.0, 1.0, 2.0, 1.0, 3.0, 2.0, 0.5]
+        assert std.basis.tolist() == [3, 8, 9, 10, 6, 11, 7]
+        assert std.artificial.tolist() == [False] * 8 + [True] * 4
+        assert std.cost.tolist() == [1.0, 2.0, 3.0] + [0.0] * 9
+        assert std.row_sign.tolist() == [1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0]
 
     def test_signed_zeros(self):
         # Slack and artificial columns hold +0.0 off their row, and only a
         # negative rhs is negated: a -0.0 rhs stays -0.0.
         std = _standard_form(self.LP)
-        added = std.matrix[:, 5:]
+        added = std.matrix[:, 3:]
         assert not np.signbit(added[added == 0]).any()
-        zero_rhs = _standard_form(make_lp([1.0], [[1.0]], [GE], [-0.0], [0.0], [INF]))
+        zero_rhs = _standard_form(make_lp([1.0], [[1.0]], [GE], [-0.0]))
         assert np.signbit(zero_rhs.rhs).tolist() == [True]
 
 
@@ -321,8 +269,6 @@ class TestValidation:
             matrix=np.array([[1.0, 0.0, 3.0]]),
             senses=(LE,),
             rhs=np.array([1.0]),
-            lower=np.array([0.0, 0.0]),
-            upper=np.array([INF, INF]),
         )
         with pytest.raises(ValidationError) as err:
             solve_lp(lp)
@@ -330,68 +276,31 @@ class TestValidation:
 
     @pytest.mark.parametrize("matrix", [np.array([1.0, 2.0]), np.array(1.0)])
     def test_non_2d_matrix_rejected(self, matrix):
-        lp = LinearProgram(
-            objective=np.array([1.0, 2.0]),
-            matrix=matrix,
-            senses=(LE,),
-            rhs=np.array([1.0]),
-            lower=np.array([0.0, 0.0]),
-            upper=np.array([INF, INF]),
-        )
+        lp = LinearProgram(objective=np.array([1.0, 2.0]), matrix=matrix, senses=(LE,), rhs=np.array([1.0]))
         with pytest.raises(ValidationError) as err:
             solve_lp(lp)
         assert err.value.field == "matrix"
 
     def test_bad_sense_string(self):
-        lp = make_lp([1.0], [[1.0]], ["<"], [1.0], [0.0], [INF])
+        lp = make_lp([1.0], [[1.0]], ["<"], [1.0])
         with pytest.raises(ValidationError) as err:
             solve_lp(lp)
         assert "senses[0]" in str(err.value)
 
-    def test_crossed_bounds(self):
-        lp = make_lp([1.0], [[1.0]], [LE], [1.0], [2.0], [1.0])
-        with pytest.raises(ValidationError) as err:
-            solve_lp(lp)
-        assert "bounds[0]" in str(err.value)
 
-    @pytest.mark.parametrize(
-        "lower, upper, message",
-        [
-            ([0.0, np.nan, 0.0], [1.0, 1.0, -1.0], "invalid bound pair (nan, 1.0)"),
-            ([0.0, 0.0, 0.0], [1.0, np.nan, -1.0], "invalid bound pair (0.0, nan)"),
-            ([0.0, INF, 0.0], [1.0, INF, -1.0], "invalid bound pair (inf, inf)"),
-            ([0.0, 0.0, np.nan], [1.0, -INF, 1.0], "invalid bound pair (0.0, -inf)"),
-            ([0.0, 2.0, np.nan], [1.0, 1.0, 1.0], "lower bound 2.0 exceeds upper bound 1.0"),
-        ],
-        ids=["nan-lower", "nan-upper", "lower-plus-inf", "upper-minus-inf", "crossed"],
-    )
-    def test_first_bad_bound_named(self, lower, upper, message):
-        lp = make_lp([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [LE], [1.0], lower, upper)
-        with pytest.raises(ValidationError) as err:
-            lp.validate()
-        assert err.value.field == "bounds[1]"
-        assert err.value.message == message
+class TestImpliedBounds:
+    """Every variable is >= 0: the bounds are read-only properties, not arguments."""
 
-    def test_bounds_check_matches_loop_reference(self):
-        def loop_reference(lower, upper):
-            for j, (lo, hi) in enumerate(zip(lower, upper)):
-                if np.isnan(lo) or np.isnan(hi) or lo == np.inf or hi == -np.inf:
-                    return f"bounds[{j}]", f"invalid bound pair ({lo}, {hi})"
-                if lo > hi:
-                    return f"bounds[{j}]", f"lower bound {lo} exceeds upper bound {hi}"
-            return None
+    def test_lower_and_upper_are_zeros_and_infinity(self):
+        lp = make_lp([1.0, -2.0, 0.5], [[1.0, 1.0, 1.0]], [LE], [1.0])
+        assert lp.lower.tolist() == [0.0, 0.0, 0.0]
+        assert lp.upper.tolist() == [INF, INF, INF]
+        assert not np.signbit(lp.lower).any()
 
-        values = [-INF, -1.0, 0.0, 1.0, INF, np.nan]
-        pairs = [(lo, hi) for lo in values for hi in values]
-        for lo0, hi0 in pairs:
-            for lo1, hi1 in pairs:
-                lp = make_lp([1.0, 1.0], [[1.0, 1.0]], [LE], [1.0], [lo0, lo1], [hi0, hi1])
-                try:
-                    lp.validate()
-                    got = None
-                except ValidationError as err:
-                    got = err.field, err.message
-                assert got == loop_reference(lp.lower, lp.upper)
+    @pytest.mark.parametrize("argument", [{"lower": [0.0]}, {"upper": [1.0]}, {"sense": "minimize"}])
+    def test_bound_and_sense_arguments_rejected(self, argument):
+        with pytest.raises(TypeError):
+            LinearProgram(objective=[1.0], matrix=[[1.0]], senses=(LE,), rhs=[1.0], **argument)
 
 
 class TestFeasibilityCheck:
@@ -414,8 +323,6 @@ class TestFeasibilityCheck:
                 rng.normal(size=(m, 2)),
                 rng.choice([LE, GE, EQ], size=m).tolist(),
                 rng.choice([0.0, 1.0, -1.0, 1e4], size=m),
-                [-INF, -INF],
-                [INF, INF],
             )
             # Points on each row's boundary, nudged by about the tolerance either way, or NaN.
             target = lp.rhs + rng.choice([0.0, 2e-9, -2e-9, 5e-10, np.nan], size=m) * np.maximum(1.0, np.abs(lp.rhs))
@@ -432,24 +339,20 @@ class TestFeasibilityCheck:
 
 @st.composite
 def feasible_minimization(draw):
-    """A random LP built around a known feasible point x0 >= 0."""
+    """A random LP built around a known feasible point x0 >= 0, with a <= cap row on every variable."""
     n = draw(st.integers(min_value=1, max_value=5))
     m = draw(st.integers(min_value=1, max_value=5))
     coeff = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
     matrix = np.array([[draw(coeff) for _ in range(n)] for _ in range(m)])
     x0 = np.array([draw(st.floats(min_value=0.0, max_value=3.0, allow_nan=False)) for _ in range(n)])
     slack = np.array([draw(st.floats(min_value=0.0, max_value=2.0, allow_nan=False)) for _ in range(m)])
-    rhs = matrix @ x0 + slack
     objective = np.array([draw(coeff) for _ in range(n)])
-    upper = np.array([draw(st.floats(min_value=3.0, max_value=8.0, allow_nan=False)) for _ in range(n)])
+    cap = np.array([draw(st.floats(min_value=3.0, max_value=8.0, allow_nan=False)) for _ in range(n)])
     lp = LinearProgram(
         objective=objective,
-        matrix=matrix,
-        senses=tuple([LE] * m),
-        rhs=rhs,
-        lower=np.zeros(n),
-        upper=upper,
-        sense="minimize",
+        matrix=np.vstack([matrix, np.eye(n)]),
+        senses=(LE,) * (m + n),
+        rhs=np.concatenate([matrix @ x0 + slack, cap]),
     )
     return lp, x0
 
@@ -461,63 +364,36 @@ class TestRandomizedProperties:
         lp, x0 = case
         res = solve_lp(lp)
         # x0 is feasible by construction, so the LP cannot be infeasible, and
-        # box bounds on every variable rule out unboundedness.
+        # a cap row on every variable rules out unboundedness.
         assert res.status == OPTIMAL
         assert res.objective_value <= float(lp.objective @ x0) + 1e-8
         assert np.all(lp.matrix @ res.solution <= lp.rhs + 1e-9 * np.maximum(1.0, np.abs(lp.rhs)))
-        assert np.all(res.solution >= -1e-9)
-        assert np.all(res.solution <= lp.upper + 1e-9)
+        assert np.all(res.solution >= 0.0)
 
 
 def random_mixed_lp(rng: np.random.Generator) -> LinearProgram:
-    """A small LP mixing every bound kind, every row sense and both rhs signs.
+    """A small LP mixing every row sense, both rhs signs and every kind of column.
 
-    Columns are fixed, boxed (narrow, or 2000 wide), lower-only, upper-only or
-    free, with bounds on both sides of zero. Small integer data keeps every
-    instance well conditioned, so statuses are not decided by rounding.
+    Every column is >= 0; a boxed one (narrow, or 2000 wide) has a <= cap
+    row after the drawn rows, and a free one is split into itself and a
+    negated copy at the end. Small integer data keeps every instance well
+    conditioned, so statuses are not decided by rounding.
     """
     n, m = int(rng.integers(1, 7)), int(rng.integers(0, 7))
-    lower, upper = np.empty(n), np.empty(n)
-    for j, kind in enumerate(rng.choice(["fixed", "boxed", "wide", "lower", "upper", "free"], size=n)):
-        at = float(rng.integers(-4, 4))
-        lower[j], upper[j] = {
-            "fixed": (at, at),
-            "boxed": (at, at + float(rng.integers(1, 5))),
-            "wide": (at - 1e3, at + 1e3),
-            "lower": (at, INF),
-            "upper": (-INF, at),
-            "free": (-INF, INF),
-        }[kind]
+    objective = rng.integers(-3, 4, size=n).astype(float)
+    matrix = rng.integers(-3, 4, size=(m, n)).astype(float)
+    senses = rng.choice([LE, GE, EQ], size=m, p=[0.45, 0.35, 0.2]).tolist()
+    rhs = rng.integers(-6, 7, size=m).astype(float)
+    kinds = rng.choice(["boxed", "wide", "lower", "free"], size=n)
+    caps = {"boxed": float(rng.integers(1, 5)), "wide": 2e3}
+    capped = [j for j, kind in enumerate(kinds) if kind in caps]
+    free = np.flatnonzero(kinds == "free")
     return make_lp(
-        rng.integers(-3, 4, size=n).astype(float),
-        rng.integers(-3, 4, size=(m, n)).astype(float),
-        rng.choice([LE, GE, EQ], size=m, p=[0.45, 0.35, 0.2]).tolist(),
-        rng.integers(-6, 7, size=m).astype(float),
-        lower,
-        upper,
-        sense=str(rng.choice(["maximize", "minimize"])),
+        np.concatenate([objective, -objective[free]]),
+        np.vstack([np.hstack([matrix, -matrix[:, free]]), np.eye(n, n + free.size)[capped]]),
+        senses + [LE] * len(capped),
+        np.concatenate([rhs, [caps[kinds[j]] for j in capped]]),
     )
-
-
-def highs_solve(optimize, lp: LinearProgram) -> tuple[str, float | None]:
-    """Status and objective of ``lp`` by ``scipy.optimize.linprog(method="highs")``."""
-    senses = np.array(lp.senses)
-    scale = 1.0 if lp.sense == "minimize" else -1.0
-    upper_rows = np.vstack([lp.matrix[senses == LE], -lp.matrix[senses == GE]])
-    equal_rows = lp.matrix[senses == EQ]
-    # HiGHS's presolve reports some unbounded LPs as infeasible, so it is off.
-    ref = optimize.linprog(
-        scale * lp.objective,
-        A_ub=upper_rows if upper_rows.size else None,
-        b_ub=np.concatenate([lp.rhs[senses == LE], -lp.rhs[senses == GE]]) if upper_rows.size else None,
-        A_eq=equal_rows if equal_rows.size else None,
-        b_eq=lp.rhs[senses == EQ] if equal_rows.size else None,
-        bounds=[(lo if lo > -INF else None, hi if hi < INF else None) for lo, hi in zip(lp.lower, lp.upper)],
-        method="highs",
-        options={"presolve": False},
-    )
-    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
-    return status, scale * ref.fun if status == OPTIMAL else None
 
 
 class TestAgainstHighs:
@@ -538,23 +414,8 @@ class TestAgainstHighs:
         assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
 
-def dual_objective(lp: LinearProgram, res) -> float:
-    """The bounded-variable dual objective at ``res.duals``: y·rhs plus each column's best d_j·x_j over its bounds.
-
-    d = c − Aᵀy. A maximization's column takes its upper bound where d_j > 0
-    and its lower bound where d_j < 0, a minimization's the other way round;
-    where d_j is within 1e-9 of zero the column's own value is used. The sum
-    is infinite when y is not dual feasible.
-    """
-    reduced = lp.objective - lp.matrix.T @ res.duals
-    toward = reduced if lp.sense == "maximize" else -reduced
-    best = np.where(toward > 0, lp.upper, lp.lower)
-    at = np.where(np.abs(reduced) <= 1e-9, res.solution, best)
-    return float(res.duals @ lp.rhs + reduced @ at)
-
-
 class TestDuals:
-    """``LpResult.duals`` are an optimal dual solution, in the original rows' signs and the problem's sense."""
+    """``LpResult.duals`` are an optimal dual solution, in the original rows' signs."""
 
     def test_strong_duality_and_complementary_slackness(self):
         rng = np.random.default_rng(20261019)
@@ -567,16 +428,19 @@ class TestDuals:
                 continue
             y = res.duals
             assert y.shape == (lp.matrix.shape[0],)
-            # A maximization prices a "<=" row >= 0 and a ">=" row <= 0; a minimization the other way round.
-            sign = np.array([{LE: 1.0, GE: -1.0, EQ: 0.0}[s] for s in lp.senses])
-            if lp.sense == "minimize":
-                sign = -sign
+            # A "<=" row is priced <= 0 and a ">=" row >= 0.
+            sign = np.array([{LE: -1.0, GE: 1.0, EQ: 0.0}[s] for s in lp.senses])
             assert np.all(sign * y >= -1e-9), lp
             gap = lp.matrix @ res.solution - lp.rhs
             assert np.all(np.abs(y * gap) <= 1e-9), lp
-            assert dual_objective(lp, res) == pytest.approx(res.objective_value, rel=1e-9, abs=1e-9), lp
-            senses.update((lp.sense, s) for s in lp.senses)
-        assert len(senses) == 6  # each row sense under each problem sense
+            # Dual feasibility on x >= 0, complementary slackness on the
+            # columns, and the dual objective y·rhs equals the optimum.
+            reduced = lp.objective - lp.matrix.T @ y
+            assert np.all(reduced >= -1e-9), lp
+            assert np.all(np.abs(reduced * res.solution) <= 1e-9), lp
+            assert float(y @ lp.rhs) == pytest.approx(res.objective_value, rel=1e-9, abs=1e-9), lp
+            senses.update(lp.senses)
+        assert len(senses) == 3  # each row sense
 
     def test_duals_follow_the_row_sign_and_the_problem_sense(self):
         rng = np.random.default_rng(7)
@@ -586,10 +450,6 @@ class TestDuals:
             res = solve_lp(lp)
             if res.status != OPTIMAL or not lp.senses:
                 continue
-            flipped = replace(
-                lp, objective=-lp.objective, sense="minimize" if lp.sense == "maximize" else "maximize"
-            )
-            assert np.array_equal(solve_lp(flipped).duals, -res.duals)
             # Row 0 written the other way round: -a x >= -b for a x <= b.
             negated = replace(
                 lp,
@@ -615,21 +475,19 @@ class TestDuals:
             res = solve_lp(lp)
             if res.status != OPTIMAL:
                 continue
-            # A nondegenerate vertex has exactly n active constraints and bounds, and a unique dual.
+            # A nondegenerate vertex has exactly n active rows and zero columns, and a unique dual.
             x = res.solution
             tight_rows = np.abs(lp.matrix @ x - lp.rhs) <= 1e-9
-            at_bound = (np.abs(x - lp.lower) <= 1e-9) | (np.abs(x - lp.upper) <= 1e-9)
-            if np.count_nonzero(tight_rows) + np.count_nonzero(at_bound) != x.size:
+            if np.count_nonzero(tight_rows) + np.count_nonzero(np.abs(x) <= 1e-9) != x.size:
                 continue
             senses = np.array(lp.senses)
-            scale = 1.0 if lp.sense == "minimize" else -1.0
             ref = optimize.linprog(
-                scale * lp.objective,
+                lp.objective,
                 A_ub=np.vstack([lp.matrix[senses == LE], -lp.matrix[senses == GE]]),
                 b_ub=np.concatenate([lp.rhs[senses == LE], -lp.rhs[senses == GE]]),
                 A_eq=lp.matrix[senses == EQ],
                 b_eq=lp.rhs[senses == EQ],
-                bounds=[(lo if lo > -INF else None, hi if hi < INF else None) for lo, hi in zip(lp.lower, lp.upper)],
+                bounds=(0, None),
                 method="highs",
             )
             assert ref.status == 0, lp
@@ -640,7 +498,7 @@ class TestDuals:
             expected[senses == LE] = upper[:n_le]
             expected[senses == GE] = -upper[n_le:]
             expected[senses == EQ] = ref.eqlin.marginals
-            assert res.duals == pytest.approx(scale * expected, rel=1e-9, abs=1e-9), lp
+            assert res.duals == pytest.approx(expected, rel=1e-9, abs=1e-9), lp
             compared += 1
         assert compared > 50
 
@@ -664,8 +522,8 @@ class TestKeptInverse:
         assert_same_result(solve_lp(lp), solve_with_reference(lp))
 
     def test_every_bound_kind_matches_reference(self):
-        # The LPs of TestAgainstHighs: fixed, boxed (at a nonzero lower bound
-        # too), wide, upper-only and free columns, and every status.
+        # The LPs of TestAgainstHighs: boxed columns with their cap rows, wide,
+        # lower-only and split free columns, and every status.
         rng = np.random.default_rng(20261018)
         for _ in range(400):
             lp = random_mixed_lp(rng)
@@ -728,12 +586,10 @@ def solve_logged(caplog, lp, start=None):
     return res, log_fields(line)
 
 
-#: maximize x + y s.t. x + y <= 4, x - y <= 1, x + y >= 1. Its standard-form
+#: minimize -x - y s.t. x + y <= 4, x - y <= 1, x + y >= 1. Its standard-form
 #: columns are x, y, the slacks of rows 0 and 1, the surplus of row 2 and the
 #: artificial of row 2, and its cold solve runs phase 1 and phase 2.
-TRIANGLE = make_lp(
-    [1.0, 1.0], [[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]], [LE, LE, GE], [4.0, 1.0, 1.0], [0.0, 0.0], [INF, INF]
-)
+TRIANGLE = make_lp([-1.0, -1.0], [[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]], [LE, LE, GE], [4.0, 1.0, 1.0])
 
 
 def market_m6_exact_lp(b):
@@ -753,8 +609,8 @@ class TestWarmStart:
         "lp",
         [
             TRIANGLE,
-            # Its optimum has y at its upper bound, on its width row.
-            make_lp([1.0, 1.0], [[2.0, 1.0]], [LE], [2.5], [0.0, 0.0], [1.0, 2.0]),
+            # x <= 1 and y <= 2 as cap rows; its optimum has y on its cap.
+            make_lp([-1.0, -1.0], [[2.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [LE, LE, LE], [2.5, 1.0, 2.0]),
             market_m6_exact_lp(0.3),
         ],
         ids=["triangle", "boxed", "market_m6"],
@@ -792,7 +648,7 @@ class TestWarmStart:
         warm, (_, _, phase1, phase2, _, start) = solve_logged(caplog, TRIANGLE, Basis(np.array([2, 3, 0])))
         assert (phase1, start) == (0, "used")
         assert phase2 > 0
-        assert warm.objective_value == cold.objective_value == 4.0
+        assert warm.objective_value == cold.objective_value == -4.0
 
     # After a moved right-hand side the old optimum is used where it is still
     # primal feasible (and is then optimal) and solved cold where it is not;
@@ -833,17 +689,19 @@ class TestWarmStart:
                 lp,
                 objective=np.concatenate([lp.objective, rng.integers(-3, 4, size=k).astype(float)]),
                 matrix=np.hstack([lp.matrix, rng.integers(-3, 4, size=(m, k)).astype(float)]),
-                lower=np.concatenate([lp.lower, np.zeros(k)]),
-                upper=np.concatenate([lp.upper, np.full(k, INF)]),
             )
-            start = first.basis.with_inserted_columns(_standard_form(lp).var.size, k)
+            start = first.basis.with_inserted_columns(lp.objective.size, k)
             assert _standard_form(grown).matrix[:, start.columns].tolist() == _standard_form(lp).matrix[
                 :, first.basis.columns
             ].tolist()
             warm, (_, _, phase1, _, _, outcome) = solve_logged(caplog, grown, start)
             cold = solve_lp(grown)
             outcomes[outcome] += 1
-            assert (outcome, phase1) == ("used", 0), grown
+            if _standard_form(lp).artificial[first.basis.columns].any():
+                # An artificial that phase 1 left basic at zero makes no start.
+                assert outcome == "rejected", grown
+            else:
+                assert (outcome, phase1) == ("used", 0), grown
             assert warm.status == cold.status, grown
             if cold.status == OPTIMAL:
                 assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-9), grown

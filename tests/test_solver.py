@@ -546,9 +546,10 @@ class TestDistributionLp:
         assert decision[0] <= sol.b_star <= decision[1]
         assert np.all((sol.lambda_star >= 0.0) & (sol.lambda_star <= MULTIPLIER_BOX))
         assert (u.values_at(xs, sol.b_star) + sol.eta_star + sol.lambda_star @ G).min() >= -1e-9
-        # And its objective is the program's optimum, found on the program's own side.
+        # And its objective is the program's optimum, found on the program's own
+        # side (whose canonical form minimizes the objective negated).
         reference = simplex.solve_lp(tall_program(fs, u, G, xs, decision, (MULTIPLIER_BOX, OFFSET_BOX)))
-        assert sol.objective == pytest.approx(reference.objective_value, abs=1e-9)
+        assert sol.objective == pytest.approx(-reference.objective_value, abs=1e-9)
         if decision[0] == decision[1]:
             assert sol.b_star == decision[0]
 
